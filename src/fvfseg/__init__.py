@@ -10,7 +10,6 @@ force.  See the module docstrings for the individual pieces; the
 from .brainmap import (
     GbbmParams,
     ProbabilisticAtlas,
-    TissueTriple,
     build_gbbm,
     cc_to_cm,
     pearson_cc,
@@ -28,10 +27,8 @@ from .fvf3d import (
     EvolutionParams,
     ForceContext,
     LevelSetField,
-    directional_cosine,
     edge_map,
     evolve,
-    external_force,
     make_force_context,
     reinitialize,
     signed_distance_init,
@@ -50,6 +47,6 @@ from .ngmm import (
 )
 from .phantom import TumorSpec, load_atlas_dir, save_atlas_dir, synth_atlas, synth_patient
 from .pipeline import PipelineConfig, load_config, run_pipeline
-from .volume import AffineTransform, BinaryMask, ScalarVolume, VectorField
+from .volume import BinaryMask, ScalarVolume, VectorField
 
 __version__ = "0.1.0"

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,12 +32,6 @@ from .volume import BinaryMask, ScalarVolume, require_same_grid
 
 BAYES_DENOMINATOR_FLOOR = 1e-300
 CC_VARIANCE_FLOOR = 1e-12
-
-
-class TissueTriple(NamedTuple):
-    csf: float
-    gm: float
-    wm: float
 
 
 @dataclass
@@ -92,76 +85,90 @@ class GbbmParams:
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
 
 
-def spatial_prior(atlas: ProbabilisticAtlas, voxel) -> TissueTriple:
-    """Normalized tissue prior at one voxel index.
+def _triples(values, what: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim < 1 or arr.shape[0] != 3:
+        raise ValueError(f"{what} needs a leading axis of length 3, got shape {arr.shape}")
+    return arr
 
-    Voxels where all three maps read zero get the uninformative prior
-    (1/3, 1/3, 1/3).
+
+def spatial_prior(xi) -> np.ndarray:
+    """Normalized tissue prior from raw atlas probabilities.
+
+    ``xi`` holds (CSF, GM, WM) along a leading axis of length 3: a (3,)
+    vector for one voxel, or a (3, ...) stack such as
+    ProbabilisticAtlas.probability_stack().  Voxels where all three maps
+    read zero get the uninformative prior (1/3, 1/3, 1/3).
     """
-    i, j, k = (int(v) for v in voxel)
-    nx, ny, nz = atlas.dims
-    if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
-        raise ValueError(f"voxel {voxel!r} outside grid {atlas.dims}")
-    xi = (
-        float(atlas.prob_csf.data[i, j, k]),
-        float(atlas.prob_gm.data[i, j, k]),
-        float(atlas.prob_wm.data[i, j, k]),
-    )
-    s = xi[0] + xi[1] + xi[2]
-    if s <= 0.0:
-        return TissueTriple(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-    return TissueTriple(xi[0] / s, xi[1] / s, xi[2] / s)
+    xi = _triples(xi, "spatial_prior")
+    s = xi.sum(axis=0)
+    return np.divide(xi, s, out=np.full_like(xi, 1.0 / 3.0), where=s > 0.0)
 
 
-def posterior_triple(model: TissueMixtureModel, prior, x: float) -> TissueTriple:
+def posterior_triple(
+    model: TissueMixtureModel, prior, x, diagnostics: dict | None = None
+) -> np.ndarray:
     """Bayes update of a tissue prior with the intensity likelihoods.
 
     p(k | x) = prior_k * N(x; mu_k, sigma_k) / sum_j prior_j * N(x; mu_j, sigma_j)
 
-    When every weighted likelihood underflows (denominator below 1e-300)
-    the intensity carries no usable evidence and the prior is returned
-    unchanged.
+    ``prior`` has a leading axis of length 3 and ``x`` the shape of the
+    remaining axes (a (3,) prior with a scalar x for one voxel).  Where
+    every weighted likelihood underflows (denominator below 1e-300) the
+    intensity carries no usable evidence and the prior is returned
+    unchanged; ``diagnostics`` (a dict, optional) receives that boolean
+    mask under "degenerate_bayes".
     """
     if model.n_components != 3:
         raise ValueError(f"posterior needs a 3-component model, got K={model.n_components}")
-    if not math.isfinite(x):
-        raise ValueError(f"intensity must be finite, got {x}")
-    p = tuple(float(v) for v in prior)
-    if len(p) != 3 or any(not math.isfinite(v) or v < 0 for v in p):
-        raise ValueError(f"prior must be three nonnegative finite values, got {prior!r}")
-    numer = tuple(
-        p[j] * gaussian_pdf(x, model.means[j], model.stds[j]) for j in range(3)
-    )
-    denom = numer[0] + numer[1] + numer[2]
-    if denom < BAYES_DENOMINATOR_FLOOR:
-        return TissueTriple(*p)
-    return TissueTriple(numer[0] / denom, numer[1] / denom, numer[2] / denom)
+    p = _triples(prior, "prior")
+    if not (np.isfinite(p).all() and (p >= 0).all()):
+        raise ValueError("prior must hold nonnegative finite values")
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("intensity must be finite")
+    post = p * np.stack([gaussian_pdf(x, m, s) for m, s in zip(model.means, model.stds)])
+    denom = post.sum(axis=0)
+    degenerate = denom < BAYES_DENOMINATOR_FLOOR
+    np.divide(post, denom, out=post, where=~degenerate)
+    np.copyto(post, p, where=degenerate)
+    if diagnostics is not None:
+        diagnostics["degenerate_bayes"] = degenerate
+    return post
 
 
-def pearson_cc(a, b) -> float:
-    """Pearson correlation of two 3-vectors, 0.0 when either is (near)
-    constant (variance below 1e-12)."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != (3,) or bv.shape != (3,):
-        raise ValueError("pearson_cc expects two length-3 vectors")
-    if not (np.isfinite(av).all() and np.isfinite(bv).all()):
+def pearson_cc(a, b, diagnostics: dict | None = None):
+    """Pearson correlation of 3-vectors along the leading axis, 0.0 where
+    either is (near) constant (variance below 1e-12).
+
+    ``diagnostics`` (a dict, optional) receives the boolean mask of those
+    near-constant voxels under "degenerate_cc".
+    """
+    a = _triples(a, "pearson_cc")
+    b = _triples(b, "pearson_cc")
+    if a.shape != b.shape:
+        raise ValueError(f"pearson_cc inputs differ in shape: {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("pearson_cc inputs must be finite")
-    ac = av - av.mean()
-    bc = bv - bv.mean()
-    var_a = float(ac @ ac) / 3.0
-    var_b = float(bc @ bc) / 3.0
-    if var_a < CC_VARIANCE_FLOOR or var_b < CC_VARIANCE_FLOOR:
-        return 0.0
-    cc = (float(ac @ bc) / 3.0) / math.sqrt(var_a * var_b)
-    return min(1.0, max(-1.0, cc))
+    ac = a - a.mean(axis=0)
+    bc = b - b.mean(axis=0)
+    var_a = (ac * ac).sum(axis=0) / 3.0
+    var_b = (bc * bc).sum(axis=0) / 3.0
+    cov = (ac * bc).sum(axis=0) / 3.0
+    defined = (var_a >= CC_VARIANCE_FLOOR) & (var_b >= CC_VARIANCE_FLOOR)
+    denom = np.sqrt(var_a * var_b, where=defined, out=np.ones_like(var_a))
+    cc = np.divide(cov, denom, out=np.zeros_like(cov), where=defined)
+    if diagnostics is not None:
+        diagnostics["degenerate_cc"] = ~defined
+    return np.clip(cc, -1.0, 1.0)
 
 
-def cc_to_cm(cc: float) -> float:
+def cc_to_cm(cc):
     """Conflict mapping: positive correlation folds to 1-CC, the rest to -CC."""
-    if not (math.isfinite(cc) and -1.0 <= cc <= 1.0):
-        raise ValueError(f"CC must lie in [-1, 1], got {cc}")
-    return 1.0 - cc if cc > 0.0 else -cc
+    cc = np.asarray(cc, dtype=np.float64)
+    if not (np.abs(cc) <= 1.0).all():
+        raise ValueError("CC must lie in [-1, 1]")
+    return np.where(cc > 0.0, 1.0 - cc, -cc)
 
 
 def build_gbbm(
@@ -174,42 +181,21 @@ def build_gbbm(
     """Whole-volume abnormality map: omega * CM at brain voxels, 0 elsewhere.
 
     ``patient`` must already be normalized and registered onto the atlas
-    grid.  The computation is the vectorized equivalent of evaluating
-    spatial_prior -> posterior_triple -> pearson_cc -> cc_to_cm voxel by
-    voxel.  Optional ``diagnostics`` (a dict) receives counts of degenerate
-    voxels.
+    grid.  The map is the composition spatial_prior -> posterior_triple ->
+    pearson_cc -> cc_to_cm over every voxel at once.  Optional
+    ``diagnostics`` (a dict) receives counts of degenerate brain voxels.
     """
     params = params or GbbmParams()
-    if model.n_components != 3:
-        raise ValueError(f"abnormality map needs a 3-component model, got K={model.n_components}")
     require_same_grid(patient, atlas.template, "patient and atlas")
 
-    xi = atlas.probability_stack()
-    s = xi.sum(axis=0)
-    prior = np.where(s > 0.0, np.divide(xi, s, where=s > 0.0), 1.0 / 3.0)
-
-    x = np.asarray(patient.data, dtype=np.float64)
-    like = np.stack([gaussian_pdf(x, model.means[j], model.stds[j]) for j in range(3)])
-    numer = prior * like
-    denom = numer.sum(axis=0)
-    degenerate = denom < BAYES_DENOMINATOR_FLOOR
-    posterior = np.where(degenerate, prior, np.divide(numer, denom, where=~degenerate))
-
-    ac = posterior - posterior.mean(axis=0)
-    bc = prior - prior.mean(axis=0)
-    var_a = (ac * ac).sum(axis=0) / 3.0
-    var_b = (bc * bc).sum(axis=0) / 3.0
-    cov = (ac * bc).sum(axis=0) / 3.0
-    cc_defined = (var_a >= CC_VARIANCE_FLOOR) & (var_b >= CC_VARIANCE_FLOOR)
-    denom_cc = np.sqrt(var_a * var_b, where=cc_defined, out=np.ones_like(var_a))
-    cc = np.where(cc_defined, cov / denom_cc, 0.0)
-    cc = np.clip(cc, -1.0, 1.0)
-
-    cm = np.where(cc > 0.0, 1.0 - cc, -cc)
+    masks = None if diagnostics is None else {}
+    prior = spatial_prior(atlas.probability_stack())
+    posterior = posterior_triple(model, prior, patient.data, masks)
+    cc = pearson_cc(posterior, prior, masks)
     inside = atlas.brain_mask.data
-    out = np.where(inside, params.omega * cm, 0.0)
+    out = np.where(inside, params.omega * cc_to_cm(cc), 0.0)
 
     if diagnostics is not None:
-        diagnostics["degenerate_bayes_voxels"] = int((degenerate & inside).sum())
-        diagnostics["degenerate_cc_voxels"] = int((~cc_defined & inside).sum())
+        diagnostics["degenerate_bayes_voxels"] = int((masks["degenerate_bayes"] & inside).sum())
+        diagnostics["degenerate_cc_voxels"] = int((masks["degenerate_cc"] & inside).sum())
     return ScalarVolume(out, patient.spacing)

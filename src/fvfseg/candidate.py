@@ -1,15 +1,13 @@
 """Candidate tumor region extraction from an abnormality map.
 
 The abnormality volume is noisy at tissue interfaces and near the skull
-edge, so a fixed six-step cleanup isolates one solid candidate blob:
+edge, so a fixed five-step cleanup isolates one solid candidate blob:
 
 1. zero the map outside a boundary-stripped copy of the brain mask
 2. threshold (strictly greater than psi)
 3. erode, to break thin bridges and drop isolated speckle
 4. keep the largest connected component
 5. dilate, clipped to the stripped brain mask, to restore the lost margin
-6. optionally resample the mask through an inverse affine back to the
-   original scan space
 
 If the mask is empty after any step the extraction fails with the step
 index, which the CLI maps to its own exit code.
@@ -24,14 +22,12 @@ import numpy as np
 
 from .errors import NoCandidateError
 from .volume import (
-    AffineTransform,
     BinaryMask,
     ScalarVolume,
     largest_component,
     mask_boundary_strip,
     morphology,
     require_same_grid,
-    resample_affine,
 )
 
 
@@ -85,16 +81,11 @@ def extract_candidate(
     gbbm: ScalarVolume,
     brain_mask: BinaryMask,
     params: CandidateParams | None = None,
-    t_inv: AffineTransform | None = None,
-    out_dims=None,
-    out_spacing=None,
 ) -> CandidateRegion:
-    """Run the six cleanup steps and return the surviving blob.
+    """Run the five cleanup steps and return the surviving blob.
 
-    ``t_inv``, when given, is the pull-back affine used to carry the mask
-    back to the original scan grid (``out_dims``/``out_spacing`` default to
-    the working grid).  Raises NoCandidateError with the 1-based step index
-    if the mask empties along the way.
+    Raises NoCandidateError with the 1-based step index if the mask
+    empties along the way.
     """
     params = params or CandidateParams()
     require_same_grid(gbbm, brain_mask, "abnormality map and brain mask")
@@ -120,17 +111,6 @@ def extract_candidate(
         mask = morphology(mask, "dilate", radius=1, iterations=params.dilate_iters)
         mask = BinaryMask(mask.data & stripped.data, mask.spacing)
     counts.append(mask.count())
-
-    if t_inv is not None:
-        mask = resample_affine(
-            mask,
-            t_inv,
-            out_dims if out_dims is not None else mask.dims,
-            out_spacing if out_spacing is not None else mask.spacing,
-        )
-        counts.append(mask.count())
-        if counts[-1] == 0:
-            raise NoCandidateError(6, "candidate left the grid during resampling")
 
     return CandidateRegion(
         mask=mask,

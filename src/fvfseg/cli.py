@@ -12,13 +12,9 @@ import argparse
 import os
 import sys
 
-from . import fvf3d, phantom, pipeline
-from .brainmap import GbbmParams, build_gbbm
-from .candidate import CandidateRegion, extract_candidate, mask_centroid
+from . import phantom, pipeline
 from .errors import MvolFormatError, NoCandidateError, NumericalInstabilityError
 from .metrics import tanimoto
-from .mvol import atomic_write_text, read_volume, write_volume
-from .ngmm import save_model
 from .pipeline import PipelineConfig, load_config
 
 EXIT_OK = 0
@@ -45,21 +41,8 @@ def _parse_dims(text: str):
     raise ValueError(f"dims must be N or NX,NY,NZ, got {text!r}")
 
 
-def _config_from_args(args, extra_keys=()) -> PipelineConfig:
-    keys = (
-        "input",
-        "atlas_dir",
-        "model",
-        "output_dir",
-        "ground_truth",
-        "psi",
-        "omega",
-        "alpha",
-        "beta",
-        "max_iters",
-        "seed",
-    ) + tuple(extra_keys)
-    overrides = {k: getattr(args, k) for k in keys if hasattr(args, k)}
+def _config_from_args(args) -> PipelineConfig:
+    overrides = {k: v for k, v in vars(args).items() if k in pipeline.CONFIG_KEYS}
     return load_config(getattr(args, "config", None), overrides)
 
 
@@ -98,14 +81,9 @@ def cmd_phantom(args) -> int:
 
 def cmd_fit(args) -> int:
     config = _config_from_args(args)
-    if args.max_iters is not None:
-        config.em_max_iters = args.max_iters
     atlas = phantom.load_atlas_dir(config.atlas_dir)
-    patient = pipeline._read_scalar(config.input)
-    _, record, model = pipeline.fit_stage(patient, atlas, config)
-    os.makedirs(config.output_dir, exist_ok=True)
+    _, record, _ = pipeline.fit_stage(pipeline.read_scalar(config.input), atlas, config)
     path = os.path.join(config.output_dir, pipeline.MODEL_FILE)
-    save_model(model, path)
     print(f"model written to {path} ({record.note})")
     return EXIT_OK
 
@@ -113,16 +91,9 @@ def cmd_fit(args) -> int:
 def cmd_gbbm(args) -> int:
     config = _config_from_args(args)
     atlas = phantom.load_atlas_dir(config.atlas_dir)
-    patient = pipeline._read_scalar(config.input)
-    os.makedirs(config.output_dir, exist_ok=True)
-    if config.model is None:
-        normalized, _, model = pipeline.fit_stage(patient, atlas, config)
-        save_model(model, os.path.join(config.output_dir, pipeline.MODEL_FILE))
-    else:
-        normalized, _, model = pipeline._fit_with_fixed_model(patient, atlas, config)
-    gbbm = build_gbbm(normalized, atlas, model, GbbmParams(omega=config.omega))
+    normalized, _, model = pipeline.fit_stage(pipeline.read_scalar(config.input), atlas, config)
+    pipeline.gbbm_stage(normalized, atlas, model, config)
     path = os.path.join(config.output_dir, pipeline.GBBM_FILE)
-    write_volume(gbbm, path)
     print(f"abnormality map written to {path}")
     return EXIT_OK
 
@@ -130,42 +101,24 @@ def cmd_gbbm(args) -> int:
 def cmd_candidate(args) -> int:
     config = _config_from_args(args)
     atlas = phantom.load_atlas_dir(config.atlas_dir)
-    gbbm = pipeline._read_scalar(config.input)
-    region = extract_candidate(gbbm, atlas.brain_mask, config.candidate_params())
-    os.makedirs(config.output_dir, exist_ok=True)
-    write_volume(region.mask, os.path.join(config.output_dir, pipeline.CANDIDATE_FILE))
-    atomic_write_text(
-        os.path.join(config.output_dir, pipeline.CANDIDATE_REPORT_FILE),
-        pipeline._candidate_report_text(region),
-    )
+    region = pipeline.candidate_stage(pipeline.read_scalar(config.input), atlas, config)
     print(f"candidate_voxels={region.voxel_count}")
     return EXIT_OK
 
 
 def cmd_segment(args) -> int:
     config = _config_from_args(args)
-    patient = pipeline._read_scalar(config.input)
     cand_path = args.candidate or os.path.join(config.output_dir, pipeline.CANDIDATE_FILE)
-    cand = pipeline._read_mask(cand_path)
-    region = CandidateRegion(
-        mask=cand, centroid=mask_centroid(cand), voxel_count=int(cand.count())
+    final, _ = pipeline.segment_stage(
+        pipeline.read_scalar(config.input), pipeline.read_mask(cand_path), config
     )
-    log: list = []
-    final = pipeline.segment_stage(patient, region, config, log=log)
-    os.makedirs(config.output_dir, exist_ok=True)
-    atomic_write_text(
-        os.path.join(config.output_dir, pipeline.EVOLUTION_LOG_FILE),
-        pipeline._evolution_log_text(log),
-    )
-    seg = fvf3d.zero_level_mask(final)
-    write_volume(seg, os.path.join(config.output_dir, pipeline.SEGMENTATION_FILE))
     print(f"iterations={final.iteration}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    seg = pipeline._read_mask(args.input)
-    truth = pipeline._read_mask(args.ground_truth)
+    seg = pipeline.read_mask(args.input)
+    truth = pipeline.read_mask(args.ground_truth)
     report = tanimoto(seg, truth)
     print(f"tm={format(report.tanimoto, '.17g')}")
     print(f"n_input={report.n_x}")
@@ -205,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("fit", help="fit the three-tissue mixture to a scan")
     _add_common(p, "config", "input", "atlas", "output", "seed",
                 input_help="patient scalar MVOL")
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=None,
-                   help="EM iteration cap for this subcommand")
+    p.add_argument("--max-iters", dest="em_max_iters", type=int, default=None,
+                   help="EM iteration cap")
     p.set_defaults(func=cmd_fit)
 
     p = subs.add_parser("gbbm", help="compute the abnormality map")

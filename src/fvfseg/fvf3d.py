@@ -166,54 +166,6 @@ def make_force_context(
     return ForceContext(edge=f, edge_grad=fgrad, center=tuple(center), candidate=mask)
 
 
-def directional_cosine(l1, l2) -> float:
-    """Cosine of the angle between two direction vectors."""
-    a = np.asarray(l1, dtype=np.float64)
-    b = np.asarray(l2, dtype=np.float64)
-    if a.shape != (3,) or b.shape != (3,):
-        raise ValueError("directions must be length-3 vectors")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < _EPS_DIRECTION or nb < _EPS_DIRECTION:
-        raise ValueError("directional cosine of a (near-)zero vector")
-    return min(1.0, max(-1.0, float(a @ b) / (na * nb)))
-
-
-def _nearest_voxel(point, spacing, dims):
-    idx = [int(round(point[ax] / spacing[ax])) for ax in range(3)]
-    clipped = [min(max(idx[ax], 0), dims[ax] - 1) for ax in range(3)]
-    in_grid = all(0 <= idx[ax] < dims[ax] for ax in range(3))
-    return tuple(clipped), in_grid
-
-
-def external_force(ctx: ForceContext, point, normal=None) -> np.ndarray:
-    """Force direction at one surface point B (``normal`` is accepted for
-    cos-angle diagnostics only; it does not enter the force).
-
-    Returns chi(grad f + delta * unit(B - A)) as a unit vector, or the zero
-    vector when B coincides with A or the sum is degenerate.
-    """
-    b = np.asarray(point, dtype=np.float64)
-    if b.shape != (3,) or not np.isfinite(b).all():
-        raise ValueError(f"surface point must be a finite 3-vector, got {point!r}")
-    a = np.asarray(ctx.center, dtype=np.float64)
-    gamma = b - a
-    dist = float(np.linalg.norm(gamma))
-    if dist < _EPS_DIRECTION:
-        return np.zeros(3)
-    gamma_hat = gamma / dist
-    (i, j, k), in_grid = _nearest_voxel(b, ctx.edge.spacing, ctx.edge.dims)
-    delta = 1.0 if (in_grid and ctx.candidate.data[i, j, k]) else -1.0
-    fvec = np.array(
-        [ctx.edge_grad.x[i, j, k], ctx.edge_grad.y[i, j, k], ctx.edge_grad.z[i, j, k]]
-    )
-    s = fvec + delta * gamma_hat
-    norm = float(np.linalg.norm(s))
-    if norm < _EPS_DIRECTION:
-        return np.zeros(3)
-    return s / norm
-
-
 def zero_level_mask(ls: LevelSetField) -> BinaryMask:
     """Voxels strictly inside the front (phi < 0)."""
     return BinaryMask(ls.phi.data < 0.0, ls.phi.spacing)
@@ -240,13 +192,18 @@ def _shift(a: np.ndarray, axis: int, step: int) -> np.ndarray:
     return out
 
 
-def _force_field(ctx: ForceContext, spacing, dims):
-    """Precompute the static unit force E on the whole grid."""
+def _radial(ctx: ForceContext, spacing, dims):
+    """The components of B - A at every voxel B, and its length."""
     wx, wy, wz = world_coordinates(dims, spacing)
     dx = wx - ctx.center[0]
     dy = wy - ctx.center[1]
     dz = wz - ctx.center[2]
-    dn = np.sqrt(dx * dx + dy * dy + dz * dz)
+    return dx, dy, dz, np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def _force_field(ctx: ForceContext, spacing, dims):
+    """Precompute the static unit force E on the whole grid."""
+    dx, dy, dz, dn = _radial(ctx, spacing, dims)
     away = dn >= _EPS_DIRECTION
     inv = np.divide(1.0, dn, where=away, out=np.zeros_like(dn))
     delta = np.where(ctx.candidate.data, 1.0, -1.0)
@@ -340,11 +297,7 @@ def reinitialize(ls: LevelSetField, iterations: int | None = None) -> LevelSetFi
 def _cos_gamma_stats(px, py, pz, ctx, spacing, dims, band):
     """Mean cosine between the front normal and the A->B direction inside
     the band; diagnostic only."""
-    wx, wy, wz = world_coordinates(dims, spacing)
-    dx = wx - ctx.center[0]
-    dy = wy - ctx.center[1]
-    dz = wz - ctx.center[2]
-    dn = np.sqrt(dx * dx + dy * dy + dz * dz)
+    dx, dy, dz, dn = _radial(ctx, spacing, dims)
     gn = np.sqrt(px * px + py * py + pz * pz)
     ok = band & (dn >= _EPS_DIRECTION) & (gn >= _EPS_DIRECTION)
     if not ok.any():

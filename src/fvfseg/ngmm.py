@@ -98,14 +98,6 @@ def gaussian_pdf(x, mean: float, std: float):
     return float(out) if np.isscalar(x) else out
 
 
-def mixture_density(model: TissueMixtureModel, x):
-    xs = np.asarray(x, dtype=np.float64)
-    total = np.zeros_like(xs)
-    for w, m, s in zip(model.weights, model.means, model.stds):
-        total = total + w * gaussian_pdf(xs, m, s)
-    return float(total) if np.isscalar(x) else total
-
-
 def sample_masked_intensities(
     vol: ScalarVolume, mask: BinaryMask, max_samples: int = 2_000_000, seed: int = 0
 ) -> np.ndarray:
@@ -132,16 +124,13 @@ def fit_em(
     k: int = 3,
     tol: float = 1e-6,
     max_iters: int = 500,
-    seed: int = 0,
-    jitter: float = 0.0,
 ) -> TissueMixtureModel:
     """Fit a K-component univariate Gaussian mixture with EM.
 
     Initialization is deterministic: component means start at the
     (2j+1)/(2k) sample quantiles, all stds at sample_std/k, weights
-    uniform.  ``seed`` only matters when ``jitter`` > 0, in which case the
-    initial means are perturbed by N(0, jitter*sample_std).  Samples are
-    sorted internally, so permuting the input changes nothing.
+    uniform.  Samples are sorted internally, so permuting the input
+    changes nothing.
 
     The per-sample log-likelihood is tracked every iteration (exposed as
     ``loglik_trace`` on the result) and must never decrease; a decrease
@@ -157,11 +146,7 @@ def fit_em(
 
     qs = (2.0 * np.arange(k) + 1.0) / (2.0 * k)
     means = np.quantile(x, qs)
-    spread = float(x.std())
-    if jitter > 0:
-        rng = np.random.default_rng(seed)
-        means = means + rng.normal(0.0, jitter * max(spread, _STD_FLOOR), size=k)
-    stds = np.full(k, max(spread / k, _STD_FLOOR))
+    stds = np.full(k, max(float(x.std()) / k, _STD_FLOOR))
     weights = np.full(k, 1.0 / k)
 
     trace = []

@@ -22,9 +22,11 @@ kept out of report.txt so the file stays deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -108,43 +110,22 @@ class PipelineConfig:
         )
 
 
-_PATH_KEYS = {"input", "atlas_dir", "model", "output_dir", "ground_truth"}
-_INT_KEYS = {
-    "em_max_iters",
-    "max_samples",
-    "seed",
-    "strip_depth",
-    "erode_iters",
-    "dilate_iters",
-    "connectivity",
-    "max_iters",
-    "reinit_every",
-}
-_FLOAT_KEYS = {
-    "em_tol",
-    "omega",
-    "psi",
-    "alpha",
-    "beta",
-    "dt",
-    "stop_tol",
-    "band_halfwidth",
-    "edge_sigma",
-}
-CONFIG_KEYS = _PATH_KEYS | _INT_KEYS | _FLOAT_KEYS
-assert CONFIG_KEYS == {f.name for f in fields(PipelineConfig)}
+def _field_kind(hint) -> type:
+    # the str, int or float behind an optional field's ``X | None``
+    return next((t for t in get_args(hint) if t is not type(None)), hint)
+
+
+_KINDS = {name: _field_kind(hint) for name, hint in get_type_hints(PipelineConfig).items()}
+CONFIG_KEYS = frozenset(_KINDS)
 
 
 def _coerce(key: str, raw: str):
-    if key in _PATH_KEYS:
-        return raw
+    kind = _KINDS[key]
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        kind = "an integer" if key in _INT_KEYS else "a number"
-        raise ValueError(f"config key {key!r} needs {kind}, got {raw!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"config key {key!r} needs {what}, got {raw!r}") from None
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -184,47 +165,102 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
     return PipelineConfig(**values)
 
 
-def _read_scalar(path: str) -> ScalarVolume:
+def read_scalar(path: str) -> ScalarVolume:
     vol = read_volume(path)
     if not isinstance(vol, ScalarVolume):
         raise ValueError(f"{path} holds a mask, expected a scalar volume")
     return vol
 
 
-def _read_mask(path: str) -> BinaryMask:
+def read_mask(path: str) -> BinaryMask:
     vol = read_volume(path)
     if not isinstance(vol, BinaryMask):
         raise ValueError(f"{path} holds a scalar volume, expected a mask")
     return vol
 
 
+def _artifact(config: PipelineConfig, name: str) -> str:
+    os.makedirs(config.output_dir, exist_ok=True)
+    return os.path.join(config.output_dir, name)
+
+
+# Every stage below writes its own artifacts into config.output_dir, so the
+# CLI subcommands and run_pipeline produce the same files by construction.
+
+
 def fit_stage(patient: ScalarVolume, atlas: ProbabilisticAtlas, config: PipelineConfig):
-    """Normalize the patient over the brain mask and fit the mixture."""
+    """Normalize the patient over the brain mask, then fit the mixture, or
+    load it from ``config.model`` when that is set.
+
+    Writes model.txt when ``config.output_dir`` is set.  Returns the
+    normalized volume, its NormalizationRecord and the model.
+    """
     require_same_grid(patient, atlas.template, "patient and atlas")
     normalized, record = normalize_intensity(patient, atlas.brain_mask)
-    samples = sample_masked_intensities(
-        normalized, atlas.brain_mask, max_samples=config.max_samples, seed=config.seed
-    )
-    model = fit_em(
-        samples, k=3, tol=config.em_tol, max_iters=config.em_max_iters, seed=config.seed
-    )
+    if config.model is None:
+        samples = sample_masked_intensities(
+            normalized, atlas.brain_mask, max_samples=config.max_samples, seed=config.seed
+        )
+        model = fit_em(samples, k=3, tol=config.em_tol, max_iters=config.em_max_iters)
+    else:
+        model = load_model(config.model)
+    if config.output_dir is not None:
+        save_model(model, _artifact(config, MODEL_FILE))
     return normalized, record, model
 
 
-def segment_stage(
-    patient: ScalarVolume,
-    region: CandidateRegion,
+def gbbm_stage(
+    normalized: ScalarVolume,
+    atlas: ProbabilisticAtlas,
+    model: TissueMixtureModel,
     config: PipelineConfig,
-    log: list | None = None,
-) -> fvf3d.LevelSetField:
-    """Seed a distance field on the candidate and evolve it."""
+) -> ScalarVolume:
+    """Abnormality map of the normalized patient; writes gbbm.mvol."""
+    gbbm = build_gbbm(normalized, atlas, model, GbbmParams(omega=config.omega))
+    write_volume(gbbm, _artifact(config, GBBM_FILE))
+    return gbbm
+
+
+def candidate_stage(
+    gbbm: ScalarVolume, atlas: ProbabilisticAtlas, config: PipelineConfig
+) -> CandidateRegion:
+    """Candidate region of an abnormality map; writes candidate.mvol and
+    candidate_report.txt.
+
+    On NoCandidateError the candidate and segmentation artifacts of an
+    earlier run into the same directory are removed before the error
+    propagates, so they cannot be mistaken for this run's output.
+    """
+    try:
+        region = extract_candidate(gbbm, atlas.brain_mask, config.candidate_params())
+    except NoCandidateError:
+        for name in (CANDIDATE_FILE, CANDIDATE_REPORT_FILE, EVOLUTION_LOG_FILE, SEGMENTATION_FILE):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(config.output_dir, name))
+        raise
+    write_volume(region.mask, _artifact(config, CANDIDATE_FILE))
+    atomic_write_text(_artifact(config, CANDIDATE_REPORT_FILE), _candidate_report_text(region))
+    return region
+
+
+def segment_stage(patient: ScalarVolume, region, config: PipelineConfig):
+    """Seed a distance field on the candidate (a CandidateRegion or a mask)
+    and evolve it; writes evolution.log and segmentation.mvol.
+
+    Returns the final LevelSetField and its zero-level mask.
+    """
     ctx = fvf3d.make_force_context(patient, region, sigma=config.edge_sigma)
     ls = fvf3d.signed_distance_init(region, band_halfwidth=config.band_halfwidth)
-    return fvf3d.evolve(ls, ctx, config.evolution_params(), log=log)
+    log: list = []
+    final = fvf3d.evolve(ls, ctx, config.evolution_params(), log=log)
+    atomic_write_text(_artifact(config, EVOLUTION_LOG_FILE), _evolution_log_text(log))
+    seg = fvf3d.zero_level_mask(final)
+    write_volume(seg, _artifact(config, SEGMENTATION_FILE))
+    return final, seg
 
 
 def _candidate_report_text(region: CandidateRegion) -> str:
-    names = ("binarize", "erode", "component", "dilate", "resample")
+    names = ("binarize", "erode", "component", "dilate")
     lines = [
         f"{name}_voxels={count}"
         for name, count in zip(names, region.step_voxels)
@@ -258,64 +294,23 @@ def run_pipeline(config: PipelineConfig) -> dict:
         if getattr(config, key) is None:
             raise ValueError(f"pipeline config is missing required key {key!r}")
     t0 = time.perf_counter()
-    out = config.output_dir
-    os.makedirs(out, exist_ok=True)
 
     atlas = load_atlas_dir(config.atlas_dir)
-    patient = _read_scalar(config.input)
-    truth = _read_mask(config.ground_truth) if config.ground_truth else None
+    patient = read_scalar(config.input)
+    truth = read_mask(config.ground_truth) if config.ground_truth else None
     if truth is not None:
         require_same_grid(truth, patient, "ground truth and patient")
 
-    normalized, _, model = (
-        fit_stage(patient, atlas, config)
-        if config.model is None
-        else _fit_with_fixed_model(patient, atlas, config)
-    )
-    save_model(model, os.path.join(out, MODEL_FILE))
-
-    gbbm = build_gbbm(normalized, atlas, model, GbbmParams(omega=config.omega))
-    write_volume(gbbm, os.path.join(out, GBBM_FILE))
-
-    report: dict = {}
+    normalized, _, model = fit_stage(patient, atlas, config)
+    gbbm = gbbm_stage(normalized, atlas, model, config)
     try:
-        region = extract_candidate(gbbm, atlas.brain_mask, config.candidate_params())
-    except NoCandidateError as err:
-        report["status"] = "no-candidate"
-        report["candidate_voxels"] = 0
-        report["iterations"] = 0
-        if truth is not None:
-            empty = BinaryMask(np.zeros_like(truth.data), truth.spacing)
-            report["tm"] = tanimoto(empty, truth).tanimoto
-        report["runtime_seconds"] = time.perf_counter() - t0
-        _write_report(os.path.join(out, REPORT_FILE), report)
-        raise err
-
-    write_volume(region.mask, os.path.join(out, CANDIDATE_FILE))
-    atomic_write_text(
-        os.path.join(out, CANDIDATE_REPORT_FILE), _candidate_report_text(region)
-    )
-
-    log: list = []
-    final = segment_stage(patient, region, config, log=log)
-    atomic_write_text(os.path.join(out, EVOLUTION_LOG_FILE), _evolution_log_text(log))
-    seg = fvf3d.zero_level_mask(final)
-    write_volume(seg, os.path.join(out, SEGMENTATION_FILE))
-
-    report["status"] = "ok"
-    report["candidate_voxels"] = region.voxel_count
-    report["iterations"] = final.iteration
-    if truth is not None:
-        report["tm"] = tanimoto(seg, truth).tanimoto
-    report["runtime_seconds"] = time.perf_counter() - t0
-    _write_report(os.path.join(out, REPORT_FILE), report)
-    return report
-
-
-def _fit_with_fixed_model(patient, atlas, config):
-    normalized, record = normalize_intensity(patient, atlas.brain_mask)
-    model = load_model(config.model)
-    return normalized, record, model
+        region = candidate_stage(gbbm, atlas, config)
+    except NoCandidateError:
+        empty = BinaryMask(np.zeros(patient.dims, dtype=bool), patient.spacing)
+        _write_report(config, "no-candidate", 0, 0, empty, truth, t0)
+        raise
+    final, seg = segment_stage(patient, region, config)
+    return _write_report(config, "ok", region.voxel_count, final.iteration, seg, truth, t0)
 
 
 # runtime_seconds is reported to the caller but never written: artifacts
@@ -323,10 +318,15 @@ def _fit_with_fixed_model(patient, atlas, config):
 _FILE_REPORT_KEYS = ("status", "tm", "iterations", "candidate_voxels")
 
 
-def _write_report(path: str, report: dict) -> None:
+def _write_report(config, status, candidate_voxels, iterations, seg, truth, t0) -> dict:
+    report = {"status": status, "candidate_voxels": candidate_voxels, "iterations": iterations}
+    if truth is not None:
+        report["tm"] = tanimoto(seg, truth).tanimoto
+    report["runtime_seconds"] = time.perf_counter() - t0
     lines = []
     for key in _FILE_REPORT_KEYS:
         if key in report:
             val = report[key]
             lines.append(f"{key}={format(val, '.17g') if isinstance(val, float) else val}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(_artifact(config, REPORT_FILE), "\n".join(lines) + "\n")
+    return report

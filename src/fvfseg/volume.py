@@ -101,45 +101,6 @@ class VectorField:
         return np.sqrt(self.x**2 + self.y**2 + self.z**2)
 
 
-@dataclass
-class AffineTransform:
-    """World-coordinate affine map p -> matrix @ p + translation.
-
-    In resampling the transform maps *output* world coordinates into
-    *source* world coordinates (a pull-back): to shift image content by
-    +d you resample through the transform that subtracts d.
-    """
-
-    matrix: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        self.translation = np.asarray(self.translation, dtype=np.float64)
-        if self.matrix.shape != (3, 3) or self.translation.shape != (3,):
-            raise ValueError("affine transform needs a 3x3 matrix and a length-3 translation")
-        if not (np.isfinite(self.matrix).all() and np.isfinite(self.translation).all()):
-            raise ValueError("affine transform contains non-finite entries")
-        if abs(np.linalg.det(self.matrix)) <= 1e-12:
-            raise ValueError("affine transform is not invertible (|det| <= 1e-12)")
-
-    @classmethod
-    def identity(cls) -> "AffineTransform":
-        return cls(np.eye(3), np.zeros(3))
-
-    def is_identity(self) -> bool:
-        return bool(np.all(self.matrix == np.eye(3)) and np.all(self.translation == 0.0))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Apply to one point (3,) or a stack of points (..., 3)."""
-        p = np.asarray(points, dtype=np.float64)
-        return p @ self.matrix.T + self.translation
-
-    def inverse(self) -> "AffineTransform":
-        inv = np.linalg.inv(self.matrix)
-        return AffineTransform(inv, -inv @ self.translation)
-
-
 def require_same_grid(a, b, what: str = "volumes"):
     if a.dims != b.dims or a.spacing != b.spacing:
         raise GridMismatchError(
@@ -225,41 +186,6 @@ def central_gradient(vol: ScalarVolume) -> VectorField:
         raise ValueError(f"central gradient needs at least 3 voxels per axis, got {vol.dims}")
     gx, gy, gz = np.gradient(np.asarray(vol.data, dtype=np.float64), *vol.spacing, edge_order=1)
     return VectorField(gx, gy, gz, vol.spacing)
-
-
-def _resample_scalar(data, in_spacing, transform, out_dims, out_spacing):
-    wx, wy, wz = world_coordinates(out_dims, out_spacing)
-    pts = np.stack([wx.ravel(), wy.ravel(), wz.ravel()], axis=1)
-    src = transform.apply(pts)
-    coords = [src[:, ax] / in_spacing[ax] for ax in range(3)]
-    sampled = ndimage.map_coordinates(
-        np.asarray(data, dtype=np.float64), coords, order=1, mode="constant", cval=0.0
-    )
-    return sampled.reshape(out_dims)
-
-
-def resample_affine(vol, transform: AffineTransform, out_dims, out_spacing):
-    """Trilinear resample through an affine pull-back transform.
-
-    The transform maps output world coordinates to source world coordinates;
-    samples falling outside the source grid read as 0.  Accepts ScalarVolume
-    or BinaryMask; masks are thresholded at 0.5 after interpolation.
-    """
-    out_dims = tuple(int(n) for n in out_dims)
-    if len(out_dims) != 3 or any(n < 1 for n in out_dims):
-        raise ValueError(f"out_dims must be three positive integers, got {out_dims}")
-    out_spacing = _check_spacing(out_spacing)
-    if transform.is_identity() and out_dims == vol.dims and out_spacing == vol.spacing:
-        if isinstance(vol, BinaryMask):
-            return BinaryMask(vol.data.copy(), vol.spacing)
-        return ScalarVolume(vol.data.copy(), vol.spacing)
-    if isinstance(vol, BinaryMask):
-        sampled = _resample_scalar(
-            vol.data.astype(np.float64), vol.spacing, transform, out_dims, out_spacing
-        )
-        return BinaryMask(sampled >= 0.5, out_spacing)
-    sampled = _resample_scalar(vol.data, vol.spacing, transform, out_dims, out_spacing)
-    return ScalarVolume(sampled, out_spacing)
 
 
 def mask_boundary_strip(mask: BinaryMask, depth: int) -> BinaryMask:

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from fvfseg.brainmap import cc_to_cm, pearson_cc, posterior_triple, spatial_prior
 from fvfseg.brainmap import ProbabilisticAtlas
@@ -26,7 +27,7 @@ from fvfseg.fvf3d import (
 )
 from fvfseg.metrics import tanimoto
 from fvfseg.mvol import decode, encode, read_volume, write_volume
-from fvfseg.ngmm import TissueMixtureModel, fit_em, gaussian_pdf, mixture_density
+from fvfseg.ngmm import TissueMixtureModel, _log_weighted_densities, fit_em, gaussian_pdf
 from fvfseg.phantom import PATIENT_FILE, TRUTH_FILE
 from fvfseg.pipeline import REPORT_FILE
 from fvfseg.volume import (
@@ -105,9 +106,12 @@ def test_formula_oracles_match_high_precision():
         std = rng.uniform(0.05, 3.0)
         assert rel_close(gaussian_pdf(x, mean, std), mp_gaussian_pdf(x, mean, std))
 
-    for _ in range(1000):
-        x = rng.uniform(0.0, 2.0)
-        got = mixture_density(MODEL, x)
+    # the mixture density as EM evaluates it, through its log-domain terms
+    xs = np.array([rng.uniform(0.0, 2.0) for _ in range(1000)])
+    log_terms = _log_weighted_densities(
+        xs, np.array(MODEL.weights), np.array(MODEL.means), np.array(MODEL.stds)
+    )
+    for x, got in zip(xs, np.exp(logsumexp(log_terms, axis=1))):
         want = mp_mixture_density(MODEL.weights, MODEL.means, MODEL.stds, x)
         assert rel_close(got, want)
 
@@ -124,29 +128,32 @@ def test_formula_oracles_match_high_precision():
         prob_wm=ScalarVolume(raw[2], UNIT),
         brain_mask=BinaryMask(np.ones(dims, dtype=bool), UNIT),
     )
+    prior = spatial_prior(atlas.probability_stack())
     for i in range(10):
         for j in range(10):
             for k in range(10):
-                got = spatial_prior(atlas, (i, j, k))
                 want = mp_spatial_prior(raw[:, i, j, k])
-                assert all(rel_close(g, w) for g, w in zip(got, want))
+                assert all(rel_close(g, w) for g, w in zip(prior[:, i, j, k], want))
 
+    # the remaining formulas run once over 1000 stacked inputs, as in the map
+    priors, xs = [], []
     for _ in range(1000):
         p = rng.random(3) + 1e-3
-        prior = tuple(p / p.sum())
-        x = rng.uniform(0.2, 1.8)
-        got = posterior_triple(MODEL, prior, x)
+        priors.append(p / p.sum())
+        xs.append(rng.uniform(0.2, 1.8))
+    got = posterior_triple(MODEL, np.array(priors).T, np.array(xs))
+    for n, (prior, x) in enumerate(zip(priors, xs)):
         want = mp_posterior(prior, MODEL.means, MODEL.stds, x)
-        assert all(rel_close(g, w) for g, w in zip(got, want))
+        assert all(rel_close(g, w) for g, w in zip(got[:, n], want))
 
-    for _ in range(1000):
-        a = tuple(rng.uniform(-2.0, 2.0, 3))
-        b = tuple(rng.uniform(-2.0, 2.0, 3))
-        assert rel_close(pearson_cc(a, b), mp_pearson(a, b))
+    pairs = [(rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3)) for _ in range(1000)]
+    got = pearson_cc(np.array([a for a, _ in pairs]).T, np.array([b for _, b in pairs]).T)
+    for cc, (a, b) in zip(got, pairs):
+        assert rel_close(cc, mp_pearson(a, b))
 
-    for _ in range(1000):
-        cc = rng.uniform(-1.0, 1.0)
-        assert rel_close(cc_to_cm(cc), mp_cc_to_cm(cc))
+    ccs = np.array([rng.uniform(-1.0, 1.0) for _ in range(1000)])
+    for cm, cc in zip(cc_to_cm(ccs), ccs):
+        assert rel_close(cm, mp_cc_to_cm(cc))
 
     for i in range(1000):
         p = 0.05 + 0.9 * (i / 999.0)

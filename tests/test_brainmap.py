@@ -105,12 +105,12 @@ class TestSpatialPrior:
         atlas = _random_atlas(rng)
         for _ in range(25):
             v = tuple(int(rng.integers(0, 5)) for _ in range(3))
-            got = spatial_prior(atlas, v)
             xi = (
                 atlas.prob_csf.data[v],
                 atlas.prob_gm.data[v],
                 atlas.prob_wm.data[v],
             )
+            got = spatial_prior(xi)
             want = mp_spatial_prior(xi)
             assert all(rel_close(g, w) for g, w in zip(got, want))
             assert math.fsum(got) == pytest.approx(1.0, abs=1e-12)
@@ -125,14 +125,8 @@ class TestSpatialPrior:
             prob_wm=zero,
             brain_mask=BinaryMask(np.ones(dims, dtype=bool), UNIT),
         )
-        assert spatial_prior(atlas, (1, 1, 1)) == (1 / 3, 1 / 3, 1 / 3)
-
-    def test_out_of_grid_rejected(self, rng):
-        atlas = _random_atlas(rng)
-        with pytest.raises(ValueError, match="outside"):
-            spatial_prior(atlas, (5, 0, 0))
-        with pytest.raises(ValueError, match="outside"):
-            spatial_prior(atlas, (0, -1, 0))
+        prior = spatial_prior(atlas.probability_stack())
+        assert tuple(prior[:, 1, 1, 1]) == (1 / 3, 1 / 3, 1 / 3)
 
 
 class TestPosterior:
@@ -148,7 +142,7 @@ class TestPosterior:
     def test_degenerate_returns_prior(self):
         prior = (0.2, 0.3, 0.5)
         # 1e6 is thousands of sigmas from every component: all likelihoods underflow
-        assert posterior_triple(MODEL, prior, 1e6) == prior
+        assert tuple(posterior_triple(MODEL, prior, 1e6)) == prior
 
     def test_sums_to_one_when_informative(self):
         got = posterior_triple(MODEL, (0.1, 0.6, 0.3), 1.05)
@@ -156,7 +150,7 @@ class TestPosterior:
 
     def test_zero_prior_component_stays_zero(self):
         got = posterior_triple(MODEL, (0.0, 0.5, 0.5), 1.0)
-        assert got.csf == 0.0
+        assert got[0] == 0.0
 
     def test_rejects_wrong_k(self):
         two = TissueMixtureModel((0.5, 0.5), (0.0, 1.0), (0.1, 0.1))
@@ -237,7 +231,7 @@ class TestGbbmParams:
 class TestBuildGbbm:
     def test_matches_per_voxel_scalar_chain(self, rng):
         """Dual route: the vectorized map must equal the voxel-by-voxel
-        composition of the scalar functions it claims to implement."""
+        composition of the 50-digit reference formulas."""
         atlas = _random_atlas(rng, dims=(4, 5, 3))
         patient = ScalarVolume(rng.uniform(0.3, 1.8, atlas.dims), UNIT)
         got = build_gbbm(patient, atlas, MODEL)
@@ -248,12 +242,14 @@ class TestBuildGbbm:
                     if not atlas.brain_mask.data[i, j, k]:
                         assert got.data[i, j, k] == 0.0
                         continue
-                    prior = spatial_prior(atlas, (i, j, k))
-                    post = posterior_triple(
-                        MODEL, prior, float(patient.data[i, j, k])
+                    prior = mp_spatial_prior(
+                        [p.data[i, j, k] for p in (atlas.prob_csf, atlas.prob_gm, atlas.prob_wm)]
                     )
-                    want = omega * cc_to_cm(pearson_cc(post, prior))
-                    assert got.data[i, j, k] == pytest.approx(want, abs=1e-9)
+                    post = mp_posterior(
+                        prior, MODEL.means, MODEL.stds, patient.data[i, j, k]
+                    )
+                    want = omega * mp_cc_to_cm(mp_pearson(post, prior))
+                    assert got.data[i, j, k] == pytest.approx(float(want), abs=1e-9)
 
     def test_zero_outside_brain(self, rng):
         atlas = _random_atlas(rng)

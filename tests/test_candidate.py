@@ -10,7 +10,6 @@ from fvfseg.candidate import (
 )
 from fvfseg.errors import GridMismatchError, NoCandidateError
 from fvfseg.volume import (
-    AffineTransform,
     BinaryMask,
     ScalarVolume,
     largest_component,
@@ -172,22 +171,6 @@ class TestExtraction:
             extract_candidate(gbbm, _brain())  # default psi=153
         region = extract_candidate(gbbm, _brain(), CandidateParams(psi=50.0))
         assert region.voxel_count > 0
-
-    def test_resample_step_appends_count(self):
-        gbbm = _map_with_blob()
-        region = extract_candidate(
-            gbbm, _brain(), t_inv=AffineTransform.identity()
-        )
-        assert len(region.step_voxels) == 5
-        assert region.step_voxels[4] == region.voxel_count
-
-    def test_resample_off_grid_raises_step6(self):
-        gbbm = _map_with_blob()
-        # pull-back adds +100 to x: every output voxel reads far outside the source
-        t = AffineTransform(np.eye(3), np.array([100.0, 0.0, 0.0]))
-        with pytest.raises(NoCandidateError) as err:
-            extract_candidate(gbbm, _brain(), t_inv=t)
-        assert err.value.step == 6
 
     def test_grid_mismatch_rejected(self):
         gbbm = _map_with_blob()

@@ -167,6 +167,35 @@ class TestPipelineCommand:
         assert report["candidate_voxels"] == "0"
         assert float(report["tm"]) == 0.0  # empty segmentation vs nonempty truth
 
+    def test_no_candidate_run_clears_stale_artifacts(self, case_dir, tmp_path):
+        """A control run into a directory that holds an ok run must not
+        leave that run's candidate and segmentation next to its report."""
+        control = tmp_path / "control"
+        assert (
+            main(
+                ["phantom", "--output-dir", str(control), "--dims", DIMS_FLAG,
+                 "--offset", "0", "--tumor-seed", "3"]
+            )
+            == EXIT_OK
+        )
+        out = tmp_path / "out"
+        for case, expected in ((case_dir, EXIT_OK), (control, EXIT_NO_CANDIDATE)):
+            code = main(
+                [
+                    "pipeline",
+                    "--input", str(case / PATIENT_FILE),
+                    "--atlas-dir", str(case),
+                    "--output-dir", str(out),
+                ]
+            )
+            assert code == expected
+        assert {p.name for p in out.iterdir()} == {
+            pipeline.MODEL_FILE,
+            pipeline.GBBM_FILE,
+            pipeline.REPORT_FILE,
+        }
+        assert "status=no-candidate" in (out / pipeline.REPORT_FILE).read_text()
+
     def test_unstable_dt_from_config_exit_four(self, case_dir, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("# deliberately past the stability bound\ndt = 2.5\n")
@@ -254,6 +283,36 @@ class TestStagedCommands:
             pipeline.EVOLUTION_LOG_FILE,
         ):
             assert (out / fname).read_bytes() == (pipeline_out / fname).read_bytes(), fname
+
+    def test_fixed_model_pipeline_reproduces_fitted_run(
+        self, case_dir, pipeline_out, tmp_path
+    ):
+        """pipeline --model with the model that fit wrote leaves the same
+        artifacts, report.txt included, as the run that fitted it."""
+        fitted = tmp_path / "fit"
+        common = ["--input", str(case_dir / PATIENT_FILE), "--atlas-dir", str(case_dir)]
+        assert main(["fit", "--output-dir", str(fitted)] + common) == EXIT_OK
+        out = tmp_path / "fixed"
+        code = main(
+            ["pipeline", "--output-dir", str(out),
+             "--model", str(fitted / pipeline.MODEL_FILE),
+             "--ground-truth", str(case_dir / TRUTH_FILE)] + common
+        )
+        assert code == EXIT_OK
+        names = sorted(p.name for p in pipeline_out.iterdir())
+        assert names == sorted(p.name for p in out.iterdir())
+        for name in names:
+            assert (out / name).read_bytes() == (pipeline_out / name).read_bytes(), name
+
+    def test_fit_max_iters_caps_em(self, case_dir, pipeline_out, tmp_path):
+        out = tmp_path / "capped"
+        code = main(
+            ["fit", "--input", str(case_dir / PATIENT_FILE), "--atlas-dir", str(case_dir),
+             "--output-dir", str(out), "--max-iters", "1"]
+        )
+        assert code == EXIT_OK
+        capped = (out / pipeline.MODEL_FILE).read_text()
+        assert capped != (pipeline_out / pipeline.MODEL_FILE).read_text()
 
     def test_candidate_reports_voxel_count(self, case_dir, pipeline_out, tmp_path, capsys):
         capsys.readouterr()

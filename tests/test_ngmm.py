@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from fvfseg.ngmm import (
     TissueMixtureModel,
+    _log_weighted_densities,
     fit_em,
     gaussian_pdf,
     load_model,
-    mixture_density,
     model_from_text,
     model_to_text,
     normalize_intensity,
@@ -89,7 +90,11 @@ class TestDensities:
             means=(0.6, 1.0, 1.3),
             stds=(0.08, 0.10, 0.12),
         )
-        got = mixture_density(model, x)
+        # the mixture density EM evaluates, through its log-domain terms
+        log_terms = _log_weighted_densities(
+            np.array([x]), np.array(model.weights), np.array(model.means), np.array(model.stds)
+        )
+        got = float(np.exp(logsumexp(log_terms, axis=1))[0])
         want = mp_mixture_density(model.weights, model.means, model.stds, x)
         assert rel_close(got, want)
 
@@ -149,15 +154,6 @@ class TestFitEm:
         trace = fit_em(x, k=3).loglik_trace
         assert len(trace) >= 2
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
-
-    def test_jitter_uses_seed(self, rng):
-        x = _draw_mixture(rng, 5_000)
-        a = fit_em(x, k=3, jitter=0.05, seed=1)
-        b = fit_em(x, k=3, jitter=0.05, seed=1)
-        c = fit_em(x, k=3, jitter=0.05, seed=2)
-        assert a == b
-        # different seeds land on (at least slightly) different traces
-        assert a.loglik_trace != c.loglik_trace or a.means != c.means
 
     def test_single_component_matches_sample_moments(self, rng):
         x = rng.normal(2.0, 0.5, size=10_000)

@@ -6,7 +6,6 @@ from hypothesis.extra import numpy as hnp
 
 from fvfseg.errors import GridMismatchError
 from fvfseg.volume import (
-    AffineTransform,
     BinaryMask,
     ScalarVolume,
     central_gradient,
@@ -15,7 +14,6 @@ from fvfseg.volume import (
     mask_boundary_strip,
     morphology,
     require_same_grid,
-    resample_affine,
     world_coordinates,
 )
 
@@ -191,47 +189,3 @@ class TestGradient:
     def test_needs_three_voxels(self):
         with pytest.raises(ValueError):
             central_gradient(ScalarVolume(np.zeros((2, 5, 5)), UNIT))
-
-
-class TestAffine:
-    def test_identity_apply(self, rng):
-        t = AffineTransform.identity()
-        pts = rng.random((10, 3))
-        assert np.allclose(t.apply(pts), pts)
-        assert t.is_identity()
-
-    def test_inverse_round_trip(self, rng):
-        m = np.eye(3) + 0.1 * rng.random((3, 3))
-        t = AffineTransform(m, rng.random(3))
-        pts = rng.random((20, 3))
-        back = t.inverse().apply(t.apply(pts))
-        assert np.allclose(back, pts, atol=1e-9)
-
-    def test_singular_rejected(self):
-        m = np.zeros((3, 3))
-        with pytest.raises(ValueError):
-            AffineTransform(m, np.zeros(3))
-
-
-class TestResample:
-    def test_identity_is_bit_exact(self, rng):
-        data = rng.random((6, 6, 6))
-        v = ScalarVolume(data, UNIT)
-        out = resample_affine(v, AffineTransform.identity(), v.dims, v.spacing)
-        assert np.array_equal(out.data, data)
-
-    def test_integer_translation_matches_roll(self, rng):
-        data = np.zeros((8, 8, 8))
-        data[2:5, 3:6, 2:4] = rng.random((3, 3, 2))
-        v = ScalarVolume(data, UNIT)
-        # pull-back by +1 in x: output[i] = input[i + 1]
-        t = AffineTransform(np.eye(3), np.array([1.0, 0.0, 0.0]))
-        out = resample_affine(v, t, v.dims, v.spacing)
-        assert np.allclose(out.data[:7], data[1:])
-
-    def test_mask_resample_stays_binary(self, rng):
-        data = rng.random((8, 8, 8)) > 0.5
-        m = BinaryMask(data, UNIT)
-        t = AffineTransform(np.eye(3), np.array([0.5, 0.0, 0.0]))
-        out = resample_affine(m, t, m.dims, m.spacing)
-        assert out.data.dtype == bool
