@@ -82,9 +82,12 @@ def cmd_phantom(args) -> int:
 def cmd_fit(args) -> int:
     config = _config_from_args(args)
     atlas = phantom.load_atlas_dir(config.atlas_dir)
-    _, record, _ = pipeline.fit_stage(pipeline.read_scalar(config.input), atlas, config)
+    _, record, model = pipeline.fit_stage(pipeline.read_scalar(config.input), atlas, config)
     path = os.path.join(config.output_dir, pipeline.MODEL_FILE)
     print(f"model written to {path} ({record.note})")
+    if model.loglik_trace is not None:
+        stop = "converged" if model.converged else "hit --max-iters"
+        print(f"em_iterations={len(model.loglik_trace)} ({stop})")
     return EXIT_OK
 
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .volume import BinaryMask, ScalarVolume, require_same_grid
 
@@ -44,6 +43,7 @@ class TissueMixtureModel:
     means: tuple[float, ...]
     stds: tuple[float, ...]
     loglik_trace: tuple[float, ...] | None = field(default=None, compare=False, repr=False)
+    converged: bool | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.weights = tuple(float(w) for w in self.weights)
@@ -82,10 +82,11 @@ def normalize_intensity(vol: ScalarVolume, mask: BinaryMask):
     n = mask.count()
     if n == 0:
         raise ValueError("cannot normalize against an empty mask")
-    m = float(np.asarray(vol.data, dtype=np.float64)[mask.data].mean())
+    data = np.asarray(vol.data, dtype=np.float64)
+    m = float(data[mask.data].mean())
     if not (math.isfinite(m) and m > 0):
         raise ValueError(f"masked mean must be positive to normalize, got {m}")
-    out = ScalarVolume(np.asarray(vol.data, dtype=np.float64) / m, vol.spacing)
+    out = ScalarVolume(data / m, vol.spacing)
     return out, NormalizationRecord(mean=m, note=f"mean over {n} masked voxels")
 
 
@@ -113,10 +114,35 @@ def sample_masked_intensities(
     return values
 
 
-def _log_weighted_densities(x, weights, means, stds):
-    # (n, k) matrix of log(w_k) + log N(x; mu_k, sigma_k)
-    z = (x[:, None] - means[None, :]) / stds[None, :]
-    return np.log(weights)[None, :] - np.log(stds)[None, :] - _LOG_SQRT_2PI - 0.5 * z * z
+def _log_weighted_densities(x, weights, means, stds, out):
+    """Fill row j of ``out`` (k, n) with log w_j + log N(x; mu_j, sigma_j)."""
+    consts = np.log(weights) - np.log(stds) - _LOG_SQRT_2PI
+    for row, mu, sigma, c in zip(out, means, stds, consts):
+        np.subtract(x, mu, out=row)
+        np.square(row, out=row)
+        row *= -0.5 / (sigma * sigma)
+        row += c
+    return out
+
+
+def _log_normalize(terms, peak, log_z):
+    """Normalize the columns of ``terms`` (k, n) in log space, in place.
+
+    On entry column i holds the log-weighted densities of sample i; on
+    return it holds that sample's responsibilities, and ``log_z[i]`` the log
+    of its mixture density.  The column max is subtracted before the single
+    ``exp`` pass, so a sample whose every weighted density underflows in
+    linear space still gets finite values.  ``peak`` is scratch of length n.
+    Returns ``log_z``.
+    """
+    np.max(terms, axis=0, out=peak)
+    terms -= peak
+    np.exp(terms, out=terms)
+    np.sum(terms, axis=0, out=log_z)
+    terms /= log_z
+    np.log(log_z, out=log_z)
+    log_z += peak
+    return log_z
 
 
 def fit_em(
@@ -132,9 +158,21 @@ def fit_em(
     uniform.  Samples are sorted internally, so permuting the input
     changes nothing.
 
+    Each iteration runs on one preallocated (k, n) buffer of contiguous
+    rows.  The E-step fills row j with log w_j + log N(x; mu_j, sigma_j),
+    subtracts the per-sample max and makes one ``exp`` pass; the column
+    sums give both the per-sample log mixture density and, by division,
+    the responsibilities (``_log_normalize``).  The M-step takes the
+    effective counts as row sums, all means from one matrix-vector
+    product, and each variance from one dot product against the squared
+    deviations; a component whose count falls below 1e-12 keeps its
+    parameters.
+
     The per-sample log-likelihood is tracked every iteration (exposed as
     ``loglik_trace`` on the result) and must never decrease; a decrease
-    beyond 1e-9 raises, since it signals a numerical problem.
+    beyond 1e-9 raises, since it signals a numerical problem.  The result's
+    ``converged`` is false when ``max_iters`` ran out before the gain in
+    log-likelihood fell below ``tol``.
     """
     x = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     if x.size < k:
@@ -149,28 +187,35 @@ def fit_em(
     stds = np.full(k, max(float(x.std()) / k, _STD_FLOOR))
     weights = np.full(k, 1.0 / k)
 
+    terms = np.empty((k, x.size))
+    peak = np.empty(x.size)
+    log_z = np.empty(x.size)
     trace = []
     prev_ll = -np.inf
+    converged = False
     for _ in range(max_iters):
-        log_wn = _log_weighted_densities(x, weights, means, stds)
-        log_z = logsumexp(log_wn, axis=1)
-        ll = float(log_z.mean())
+        _log_weighted_densities(x, weights, means, stds, terms)
+        ll = float(_log_normalize(terms, peak, log_z).mean())
         if not math.isfinite(ll):
             raise ValueError("EM log-likelihood became non-finite")
         if ll < prev_ll - 1e-9:
             raise ValueError(f"EM log-likelihood decreased ({prev_ll} -> {ll})")
         trace.append(ll)
         if ll - prev_ll < tol and len(trace) > 1:
+            converged = True
             break
         prev_ll = ll
 
-        resp = np.exp(log_wn - log_z[:, None])
-        nk = resp.sum(axis=0)
+        nk = terms.sum(axis=1)
+        sums = terms @ x
+        sq_dev = peak  # the E-step is done with its scratch row
         for j in range(k):
             if nk[j] < 1e-12:
                 continue  # starved component: keep its parameters
-            mu = float(resp[:, j] @ x) / nk[j]
-            var = float(resp[:, j] @ (x - mu) ** 2) / nk[j]
+            mu = sums[j] / nk[j]
+            np.subtract(x, mu, out=sq_dev)
+            np.square(sq_dev, out=sq_dev)
+            var = float(terms[j] @ sq_dev) / nk[j]
             means[j] = mu
             stds[j] = math.sqrt(max(var, VARIANCE_FLOOR))
         weights = nk / x.size
@@ -181,6 +226,7 @@ def fit_em(
         means=tuple(means[order]),
         stds=tuple(stds[order]),
         loglik_trace=tuple(trace),
+        converged=converged,
     )
 
 

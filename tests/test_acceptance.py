@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from fvfseg.brainmap import cc_to_cm, pearson_cc, posterior_triple, spatial_prior
 from fvfseg.brainmap import ProbabilisticAtlas
@@ -27,7 +26,13 @@ from fvfseg.fvf3d import (
 )
 from fvfseg.metrics import tanimoto
 from fvfseg.mvol import decode, encode, read_volume, write_volume
-from fvfseg.ngmm import TissueMixtureModel, _log_weighted_densities, fit_em, gaussian_pdf
+from fvfseg.ngmm import (
+    TissueMixtureModel,
+    _log_normalize,
+    _log_weighted_densities,
+    fit_em,
+    gaussian_pdf,
+)
 from fvfseg.phantom import PATIENT_FILE, TRUTH_FILE
 from fvfseg.pipeline import REPORT_FILE
 from fvfseg.volume import (
@@ -108,10 +113,12 @@ def test_formula_oracles_match_high_precision():
 
     # the mixture density as EM evaluates it, through its log-domain terms
     xs = np.array([rng.uniform(0.0, 2.0) for _ in range(1000)])
-    log_terms = _log_weighted_densities(
-        xs, np.array(MODEL.weights), np.array(MODEL.means), np.array(MODEL.stds)
+    terms = _log_weighted_densities(
+        xs, np.array(MODEL.weights), np.array(MODEL.means), np.array(MODEL.stds),
+        out=np.empty((3, xs.size)),
     )
-    for x, got in zip(xs, np.exp(logsumexp(log_terms, axis=1))):
+    log_z = _log_normalize(terms, np.empty(xs.size), np.empty(xs.size))
+    for x, got in zip(xs, np.exp(log_z)):
         want = mp_mixture_density(MODEL.weights, MODEL.means, MODEL.stds, x)
         assert rel_close(got, want)
 

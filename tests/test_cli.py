@@ -304,7 +304,8 @@ class TestStagedCommands:
         for name in names:
             assert (out / name).read_bytes() == (pipeline_out / name).read_bytes(), name
 
-    def test_fit_max_iters_caps_em(self, case_dir, pipeline_out, tmp_path):
+    def test_fit_max_iters_caps_em(self, case_dir, pipeline_out, tmp_path, capsys):
+        capsys.readouterr()
         out = tmp_path / "capped"
         code = main(
             ["fit", "--input", str(case_dir / PATIENT_FILE), "--atlas-dir", str(case_dir),
@@ -313,6 +314,7 @@ class TestStagedCommands:
         assert code == EXIT_OK
         capped = (out / pipeline.MODEL_FILE).read_text()
         assert capped != (pipeline_out / pipeline.MODEL_FILE).read_text()
+        assert capsys.readouterr().out.splitlines()[-1] == "em_iterations=1 (hit --max-iters)"
 
     def test_candidate_reports_voxel_count(self, case_dir, pipeline_out, tmp_path, capsys):
         capsys.readouterr()

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import logsumexp
 
 from fvfseg.ngmm import (
     TissueMixtureModel,
+    _log_normalize,
     _log_weighted_densities,
     fit_em,
     gaussian_pdf,
@@ -91,10 +93,11 @@ class TestDensities:
             stds=(0.08, 0.10, 0.12),
         )
         # the mixture density EM evaluates, through its log-domain terms
-        log_terms = _log_weighted_densities(
-            np.array([x]), np.array(model.weights), np.array(model.means), np.array(model.stds)
+        terms = _log_weighted_densities(
+            np.array([x]), np.array(model.weights), np.array(model.means), np.array(model.stds),
+            out=np.empty((3, 1)),
         )
-        got = float(np.exp(logsumexp(log_terms, axis=1))[0])
+        got = float(np.exp(_log_normalize(terms, np.empty(1), np.empty(1)))[0])
         want = mp_mixture_density(model.weights, model.means, model.stds, x)
         assert rel_close(got, want)
 
@@ -151,9 +154,53 @@ class TestFitEm:
 
     def test_loglik_trace_monotone(self, rng):
         x = _draw_mixture(rng, 5_000)
-        trace = fit_em(x, k=3).loglik_trace
+        model = fit_em(x, k=3)
+        trace = model.loglik_trace
         assert len(trace) >= 2
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
+        assert model.converged is True
+
+    def test_max_iters_cap_reports_not_converged(self, rng):
+        x = _draw_mixture(rng, 5_000)
+        model = fit_em(x, k=3, max_iters=2)
+        assert len(model.loglik_trace) == 2
+        assert model.converged is False
+
+    def test_outlier_underflow_pins_a_component(self):
+        # One sample far out in the tail: at initialisation every weighted
+        # density of it underflows to 0 in linear space, so only the
+        # log-domain E-step keeps its responsibilities finite.  Expected
+        # values were recorded from the earlier scipy-logsumexp E-step.
+        x = np.append(_draw_mixture(np.random.default_rng(20261017), 20_000), 1e5)
+        init_means = np.quantile(x, [1 / 6, 1 / 2, 5 / 6])
+        init_std = x.std() / 3
+        assert all(gaussian_pdf(1e5, mu, init_std) / 3 == 0.0 for mu in init_means)
+
+        model = fit_em(x, k=3)
+        trace = model.loglik_trace
+        assert np.isfinite(trace).all()
+        assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
+        assert len(trace) == 7
+        assert model.converged is True
+        want = {
+            "weights": (0.42424256536777505, 0.575707437132101, 4.999750012499375e-05),
+            "means": (1.0088586874763898, 1.0088586995966382, 100000.0),
+            "stds": (0.2618827221483532, 0.2618827164312237, 0.001),
+        }
+        for name, values in want.items():
+            assert np.allclose(getattr(model, name), values, rtol=1e-12, atol=0), name
+
+    def test_peak_memory_bounded_by_sample_buffers(self):
+        # the 200k reference samples of the acceptance EM test; EM may hold
+        # at most 8 float64 arrays the size of the sample at any one time
+        x = _draw_mixture(np.random.default_rng(7), 200_000)
+        tracemalloc.start()
+        try:
+            fit_em(x, k=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * x.size * 8, f"peak {peak / (8 * x.size):.1f} sample buffers"
 
     def test_single_component_matches_sample_moments(self, rng):
         x = rng.normal(2.0, 0.5, size=10_000)
