@@ -33,6 +33,11 @@ from .volume import BinaryMask, ScalarVolume, require_same_grid
 BAYES_DENOMINATOR_FLOOR = 1e-300
 CC_VARIANCE_FLOOR = 1e-12
 
+# build_gbbm works on slabs of this many z-planes: its chain holds about 18
+# float64 temporaries per voxel, so a whole 128^3 volume at once would take
+# ~300 MB on top of its inputs, while 16-plane slabs take ~40 MB.
+GBBM_SLAB_PLANES = 16
+
 
 @dataclass
 class ProbabilisticAtlas:
@@ -69,10 +74,11 @@ class ProbabilisticAtlas:
     def spacing(self):
         return self.template.spacing
 
-    def probability_stack(self) -> np.ndarray:
-        """(3, nx, ny, nz) array in CSF, GM, WM order."""
+    def probability_stack(self, region=...) -> np.ndarray:
+        """(3, ...) array in CSF, GM, WM order over ``region``, an index
+        into the grid (default: all of it, giving (3, nx, ny, nz))."""
         return np.stack(
-            [self.prob_csf.data, self.prob_gm.data, self.prob_wm.data]
+            [self.prob_csf.data[region], self.prob_gm.data[region], self.prob_wm.data[region]]
         ).astype(np.float64)
 
 
@@ -182,20 +188,30 @@ def build_gbbm(
 
     ``patient`` must already be normalized and registered onto the atlas
     grid.  The map is the composition spatial_prior -> posterior_triple ->
-    pearson_cc -> cc_to_cm over every voxel at once.  Optional
+    pearson_cc -> cc_to_cm, run on slabs of GBBM_SLAB_PLANES z-planes at a
+    time so its temporaries stay a fraction of the grid; every voxel's
+    value is the same as from one pass over the whole volume.  Optional
     ``diagnostics`` (a dict) receives counts of degenerate brain voxels.
     """
     params = params or GbbmParams()
     require_same_grid(patient, atlas.template, "patient and atlas")
 
-    masks = None if diagnostics is None else {}
-    prior = spatial_prior(atlas.probability_stack())
-    posterior = posterior_triple(model, prior, patient.data, masks)
-    cc = pearson_cc(posterior, prior, masks)
-    inside = atlas.brain_mask.data
-    out = np.where(inside, params.omega * cc_to_cm(cc), 0.0)
+    brain = atlas.brain_mask.data
+    out = np.zeros(patient.dims)
+    counts = {"degenerate_bayes": 0, "degenerate_cc": 0}
+    for z in range(0, patient.dims[2], GBBM_SLAB_PLANES):
+        slab = np.s_[:, :, z : z + GBBM_SLAB_PLANES]
+        masks = None if diagnostics is None else {}
+        prior = spatial_prior(atlas.probability_stack(slab))
+        posterior = posterior_triple(model, prior, patient.data[slab], masks)
+        cc = pearson_cc(posterior, prior, masks)
+        inside = brain[slab]
+        out[slab] = np.where(inside, params.omega * cc_to_cm(cc), 0.0)
+        if masks is not None:
+            for key in counts:
+                counts[key] += int((masks[key] & inside).sum())
 
     if diagnostics is not None:
-        diagnostics["degenerate_bayes_voxels"] = int((masks["degenerate_bayes"] & inside).sum())
-        diagnostics["degenerate_cc_voxels"] = int((masks["degenerate_cc"] & inside).sum())
+        diagnostics["degenerate_bayes_voxels"] = counts["degenerate_bayes"]
+        diagnostics["degenerate_cc_voxels"] = counts["degenerate_cc"]
     return ScalarVolume(out, patient.spacing)

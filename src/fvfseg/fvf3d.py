@@ -26,6 +26,17 @@ grid-scale oscillations until the non-finite check trips.  phi is
 periodically restored to a signed distance function with Sussman
 reinitialization (upwind Godunov scheme, frozen smoothed sign), which
 leaves the zero level set in place to well under half a voxel.
+
+The updates, the checkpoint reinitialization and the force E run on one
+axis-aligned box, a narrow band in the sense of Adalsteinsson & Sethian
+(1995) and Peng et al. (1999).  The box is the bounding box of
+|phi| <= band_halfwidth * max(spacing), widened by the farthest the front
+can move before the next checkpoint, reinit_every * dt * (beta +
+2 alpha / h) with the same per-term speeds as the stability bound, and
+clipped to the grid.  Stencils read a further 2-voxel halo around it.
+Voxels outside the box stay frozen; the box is rebuilt at every
+checkpoint.  A field with no voxel in the band is evolved on the whole
+grid.
 """
 
 from __future__ import annotations
@@ -45,7 +56,6 @@ from .volume import (
     central_gradient,
     gaussian_smooth,
     require_same_grid,
-    world_coordinates,
 )
 
 _EPS_DIRECTION = 1e-12
@@ -55,6 +65,9 @@ _EPS_CURVATURE = 1e-12
 # a physical front motion; treat it as divergence without waiting for the
 # values to overflow into inf.
 _RUNAWAY_BANDS = 100.0
+
+# The curvature stencil reads phi two voxels away (np.gradient of np.gradient).
+_HALO = 2
 
 
 @dataclass
@@ -132,9 +145,12 @@ def signed_distance_init(region, band_halfwidth: float = 6.0) -> LevelSetField:
         raise ValueError("cannot build a distance field for an empty region")
     if m.all():
         raise ValueError("region covers the whole grid, no boundary to track")
-    d_out = ndimage.distance_transform_edt(~m, sampling=mask.spacing)
-    d_in = ndimage.distance_transform_edt(m, sampling=mask.spacing)
-    phi = np.asarray(d_out - d_in, dtype=np.float64)
+    phi = np.asarray(ndimage.distance_transform_edt(~m, sampling=mask.spacing), dtype=np.float64)
+    # The inside distance only needs the mask's bounding box plus one layer:
+    # that layer is background (or the grid face, as on the whole grid), and
+    # no background voxel beyond it is closer to a voxel inside.
+    box = _grow(_bounding_box(m), (1, 1, 1), m.shape)
+    phi[box] -= ndimage.distance_transform_edt(m[box], sampling=mask.spacing)
     return LevelSetField(ScalarVolume(phi, mask.spacing), 0, band_halfwidth)
 
 
@@ -192,24 +208,51 @@ def _shift(a: np.ndarray, axis: int, step: int) -> np.ndarray:
     return out
 
 
-def _radial(ctx: ForceContext, spacing, dims):
-    """The components of B - A at every voxel B, and its length."""
-    wx, wy, wz = world_coordinates(dims, spacing)
-    dx = wx - ctx.center[0]
-    dy = wy - ctx.center[1]
-    dz = wz - ctx.center[2]
+def _bounding_box(mask: np.ndarray):
+    """Slices of the smallest box holding every true voxel, None if none."""
+    box = []
+    for axis in range(mask.ndim):
+        others = tuple(a for a in range(mask.ndim) if a != axis)
+        hit = np.flatnonzero(mask.any(axis=others))
+        if hit.size == 0:
+            return None
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
+
+
+def _grow(box, pads, dims):
+    """``box`` widened by pads[axis] voxels on each side, clipped to dims."""
+    return tuple(
+        slice(max(s.start - p, 0), min(s.stop + p, n)) for s, p, n in zip(box, pads, dims)
+    )
+
+
+def _whole(dims):
+    return tuple(slice(0, n) for n in dims)
+
+
+def _radial(ctx: ForceContext, spacing, box):
+    """The components of B - A at every voxel B of ``box`` (broadcastable
+    per-axis arrays), and its length."""
+    dx, dy, dz = (
+        (np.arange(sl.start, sl.stop, dtype=np.float64) * s - c).reshape(shape)
+        for sl, s, c, shape in zip(
+            box, spacing, ctx.center, ((-1, 1, 1), (1, -1, 1), (1, 1, -1))
+        )
+    )
     return dx, dy, dz, np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def _force_field(ctx: ForceContext, spacing, dims):
-    """Precompute the static unit force E on the whole grid."""
-    dx, dy, dz, dn = _radial(ctx, spacing, dims)
+def _force_field(ctx: ForceContext, spacing, dims, box=None):
+    """Precompute the static unit force E on ``box`` (default: the whole grid)."""
+    box = box or _whole(dims)
+    dx, dy, dz, dn = _radial(ctx, spacing, box)
     away = dn >= _EPS_DIRECTION
     inv = np.divide(1.0, dn, where=away, out=np.zeros_like(dn))
-    delta = np.where(ctx.candidate.data, 1.0, -1.0)
-    sx = ctx.edge_grad.x + delta * dx * inv
-    sy = ctx.edge_grad.y + delta * dy * inv
-    sz = ctx.edge_grad.z + delta * dz * inv
+    delta = np.where(ctx.candidate.data[box], 1.0, -1.0)
+    sx = ctx.edge_grad.x[box] + delta * dx * inv
+    sy = ctx.edge_grad.y[box] + delta * dy * inv
+    sz = ctx.edge_grad.z[box] + delta * dz * inv
     sn = np.sqrt(sx * sx + sy * sy + sz * sz)
     ok = away & (sn >= _EPS_DIRECTION)
     scale = np.divide(1.0, sn, where=ok, out=np.zeros_like(sn))
@@ -294,16 +337,50 @@ def reinitialize(ls: LevelSetField, iterations: int | None = None) -> LevelSetFi
     return LevelSetField(ScalarVolume(phi, spacing), ls.iteration, ls.band_halfwidth)
 
 
-def _cos_gamma_stats(px, py, pz, ctx, spacing, dims, band):
+def _cos_gamma_stats(px, py, pz, ctx, spacing, dims, band, box=None):
     """Mean cosine between the front normal and the A->B direction inside
-    the band; diagnostic only."""
-    dx, dy, dz, dn = _radial(ctx, spacing, dims)
+    the band, with the arrays covering ``box`` (default: the whole grid);
+    diagnostic only."""
+    dx, dy, dz, dn = _radial(ctx, spacing, box or _whole(dims))
     gn = np.sqrt(px * px + py * py + pz * pz)
     ok = band & (dn >= _EPS_DIRECTION) & (gn >= _EPS_DIRECTION)
     if not ok.any():
         return 0.0
     cos = (px * dx + py * dy + pz * dz)[ok] / (gn[ok] * dn[ok])
     return float(np.clip(cos, -1.0, 1.0).mean())
+
+
+def _speed(phi, spacing, alpha, velocity):
+    """The explicit update alpha * K|grad phi| - V . grad phi of one step
+    (V upwinded; none when ``velocity`` is None) and the central gradient
+    of phi.  Its own function so that the step's temporaries are freed
+    before the next step allocates them again."""
+    curv, grad = _curvature_times_gradnorm(phi, spacing)
+    update = alpha * curv
+    if velocity is not None:
+        adv = np.zeros_like(phi)
+        for axis, (v, s) in enumerate(zip(velocity, spacing)):
+            dm = (phi - _shift(phi, axis, -1)) / s
+            dp = (_shift(phi, axis, 1) - phi) / s
+            adv += np.maximum(v, 0.0) * dm + np.minimum(v, 0.0) * dp
+        update = update - adv
+    return update, grad
+
+
+def _update_box(phi, width, pads):
+    """The box of voxels an evolution segment may move, the box its
+    stencils read (2-voxel halo), and the first as slices into the second.
+
+    The first box is the bounding box of |phi| <= width widened by
+    pads[axis] voxels, or the whole grid when no voxel is that close to
+    the front.
+    """
+    dims = phi.shape
+    band = _bounding_box((phi >= -width) & (phi <= width))
+    core = _whole(dims) if band is None else _grow(band, pads, dims)
+    outer = _grow(core, (_HALO,) * 3, dims)
+    inner = tuple(slice(c.start - o.start, c.stop - o.start) for c, o in zip(core, outer))
+    return core, outer, inner
 
 
 def evolve(
@@ -314,11 +391,18 @@ def evolve(
 ) -> LevelSetField:
     """Run the explicit level-set update until convergence or max_iters.
 
-    Every ``reinit_every`` iterations phi is reinitialized and the inside
-    volume compared with the previous checkpoint; a fractional change below
-    ``stop_tol`` stops the evolution.  Non-finite phi raises
-    NumericalInstabilityError carrying the global iteration index.  ``log``
-    (a list, optional) receives one record dict per checkpoint.
+    Updates, reinitialization and the force run on the narrow-band box of
+    the module docstring; voxels outside it keep their values, so the
+    instability checks, the inside volume and the stop rule still cover
+    the whole grid.  Every ``reinit_every`` iterations phi is reinitialized
+    on the box, the inside volume compared with the previous checkpoint (a
+    fractional change below ``stop_tol`` stops the evolution), and the box
+    rebuilt.  Non-finite phi raises NumericalInstabilityError carrying the
+    global iteration index.  ``log`` (a list, optional) receives one record
+    dict per checkpoint: ``iteration``, ``inside``, ``changed`` (voxels
+    whose inside/outside label differs from the starting phi),
+    ``max_update`` (the largest change of the last step over the voxels it
+    updated) and, with a force context, ``cos_gamma_mean``.
     """
     params = params or EvolutionParams()
     spacing = ls.phi.spacing
@@ -332,59 +416,68 @@ def evolve(
 
     dt = params.resolve_dt(spacing)
     phi = np.array(ls.phi.data, dtype=np.float64)
-    field = LevelSetField(ScalarVolume(phi, spacing), ls.iteration, ls.band_halfwidth)
+    start_inside = None if log is None else ls.phi.data < 0
+    width = max(spacing) * ls.band_halfwidth
+    # The farthest the front can move between two box rebuilds, at the
+    # speeds the stability bound assumes: beta for advection along a unit
+    # force, alpha times a mean curvature of at most 2/h.
+    travel = params.reinit_every * dt * (params.beta + 2.0 * params.alpha / min(spacing))
+    pads = [math.ceil(min(travel / s, n)) for s, n in zip(spacing, dims)]
+    core, outer, inner = _update_box(phi, width, pads)
 
     use_advection = ctx is not None and params.beta > 0
-    if use_advection:
-        ex, ey, ez = _force_field(ctx, spacing, dims)
-        vx, vy, vz = params.beta * ex, params.beta * ey, params.beta * ez
+    velocity = None
+    force_box = None
 
     prev_inside = int((phi < 0).sum())
     runaway = _RUNAWAY_BANDS * ls.band_halfwidth * max(spacing)
     max_update = 0.0
     done = 0
     while done < params.max_iters:
+        if use_advection and force_box != outer:
+            velocity = _force_field(ctx, spacing, dims, outer)
+            for v in velocity:
+                v *= params.beta
+            force_box = outer
         with np.errstate(over="ignore", invalid="ignore"):
-            curv, (px, py, pz) = _curvature_times_gradnorm(phi, spacing)
-            update = params.alpha * curv
-            if use_advection:
-                adv = np.zeros_like(phi)
-                for axis, (v, s) in enumerate(zip((vx, vy, vz), spacing)):
-                    dm = (phi - _shift(phi, axis, -1)) / s
-                    dp = (_shift(phi, axis, 1) - phi) / s
-                    adv += np.maximum(v, 0.0) * dm + np.minimum(v, 0.0) * dp
-                update = update - adv
-            phi = phi + dt * update
+            update, (px, py, pz) = _speed(phi[outer], spacing, params.alpha, velocity)
+            update = update[inner]
+            phi[core] += dt * update
         done += 1
         max_update = float(np.abs(update).max()) * dt
         if (
             not math.isfinite(max_update)
             or max_update > runaway
-            or not np.isfinite(phi).all()
+            or not np.isfinite(phi[core]).all()
         ):
             raise NumericalInstabilityError(ls.iteration + done)
 
         if done % params.reinit_every == 0 or done == params.max_iters:
             field = reinitialize(
-                LevelSetField(ScalarVolume(phi, spacing), ls.iteration + done, ls.band_halfwidth)
+                LevelSetField(
+                    ScalarVolume(phi[outer], spacing), ls.iteration + done, ls.band_halfwidth
+                )
             )
-            phi = np.array(field.phi.data)
-            inside = int((phi < 0).sum())
+            phi[core] = field.phi.data[inner]
+            now_inside = phi < 0
+            inside = int(now_inside.sum())
             if log is not None:
-                band = np.abs(phi) <= max(spacing) * ls.band_halfwidth
                 record = {
                     "iteration": ls.iteration + done,
                     "inside": inside,
+                    "changed": int(np.count_nonzero(now_inside != start_inside)),
                     "max_update": max_update,
                 }
                 if ctx is not None:
+                    band = np.abs(phi[outer]) <= width
                     record["cos_gamma_mean"] = _cos_gamma_stats(
-                        px, py, pz, ctx, spacing, dims, band
+                        px, py, pz, ctx, spacing, dims, band, outer
                     )
                 log.append(record)
             if abs(inside - prev_inside) / max(prev_inside, 1) < params.stop_tol:
                 prev_inside = inside
                 break
             prev_inside = inside
+            core, outer, inner = _update_box(phi, width, pads)
 
     return LevelSetField(ScalarVolume(phi, spacing), ls.iteration + done, ls.band_halfwidth)

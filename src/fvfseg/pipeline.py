@@ -10,7 +10,9 @@ its artifacts into output_dir:
     candidate.mvol        candidate mask after morphological cleanup
     candidate_report.txt  per-step voxel counts
     segmentation.mvol     final zero-level mask
-    evolution.log         one line per reinitialization checkpoint
+    evolution.log         one line per reinitialization checkpoint: iteration,
+                          inside volume, voxels relabelled since the candidate,
+                          largest update, mean normal/radial cosine
     report.txt            key=value summary (tm=, iterations=, ...)
 
 All files go through atomic writes, so a crashed run never leaves a
@@ -275,7 +277,11 @@ def _candidate_report_text(region: CandidateRegion) -> str:
 def _evolution_log_text(records: list) -> str:
     lines = []
     for rec in records:
-        parts = [f"iter={rec['iteration']}", f"inside={rec['inside']}"]
+        parts = [
+            f"iter={rec['iteration']}",
+            f"inside={rec['inside']}",
+            f"changed={rec['changed']}",
+        ]
         parts.append(f"max_update={format(rec['max_update'], '.17g')}")
         if "cos_gamma_mean" in rec:
             parts.append(f"cos_gamma_mean={format(rec['cos_gamma_mean'], '.17g')}")

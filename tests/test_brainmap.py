@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,43 @@ class TestBuildGbbm:
         build_gbbm(ScalarVolume(data, UNIT), atlas, MODEL, diagnostics=diag)
         assert diag["degenerate_bayes_voxels"] >= 1
         assert diag["degenerate_cc_voxels"] >= 0
+
+    def test_slabs_match_one_pass_over_the_volume(self, rng):
+        # 37 z-planes: two full slabs and a short one
+        atlas = _random_atlas(rng, dims=(6, 5, 37))
+        for p in (atlas.prob_csf, atlas.prob_gm, atlas.prob_wm):
+            p.data[3, :, 5:30] = 0.0  # uninformative prior: degenerate CC
+        data = rng.uniform(0.3, 1.8, atlas.dims)
+        data[1:4, 2, ::3] = 1e6  # every likelihood underflows: degenerate Bayes
+        patient = ScalarVolume(data, UNIT)
+        diag = {}
+        got = build_gbbm(patient, atlas, MODEL, diagnostics=diag)
+
+        masks = {}
+        prior = spatial_prior(atlas.probability_stack())
+        cc = pearson_cc(posterior_triple(MODEL, prior, data, masks), prior, masks)
+        brain = atlas.brain_mask.data
+        assert np.array_equal(got.data, np.where(brain, 255.0 * cc_to_cm(cc), 0.0))
+        assert diag == {
+            "degenerate_bayes_voxels": int((masks["degenerate_bayes"] & brain).sum()),
+            "degenerate_cc_voxels": int((masks["degenerate_cc"] & brain).sum()),
+        }
+        assert diag["degenerate_bayes_voxels"] > 0 and diag["degenerate_cc_voxels"] > 0
+
+    def test_peak_memory_bounded_by_slabs(self, rng):
+        atlas = _random_atlas(rng, dims=(48, 48, 128))
+        patient = ScalarVolume(rng.uniform(0.3, 1.8, atlas.dims), UNIT)
+        grid_bytes = patient.data.size * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_gbbm(patient, atlas, MODEL, diagnostics={})
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the output grid plus the temporaries of one 16-plane slab; one
+        # pass over the whole volume takes about 18 grids
+        assert peak <= 4 * grid_bytes, f"peak {peak / grid_bytes:.1f} float64 grids"
 
     def test_rejects_wrong_model_k(self, rng):
         atlas = _random_atlas(rng)

@@ -116,6 +116,14 @@ class TestPipelineCommand:
         }
         assert {p.name for p in pipeline_out.iterdir()} == expected
 
+    def test_evolution_log_counts_changed_voxels(self, pipeline_out):
+        lines = (pipeline_out / pipeline.EVOLUTION_LOG_FILE).read_text().splitlines()
+        last = dict(part.split("=", 1) for part in lines[-1].split())
+        candidate = read_volume(str(pipeline_out / pipeline.CANDIDATE_FILE)).data
+        segmentation = read_volume(str(pipeline_out / pipeline.SEGMENTATION_FILE)).data
+        assert int(last["changed"]) == int((candidate != segmentation).sum())
+        assert int(last["inside"]) == int(segmentation.sum())
+
     def test_report_file_deterministic_keys(self, pipeline_out):
         text = (pipeline_out / pipeline.REPORT_FILE).read_text()
         entries = dict(line.split("=", 1) for line in text.strip().splitlines())

@@ -1,0 +1,182 @@
+"""The level set's narrow band: evolve, reinitialize and the force work on
+a box around the front and must reproduce the full-grid scheme."""
+
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from scipy import ndimage
+
+from fvfseg.fvf3d import (
+    EvolutionParams,
+    _update_box,
+    evolve,
+    make_force_context,
+    signed_distance_init,
+    zero_level_mask,
+)
+from fvfseg.metrics import tanimoto
+from fvfseg.volume import BinaryMask, ScalarVolume
+
+from .oracles import evolve_oracle
+
+UNIT = (1.0, 1.0, 1.0)
+
+
+def _ball(dims, center, radius, spacing=UNIT):
+    idx = np.indices(dims).astype(np.float64)
+    for ax in range(3):
+        idx[ax] = (idx[ax] - center[ax]) * spacing[ax]
+    return np.sqrt((idx**2).sum(axis=0)) <= radius
+
+
+def _bright(mask, spacing):
+    """A scan that is brighter on ``mask``, with smooth edges."""
+    return ScalarVolume(ndimage.gaussian_filter(1.0 + mask.astype(np.float64), 1.0), spacing)
+
+
+def _travel_case():
+    dims = (48, 48, 48)
+    cube = np.zeros(dims, dtype=bool)
+    cube[8:40, 8:40, 8:40] = True
+    ctx = make_force_context(ScalarVolume(np.ones(dims), UNIT), BinaryMask(cube, UNIT))
+    start = BinaryMask(_ball(dims, (23.5,) * 3, 4.0), UNIT)
+    params = EvolutionParams(
+        alpha=0.1, beta=1.0, max_iters=100, reinit_every=100, stop_tol=0.0, band_halfwidth=2.0
+    )
+    return signed_distance_init(start, band_halfwidth=2.0), ctx, params
+
+
+def _curvature_case():
+    dims = (48, 48, 48)
+    balls = _ball(dims, (20, 24, 24), 6.0) | _ball(dims, (27, 24, 24), 6.0)
+    params = EvolutionParams(
+        alpha=1.0, beta=0.0, dt=0.15, max_iters=60, stop_tol=0.0, band_halfwidth=3.0
+    )
+    return signed_distance_init(BinaryMask(balls, UNIT), band_halfwidth=3.0), None, params
+
+
+def _anisotropic_case():
+    dims, spacing = (56, 56, 28), (1.0, 1.0, 2.0)
+    candidate = _ball(dims, (28, 28, 14), 7.0, spacing)
+    ctx = make_force_context(_bright(candidate, spacing), BinaryMask(candidate, spacing))
+    start = BinaryMask(_ball(dims, (27, 29, 14), 5.0, spacing), spacing)
+    params = EvolutionParams(max_iters=60, stop_tol=0.0, band_halfwidth=3.0)
+    return signed_distance_init(start, band_halfwidth=3.0), ctx, params
+
+
+def _grid_face_case():
+    dims = (48, 48, 48)
+    candidate = _ball(dims, (4, 24, 24), 8.0)
+    ctx = make_force_context(_bright(candidate, UNIT), BinaryMask(candidate, UNIT))
+    params = EvolutionParams(max_iters=60, stop_tol=0.0, band_halfwidth=3.0)
+    start = BinaryMask(candidate, UNIT)
+    return signed_distance_init(start, band_halfwidth=3.0), ctx, params
+
+
+PARITY_CASES = {
+    "travel": _travel_case,
+    "curvature": _curvature_case,
+    "anisotropic": _anisotropic_case,
+    "grid_face": _grid_face_case,
+}
+
+
+def _oracle(ls, ctx, params):
+    force = None
+    if ctx is not None:
+        grad = (ctx.edge_grad.x, ctx.edge_grad.y, ctx.edge_grad.z)
+        force = (grad, ctx.candidate.data, ctx.center)
+    spacing = ls.phi.spacing
+    resolved = replace(params, dt=params.resolve_dt(spacing))
+    return evolve_oracle(ls.phi.data, spacing, ls.band_halfwidth, resolved, force)
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CASES))
+def test_box_evolution_matches_full_grid(name):
+    ls, ctx, params = PARITY_CASES[name]()
+    log = []
+    out = evolve(ls, ctx, params, log=log)
+    ref_phi, ref_log = _oracle(ls, ctx, params)
+
+    assert np.array_equal(zero_level_mask(out).data, ref_phi < 0)
+    assert [r["iteration"] for r in log] == [r["iteration"] for r in ref_log]
+    assert [r["inside"] for r in log] == [r["inside"] for r in ref_log]
+
+
+@pytest.mark.parametrize("name", ["curvature", "anisotropic", "grid_face"])
+def test_parity_cases_run_on_a_box_smaller_than_the_grid(name):
+    ls, _, params = PARITY_CASES[name]()
+    spacing = ls.phi.spacing
+    dt = params.resolve_dt(spacing)
+    travel = params.reinit_every * dt * (params.beta + 2.0 * params.alpha / min(spacing))
+    pads = [int(np.ceil(travel / s)) for s in spacing]
+    _, outer, _ = _update_box(ls.phi.data, max(spacing) * ls.band_halfwidth, pads)
+    box_voxels = np.prod([s.stop - s.start for s in outer])
+    assert box_voxels < 0.5 * ls.phi.data.size
+
+
+def test_front_crosses_more_than_the_band_between_checkpoints():
+    # the front travels ~20 voxels in one segment with a band of 2: without
+    # the travel margin it would stall at the edge of the first box
+    ls, ctx, params = _travel_case()
+    out = zero_level_mask(evolve(ls, ctx, params))
+    assert out.count() == 32688
+    assert tanimoto(out, ctx.candidate).tanimoto == pytest.approx(0.99756, abs=1e-5)
+
+
+def test_log_counts_voxels_relabelled_since_start():
+    dims = (24, 24, 24)
+    start = BinaryMask(_ball(dims, (12, 12, 12), 7.0), UNIT)
+    params = EvolutionParams(
+        alpha=1.0, beta=0.0, dt=0.15, max_iters=40, reinit_every=10, stop_tol=0.0
+    )
+    log = []
+    evolve(signed_distance_init(start), None, params, log=log)
+    # pure curvature only shrinks the ball, so every relabelled voxel left it
+    assert [r["changed"] for r in log] == [start.count() - r["inside"] for r in log]
+    assert log[-1]["changed"] > 0
+
+    still = []
+    frozen = EvolutionParams(alpha=0.0, beta=0.0, max_iters=10, reinit_every=5, stop_tol=0.0)
+    evolve(signed_distance_init(start), None, frozen, log=still)
+    assert [r["changed"] for r in still] == [0, 0]
+
+
+def test_evolve_peak_memory_is_a_few_grids():
+    dims = (96, 96, 96)
+    ball = BinaryMask(_ball(dims, (47.5,) * 3, 8.0), UNIT)
+    ctx = make_force_context(_bright(ball.data, UNIT), ball)
+    ls = signed_distance_init(ball)
+    grid_bytes = ball.data.size * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evolve(ls, ctx, EvolutionParams())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * grid_bytes, f"peak {peak / grid_bytes:.1f} float64 grids"
+
+
+@pytest.mark.parametrize(
+    "dims, spacing",
+    [((20, 17, 15), UNIT), ((16, 16, 16), (1.0, 1.0, 2.0)), ((12, 20, 9), (0.5, 1.25, 3.0))],
+)
+def test_inside_distance_on_a_crop_matches_the_whole_grid(dims, spacing, rng):
+    for trial in range(6):
+        m = rng.random(dims) < 0.3
+        m = ndimage.binary_opening(m) if trial % 2 else m
+        # every mask may reach the last z-plane; the later ones also the first planes
+        lo = rng.integers(0, 4, 3) if trial < 3 else (0, 0, 0)
+        keep = np.zeros(dims, dtype=bool)
+        keep[lo[0] : dims[0] - 2, lo[1] : dims[1] - 1, lo[2] :] = True
+        m &= keep
+        if not m.any() or m.all():
+            continue
+        expected = ndimage.distance_transform_edt(~m, sampling=spacing) - (
+            ndimage.distance_transform_edt(m, sampling=spacing)
+        )
+        got = signed_distance_init(BinaryMask(m, spacing)).phi.data
+        assert np.array_equal(got, expected)
