@@ -33,10 +33,10 @@ from .volume import BinaryMask, ScalarVolume, require_same_grid
 BAYES_DENOMINATOR_FLOOR = 1e-300
 CC_VARIANCE_FLOOR = 1e-12
 
-# build_gbbm works on slabs of this many z-planes: its chain holds about 18
-# float64 temporaries per voxel, so a whole 128^3 volume at once would take
-# ~300 MB on top of its inputs, while 16-plane slabs take ~40 MB.
-GBBM_SLAB_PLANES = 16
+# build_gbbm works on chunks of this many brain voxels: its chain holds about
+# 18 float64 temporaries per voxel, so the 750k brain voxels of a 128^3 head
+# at once would take ~110 MB on top of the inputs, while a chunk takes ~2 MB.
+GBBM_CHUNK_VOXELS = 1 << 14
 
 
 @dataclass
@@ -74,12 +74,11 @@ class ProbabilisticAtlas:
     def spacing(self):
         return self.template.spacing
 
-    def probability_stack(self, region=...) -> np.ndarray:
-        """(3, ...) array in CSF, GM, WM order over ``region``, an index
-        into the grid (default: all of it, giving (3, nx, ny, nz))."""
-        return np.stack(
-            [self.prob_csf.data[region], self.prob_gm.data[region], self.prob_wm.data[region]]
-        ).astype(np.float64)
+    def probability_stack(self) -> np.ndarray:
+        """(3, nx, ny, nz) array in CSF, GM, WM order."""
+        return np.stack([self.prob_csf.data, self.prob_gm.data, self.prob_wm.data]).astype(
+            np.float64
+        )
 
 
 @dataclass
@@ -188,28 +187,35 @@ def build_gbbm(
 
     ``patient`` must already be normalized and registered onto the atlas
     grid.  The map is the composition spatial_prior -> posterior_triple ->
-    pearson_cc -> cc_to_cm, run on slabs of GBBM_SLAB_PLANES z-planes at a
-    time so its temporaries stay a fraction of the grid; every voxel's
-    value is the same as from one pass over the whole volume.  Optional
-    ``diagnostics`` (a dict) receives counts of degenerate brain voxels.
+    pearson_cc -> cc_to_cm, run on the brain voxels only, gathered in
+    chunks of GBBM_CHUNK_VOXELS so the temporaries stay a fraction of the
+    grid; every voxel's value is the same as from one pass over the whole
+    volume.  Optional ``diagnostics`` (a dict) receives counts of
+    degenerate brain voxels.
     """
     params = params or GbbmParams()
     require_same_grid(patient, atlas.template, "patient and atlas")
 
+    # Flat indices in the brain mask's memory order (Fortran for arrays read
+    # from MVOL), so the gathers below stay views of contiguous inputs.
     brain = atlas.brain_mask.data
-    out = np.zeros(patient.dims)
+    order = "F" if brain.flags.f_contiguous else "C"
+    voxels = np.flatnonzero(brain.ravel(order))
+    maps = [p.data.ravel(order) for p in (atlas.prob_csf, atlas.prob_gm, atlas.prob_wm)]
+    x = patient.data.ravel(order)
+    out = np.zeros(patient.dims, order=order)
+    flat_out = out.ravel(order)
     counts = {"degenerate_bayes": 0, "degenerate_cc": 0}
-    for z in range(0, patient.dims[2], GBBM_SLAB_PLANES):
-        slab = np.s_[:, :, z : z + GBBM_SLAB_PLANES]
+    for start in range(0, voxels.size, GBBM_CHUNK_VOXELS):
+        chunk = voxels[start : start + GBBM_CHUNK_VOXELS]
         masks = None if diagnostics is None else {}
-        prior = spatial_prior(atlas.probability_stack(slab))
-        posterior = posterior_triple(model, prior, patient.data[slab], masks)
+        prior = spatial_prior(np.stack([m[chunk] for m in maps]).astype(np.float64))
+        posterior = posterior_triple(model, prior, x[chunk], masks)
         cc = pearson_cc(posterior, prior, masks)
-        inside = brain[slab]
-        out[slab] = np.where(inside, params.omega * cc_to_cm(cc), 0.0)
+        flat_out[chunk] = params.omega * cc_to_cm(cc)
         if masks is not None:
             for key in counts:
-                counts[key] += int((masks[key] & inside).sum())
+                counts[key] += int(masks[key].sum())
 
     if diagnostics is not None:
         diagnostics["degenerate_bayes_voxels"] = counts["degenerate_bayes"]

@@ -11,6 +11,12 @@ edge, so a fixed five-step cleanup isolates one solid candidate blob:
 
 If the mask is empty after any step the extraction fails with the step
 index, which the CLI maps to its own exit code.
+
+Steps 1-3 run on the whole grid: speckle above psi reaches the skull, so
+the thresholded mask spans the brain.  Steps 4 and 5 run on the bounding
+box of the eroded mask grown by dilate_iters + 1 voxels, which holds every
+component and everything the dilation can reach; the result, its counts
+and its centroid are the same as on the whole grid.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from .errors import NoCandidateError
 from .volume import (
     BinaryMask,
     ScalarVolume,
+    bounding_box,
+    grow_box,
     largest_component,
     mask_boundary_strip,
     morphology,
@@ -69,12 +77,13 @@ def binarize_gbbm(gbbm: ScalarVolume, psi: float) -> BinaryMask:
     return BinaryMask(gbbm.data > psi, gbbm.spacing)
 
 
-def mask_centroid(mask: BinaryMask) -> tuple[float, float, float]:
-    """Voxel-count-weighted mean world position of a nonempty mask."""
+def mask_centroid(mask: BinaryMask, origin=(0, 0, 0)) -> tuple[float, float, float]:
+    """Voxel-count-weighted mean world position of a nonempty mask whose
+    first voxel sits at grid index ``origin`` (a crop of a larger grid)."""
     idx = np.nonzero(mask.data)
     if idx[0].size == 0:
         raise ValueError("centroid of an empty mask")
-    return tuple(float(idx[ax].mean() * mask.spacing[ax]) for ax in range(3))
+    return tuple(float((idx[ax] + origin[ax]).mean() * mask.spacing[ax]) for ax in range(3))
 
 
 def extract_candidate(
@@ -104,17 +113,23 @@ def extract_candidate(
     if counts[-1] == 0:
         raise NoCandidateError(3, f"mask vanished after {params.erode_iters} erosions")
 
-    mask = largest_component(mask, params.connectivity)
-    counts.append(mask.count())
+    dims = mask.dims
+    box = grow_box(bounding_box(mask.data), (params.dilate_iters + 1,) * 3, dims)
+    # The x-fastest order of voxels within the box is their order in the
+    # grid, so largest_component breaks ties as it would on the whole grid.
+    blob = largest_component(BinaryMask(mask.data[box], mask.spacing), params.connectivity)
+    counts.append(blob.count())
 
     if params.dilate_iters > 0:
-        mask = morphology(mask, "dilate", radius=1, iterations=params.dilate_iters)
-        mask = BinaryMask(mask.data & stripped.data, mask.spacing)
-    counts.append(mask.count())
+        blob = morphology(blob, "dilate", radius=1, iterations=params.dilate_iters)
+        blob = BinaryMask(blob.data & stripped.data[box], blob.spacing)
+    counts.append(blob.count())
 
+    full = np.zeros(dims, dtype=bool)
+    full[box] = blob.data
     return CandidateRegion(
-        mask=mask,
-        centroid=mask_centroid(mask),
-        voxel_count=mask.count(),
+        mask=BinaryMask(full, mask.spacing),
+        centroid=mask_centroid(blob, tuple(sl.start for sl in box)),
+        voxel_count=counts[-1],
         step_voxels=tuple(counts),
     )

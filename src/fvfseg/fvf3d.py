@@ -37,6 +37,16 @@ clipped to the grid.  Stencils read a further 2-voxel halo around it.
 Voxels outside the box stay frozen; the box is rebuilt at every
 checkpoint.  A field with no voxel in the band is evolved on the whole
 grid.
+
+The starting distance field need not cover the grid either.  It can be
+exact only on a window, a box holding the whole region (the distance to a
+region is exact on any such box), with a placeholder larger than the band
+outside it.  init_window gives the window that holds evolve's first box:
+the region's bounding box grown by the band, the travel margin and the
+halo.  Whenever a box with its halo would leave the window, evolve widens
+the window: it writes the exact distance to the starting front on the new
+part and keeps its own values on the old.  So phi on the window is always
+what the whole-grid field holds, and the placeholders are never read.
 """
 
 from __future__ import annotations
@@ -53,8 +63,10 @@ from .volume import (
     BinaryMask,
     ScalarVolume,
     VectorField,
+    bounding_box,
     central_gradient,
     gaussian_smooth,
+    grow_box,
     require_same_grid,
 )
 
@@ -72,9 +84,15 @@ _HALO = 2
 
 @dataclass
 class LevelSetField:
+    """phi with the evolution's iteration count and band half-width (in
+    voxels of the coarsest axis).  ``window`` (a tuple of three slices, or
+    None for the whole grid) is the box on which phi is exact; outside it
+    phi holds a placeholder larger than the band."""
+
     phi: ScalarVolume
     iteration: int = 0
     band_halfwidth: float = 6.0
+    window: tuple | None = None
 
     def __post_init__(self):
         if self.iteration < 0 or not (self.band_halfwidth > 0):
@@ -108,7 +126,6 @@ class EvolutionParams:
     max_iters: int = 300
     reinit_every: int = 20
     stop_tol: float = 1e-3
-    band_halfwidth: float = 6.0
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
@@ -117,8 +134,8 @@ class EvolutionParams:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.max_iters < 1 or self.reinit_every < 1:
             raise ValueError("max_iters and reinit_every must be >= 1")
-        if self.stop_tol < 0 or not (self.band_halfwidth > 0):
-            raise ValueError("stop_tol must be >= 0 and band_halfwidth > 0")
+        if self.stop_tol < 0:
+            raise ValueError("stop_tol must be >= 0")
 
     def stability_bound(self, spacing) -> float:
         """Largest dt the explicit scheme tolerates on this grid."""
@@ -132,33 +149,90 @@ class EvolutionParams:
         bound = self.stability_bound(spacing)
         return bound if math.isfinite(bound) else 0.5 * min(spacing)
 
+    def travel_pads(self, spacing, dims) -> list[int]:
+        """Per axis, the voxels the front can cross between two box
+        rebuilds, at the speeds the stability bound assumes: beta for
+        advection along a unit force, alpha times a mean curvature of at
+        most 2/h."""
+        travel = self.reinit_every * self.resolve_dt(spacing) * (
+            self.beta + 2.0 * self.alpha / min(spacing)
+        )
+        return [math.ceil(min(travel / s, n)) for s, n in zip(spacing, dims)]
+
 
 def _as_mask(region) -> BinaryMask:
     return region.mask if isinstance(region, CandidateRegion) else region
 
 
-def signed_distance_init(region, band_halfwidth: float = 6.0) -> LevelSetField:
-    """Signed Euclidean distance to the mask boundary, negative inside."""
+def _fill_distance(phi: np.ndarray, m: np.ndarray, spacing, window):
+    """Write the signed Euclidean distance to the boundary of mask ``m``
+    (negative inside) into phi[window], a box holding every voxel of m."""
+    # The outside distance is exact on any box holding the whole mask.
+    phi[window] = ndimage.distance_transform_edt(~m[window], sampling=spacing)
+    # The inside distance only needs the mask's bounding box plus one layer:
+    # that layer is background (or the grid face, as on the whole grid), and
+    # no background voxel beyond it is closer to a voxel inside.  It is 0 on
+    # background, so the part of that layer outside the window keeps its value.
+    box = grow_box(bounding_box(m), (1, 1, 1), m.shape)
+    phi[box] -= ndimage.distance_transform_edt(m[box], sampling=spacing)
+
+
+def _contains(outer, inner) -> bool:
+    return all(o.start <= i.start and i.stop <= o.stop for o, i in zip(outer, inner))
+
+
+def signed_distance_init(region, band_halfwidth: float = 6.0, window=None) -> LevelSetField:
+    """Signed Euclidean distance to the mask boundary, negative inside.
+
+    With ``window`` (three slices holding the whole region) the distance is
+    computed on that box only, and every voxel outside it holds the grid's
+    diagonal plus the band width: more than any distance on the grid, so
+    never inside the band.
+    """
     mask = _as_mask(region)
     m = mask.data
     if not m.any():
         raise ValueError("cannot build a distance field for an empty region")
     if m.all():
         raise ValueError("region covers the whole grid, no boundary to track")
-    phi = np.asarray(ndimage.distance_transform_edt(~m, sampling=mask.spacing), dtype=np.float64)
-    # The inside distance only needs the mask's bounding box plus one layer:
-    # that layer is background (or the grid face, as on the whole grid), and
-    # no background voxel beyond it is closer to a voxel inside.
-    box = _grow(_bounding_box(m), (1, 1, 1), m.shape)
-    phi[box] -= ndimage.distance_transform_edt(m[box], sampling=mask.spacing)
-    return LevelSetField(ScalarVolume(phi, mask.spacing), 0, band_halfwidth)
+    dims, spacing = m.shape, mask.spacing
+    if window is None:
+        phi = np.empty(dims)
+    else:
+        window = tuple(slice(*sl.indices(n)[:2]) for sl, n in zip(window, dims))
+        if len(window) != 3 or not _contains(window, bounding_box(m)):
+            raise ValueError(f"window {window} does not hold the whole region")
+        far = math.hypot(*(n * s for n, s in zip(dims, spacing)))
+        phi = np.full(dims, far + band_halfwidth * max(spacing))
+    _fill_distance(phi, m, spacing, window or _whole(dims))
+    return LevelSetField(ScalarVolume(phi, spacing), 0, band_halfwidth, window)
+
+
+def init_window(region, band_halfwidth: float = 6.0, params: EvolutionParams | None = None):
+    """The window for signed_distance_init that holds evolve's first update
+    box: the region's bounding box grown by the band, the travel margin of
+    ``params`` and the stencil halo, clipped to the grid (None for an empty
+    region, which signed_distance_init rejects)."""
+    mask = _as_mask(region)
+    box = bounding_box(mask.data)
+    if box is None:
+        return None
+    spacing, dims = mask.spacing, mask.dims
+    width = band_halfwidth * max(spacing)
+    pads = (params or EvolutionParams()).travel_pads(spacing, dims)
+    return grow_box(
+        box, [math.ceil(width / s) + p + _HALO for s, p in zip(spacing, pads)], dims
+    )
 
 
 def edge_map(patient: ScalarVolume, sigma: float = 1.0):
     """Gradient-magnitude edge strength of the smoothed scan.
 
     Returns the edge map rescaled to [0, 1] together with its central
-    gradient (the attraction field).
+    gradient (the attraction field).  Both cover the whole grid even though
+    evolve reads them only on its boxes: the rescale divides by the peak
+    of the smoothed gradient magnitude over the whole scan, which no crop
+    around the candidate can know.
     """
     smoothed = gaussian_smooth(patient, sigma)
     g = central_gradient(smoothed)
@@ -206,25 +280,6 @@ def _shift(a: np.ndarray, axis: int, step: int) -> np.ndarray:
     out[tuple(dst)] = a[tuple(src)]
     out[tuple(edge)] = a[tuple(edge)]
     return out
-
-
-def _bounding_box(mask: np.ndarray):
-    """Slices of the smallest box holding every true voxel, None if none."""
-    box = []
-    for axis in range(mask.ndim):
-        others = tuple(a for a in range(mask.ndim) if a != axis)
-        hit = np.flatnonzero(mask.any(axis=others))
-        if hit.size == 0:
-            return None
-        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
-    return tuple(box)
-
-
-def _grow(box, pads, dims):
-    """``box`` widened by pads[axis] voxels on each side, clipped to dims."""
-    return tuple(
-        slice(max(s.start - p, 0), min(s.stop + p, n)) for s, p, n in zip(box, pads, dims)
-    )
 
 
 def _whole(dims):
@@ -376,11 +431,37 @@ def _update_box(phi, width, pads):
     the front.
     """
     dims = phi.shape
-    band = _bounding_box((phi >= -width) & (phi <= width))
-    core = _whole(dims) if band is None else _grow(band, pads, dims)
-    outer = _grow(core, (_HALO,) * 3, dims)
+    band = bounding_box((phi >= -width) & (phi <= width))
+    core = _whole(dims) if band is None else grow_box(band, pads, dims)
+    outer = grow_box(core, (_HALO,) * 3, dims)
     inner = tuple(slice(c.start - o.start, c.stop - o.start) for c, o in zip(core, outer))
     return core, outer, inner
+
+
+def _update_box_in_window(phi, start_inside, spacing, window, width, pads):
+    """_update_box, with ``window`` (the box on which phi is exact) widened
+    until the stencil box lies inside it; returns the three boxes and the
+    window.
+
+    A widening writes the exact distance to the boundary of
+    ``start_inside`` on the new part of the window and keeps phi on the
+    old, so phi stays what the whole-grid scheme holds.  Voxels on a window
+    face that is not a grid face lie outside every earlier update box and
+    hold their starting distance, so a band reaching past the window also
+    reaches that face, and its stencil box leaves the window.
+    """
+    while True:
+        core, outer, inner = _update_box(phi, width, pads)
+        if _contains(window, outer):
+            return core, outer, inner, window
+        grown = grow_box(outer, pads, phi.shape)
+        wider = tuple(
+            slice(min(w.start, g.start), max(w.stop, g.stop)) for w, g in zip(window, grown)
+        )
+        own = phi[window].copy()
+        _fill_distance(phi, start_inside, spacing, wider)
+        phi[window] = own
+        window = wider
 
 
 def evolve(
@@ -397,12 +478,15 @@ def evolve(
     the whole grid.  Every ``reinit_every`` iterations phi is reinitialized
     on the box, the inside volume compared with the previous checkpoint (a
     fractional change below ``stop_tol`` stops the evolution), and the box
-    rebuilt.  Non-finite phi raises NumericalInstabilityError carrying the
-    global iteration index.  ``log`` (a list, optional) receives one record
-    dict per checkpoint: ``iteration``, ``inside``, ``changed`` (voxels
-    whose inside/outside label differs from the starting phi),
-    ``max_update`` (the largest change of the last step over the voxels it
-    updated) and, with a force context, ``cos_gamma_mean``.
+    rebuilt.  A field exact only on ``ls.window`` has that window widened
+    whenever a box's stencils would read past it (module docstring), and
+    the returned field carries the final window.  Non-finite phi raises
+    NumericalInstabilityError carrying the global iteration index.
+    ``log`` (a list, optional) receives one record dict per checkpoint:
+    ``iteration``, ``inside``, ``changed`` (voxels whose inside/outside
+    label differs from the starting phi), ``max_update`` (the largest
+    change of the last step over the voxels it updated) and, with a force
+    context, ``cos_gamma_mean``.
     """
     params = params or EvolutionParams()
     spacing = ls.phi.spacing
@@ -416,14 +500,13 @@ def evolve(
 
     dt = params.resolve_dt(spacing)
     phi = np.array(ls.phi.data, dtype=np.float64)
-    start_inside = None if log is None else ls.phi.data < 0
+    start_inside = ls.phi.data < 0
     width = max(spacing) * ls.band_halfwidth
-    # The farthest the front can move between two box rebuilds, at the
-    # speeds the stability bound assumes: beta for advection along a unit
-    # force, alpha times a mean curvature of at most 2/h.
-    travel = params.reinit_every * dt * (params.beta + 2.0 * params.alpha / min(spacing))
-    pads = [math.ceil(min(travel / s, n)) for s, n in zip(spacing, dims)]
-    core, outer, inner = _update_box(phi, width, pads)
+    pads = params.travel_pads(spacing, dims)
+    window = ls.window or _whole(dims)
+    core, outer, inner, window = _update_box_in_window(
+        phi, start_inside, spacing, window, width, pads
+    )
 
     use_advection = ctx is not None and params.beta > 0
     velocity = None
@@ -478,6 +561,13 @@ def evolve(
                 prev_inside = inside
                 break
             prev_inside = inside
-            core, outer, inner = _update_box(phi, width, pads)
+            core, outer, inner, window = _update_box_in_window(
+                phi, start_inside, spacing, window, width, pads
+            )
 
-    return LevelSetField(ScalarVolume(phi, spacing), ls.iteration + done, ls.band_halfwidth)
+    return LevelSetField(
+        ScalarVolume(phi, spacing),
+        ls.iteration + done,
+        ls.band_halfwidth,
+        None if ls.window is None else window,
+    )

@@ -108,7 +108,6 @@ class PipelineConfig:
             max_iters=self.max_iters,
             reinit_every=self.reinit_every,
             stop_tol=self.stop_tol,
-            band_halfwidth=self.band_halfwidth,
         )
 
 
@@ -249,12 +248,16 @@ def segment_stage(patient: ScalarVolume, region, config: PipelineConfig):
     """Seed a distance field on the candidate (a CandidateRegion or a mask)
     and evolve it; writes evolution.log and segmentation.mvol.
 
+    The distance field is computed on the window around the candidate that
+    holds evolve's first box, which evolve widens if the front needs more.
     Returns the final LevelSetField and its zero-level mask.
     """
+    params = config.evolution_params()
     ctx = fvf3d.make_force_context(patient, region, sigma=config.edge_sigma)
-    ls = fvf3d.signed_distance_init(region, band_halfwidth=config.band_halfwidth)
+    window = fvf3d.init_window(region, config.band_halfwidth, params)
+    ls = fvf3d.signed_distance_init(region, config.band_halfwidth, window)
     log: list = []
-    final = fvf3d.evolve(ls, ctx, config.evolution_params(), log=log)
+    final = fvf3d.evolve(ls, ctx, params, log=log)
     atomic_write_text(_artifact(config, EVOLUTION_LOG_FILE), _evolution_log_text(log))
     seg = fvf3d.zero_level_mask(final)
     write_volume(seg, _artifact(config, SEGMENTATION_FILE))

@@ -123,6 +123,33 @@ def largest_component_oracle(mask: np.ndarray, connectivity: int = 26) -> np.nda
     return out
 
 
+# --- candidate extraction on the whole grid
+
+
+def extract_candidate_oracle(gbbm, brain, spacing, params):
+    """The five cleanup steps of fvfseg.candidate, each on the whole grid:
+    returns the mask, its centroid in world units and the step counts, or
+    the 1-based step at which the mask empties."""
+    stripped = erode_oracle(brain, 1, params.strip_depth)
+    mask = np.where(stripped, gbbm, 0.0) > params.psi
+    counts = [int(mask.sum())]
+    if counts[-1] == 0:
+        return 2
+    if params.erode_iters > 0:
+        mask = erode_oracle(mask, 1, params.erode_iters)
+    counts.append(int(mask.sum()))
+    if counts[-1] == 0:
+        return 3
+    mask = largest_component_oracle(mask, params.connectivity)
+    counts.append(int(mask.sum()))
+    if params.dilate_iters > 0:
+        mask = dilate_oracle(mask, 1, params.dilate_iters) & stripped
+    counts.append(int(mask.sum()))
+    idx = np.nonzero(mask)
+    centroid = tuple(float(idx[ax].mean() * spacing[ax]) for ax in range(3))
+    return mask, centroid, tuple(counts)
+
+
 # --- arbitrary-precision formula oracles
 
 

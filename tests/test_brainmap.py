@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fvfseg import brainmap
 from fvfseg.brainmap import (
     GbbmParams,
     ProbabilisticAtlas,
@@ -281,29 +282,46 @@ class TestBuildGbbm:
         assert diag["degenerate_bayes_voxels"] >= 1
         assert diag["degenerate_cc_voxels"] >= 0
 
-    def test_slabs_match_one_pass_over_the_volume(self, rng):
-        # 37 z-planes: two full slabs and a short one
+    def test_chunks_match_one_pass_over_the_volume(self, rng, monkeypatch):
+        chunk = 13
+        monkeypatch.setattr(brainmap, "GBBM_CHUNK_VOXELS", chunk)
         atlas = _random_atlas(rng, dims=(6, 5, 37))
         for p in (atlas.prob_csf, atlas.prob_gm, atlas.prob_wm):
             p.data[3, :, 5:30] = 0.0  # uninformative prior: degenerate CC
         data = rng.uniform(0.3, 1.8, atlas.dims)
         data[1:4, 2, ::3] = 1e6  # every likelihood underflows: degenerate Bayes
         patient = ScalarVolume(data, UNIT)
-        diag = {}
-        got = build_gbbm(patient, atlas, MODEL, diagnostics=diag)
 
         masks = {}
         prior = spatial_prior(atlas.probability_stack())
         cc = pearson_cc(posterior_triple(MODEL, prior, data, masks), prior, masks)
         brain = atlas.brain_mask.data
-        assert np.array_equal(got.data, np.where(brain, 255.0 * cc_to_cm(cc), 0.0))
-        assert diag == {
+        expected = np.where(brain, 255.0 * cc_to_cm(cc), 0.0)
+        counts = {
             "degenerate_bayes_voxels": int((masks["degenerate_bayes"] & brain).sum()),
             "degenerate_cc_voxels": int((masks["degenerate_cc"] & brain).sum()),
         }
-        assert diag["degenerate_bayes_voxels"] > 0 and diag["degenerate_cc_voxels"] > 0
+        assert counts["degenerate_bayes_voxels"] > 0 and counts["degenerate_cc_voxels"] > 0
 
-    def test_peak_memory_bounded_by_slabs(self, rng):
+        # C-ordered arrays, and Fortran-ordered ones as read from MVOL files
+        for order in "CF":
+
+            def laid(v):
+                return type(v)(np.asarray(v.data, order=order), v.spacing)
+
+            fields = ("template", "prob_csf", "prob_gm", "prob_wm", "brain_mask")
+            ordered = ProbabilisticAtlas(*(laid(getattr(atlas, f)) for f in fields))
+            diag = {}
+            got = build_gbbm(laid(patient), ordered, MODEL, diagnostics=diag)
+            assert np.array_equal(got.data, expected)
+            assert diag == counts
+            # degenerate voxels of each kind lie on both sides of chunk boundaries
+            position = np.cumsum(brain.ravel(order)) - 1  # rank among brain voxels
+            for mask in masks.values():
+                chunks = np.unique(position[(mask & brain).ravel(order)] // chunk)
+                assert chunks.size >= 3 and (np.diff(chunks) == 1).any()
+
+    def test_peak_memory_bounded_by_chunks(self, rng):
         atlas = _random_atlas(rng, dims=(48, 48, 128))
         patient = ScalarVolume(rng.uniform(0.3, 1.8, atlas.dims), UNIT)
         grid_bytes = patient.data.size * 8
@@ -314,8 +332,8 @@ class TestBuildGbbm:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # the output grid plus the temporaries of one 16-plane slab; one
-        # pass over the whole volume takes about 18 grids
+        # the output grid, the brain voxels' indices and the temporaries of
+        # one chunk; one pass over the whole volume takes about 18 grids
         assert peak <= 4 * grid_bytes, f"peak {peak / grid_bytes:.1f} float64 grids"
 
     def test_rejects_wrong_model_k(self, rng):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from fvfseg.candidate import (
     CandidateParams,
@@ -16,6 +17,8 @@ from fvfseg.volume import (
     mask_boundary_strip,
     morphology,
 )
+
+from .oracles import extract_candidate_oracle
 
 UNIT = (1.0, 1.0, 1.0)
 DIMS = (24, 24, 24)
@@ -177,3 +180,86 @@ class TestExtraction:
         brain = BinaryMask(np.ones((20, 24, 24), dtype=bool), UNIT)
         with pytest.raises(GridMismatchError):
             extract_candidate(gbbm, brain)
+
+
+def _blob_map(dims, blobs, value=200.0):
+    data = np.zeros(dims)
+    for lo, hi in blobs:
+        data[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = value
+    return data
+
+
+def _ball_brain(dims, center, radius):
+    idx = np.indices(dims).astype(np.float64)
+    return np.sqrt(sum((idx[ax] - center[ax]) ** 2 for ax in range(3))) <= radius
+
+
+CROP_DIMS = (28, 26, 24)
+SPACING = (1.0, 0.8, 1.5)
+# Each case: abnormality map, brain mask, params.  The cleanup after erosion
+# runs on a box around the eroded mask and must match the whole grid.
+CROP_CASES = {
+    # two 6^3 blobs, both eroded to 2^3: C order meets the first one first,
+    # x-fastest order the second, whose z is smaller
+    "tie": (
+        _blob_map(CROP_DIMS, [((4, 4, 14), (10, 10, 20)), ((16, 14, 4), (22, 20, 10))]),
+        np.ones(CROP_DIMS, dtype=bool),
+        CandidateParams(),
+    ),
+    # a blob on the x = 0 face: the box is clipped by the grid there
+    "grid_face": (
+        _blob_map(CROP_DIMS, [((0, 6, 5), (9, 15, 13))]),
+        np.ones(CROP_DIMS, dtype=bool),
+        CandidateParams(strip_depth=1),
+    ),
+    # a blob reaching out of a ball-shaped brain: the stripped brain's edge
+    # cuts 350 voxels off the dilation
+    "stripped_edge": (
+        _blob_map(CROP_DIMS, [((12, 8, 5), (27, 20, 17))]),
+        _ball_brain(CROP_DIMS, (12, 13, 11), 11.0),
+        CandidateParams(dilate_iters=3),
+    ),
+    # no erosion: the box spans every voxel above psi, speckle included
+    "no_erosion": (
+        _blob_map(CROP_DIMS, [((8, 8, 8), (13, 12, 11)), ((20, 3, 3), (21, 4, 4))]),
+        np.ones(CROP_DIMS, dtype=bool),
+        CandidateParams(erode_iters=0, connectivity=6),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROP_CASES))
+def test_cropped_cleanup_matches_the_whole_grid(name):
+    data, brain, params = CROP_CASES[name]
+    region = extract_candidate(ScalarVolume(data, SPACING), BinaryMask(brain, SPACING), params)
+    mask, centroid, counts = extract_candidate_oracle(data, brain, SPACING, params)
+    assert np.array_equal(region.mask.data, mask)
+    assert region.centroid == centroid
+    assert region.step_voxels == counts
+    assert region.voxel_count == counts[-1]
+
+
+def test_tie_goes_to_the_smallest_x_fastest_index():
+    data, brain, params = CROP_CASES["tie"]
+    region = extract_candidate(ScalarVolume(data, SPACING), BinaryMask(brain, SPACING), params)
+    assert region.step_voxels[1] == 2 * region.step_voxels[2]
+    assert region.mask.data[19, 17, 7] and not region.mask.data[7, 7, 17]
+
+
+def test_cropped_cleanup_matches_on_random_maps(rng):
+    dims = (30, 27, 25)
+    brain = _ball_brain(dims, (15, 13, 12), 12.5)
+    for trial in range(4):
+        data = ndimage.gaussian_filter(rng.normal(size=dims), 3.0)
+        data = 255.0 * (data - data.min()) / (data.max() - data.min())
+        psi = float(np.quantile(data[brain], 0.75))
+        params = CandidateParams(psi=psi, erode_iters=1, dilate_iters=trial)
+        expected = extract_candidate_oracle(data, brain, SPACING, params)
+        if isinstance(expected, int):
+            with pytest.raises(NoCandidateError) as err:
+                extract_candidate(ScalarVolume(data, SPACING), BinaryMask(brain, SPACING), params)
+            assert err.value.step == expected
+            continue
+        region = extract_candidate(ScalarVolume(data, SPACING), BinaryMask(brain, SPACING), params)
+        assert np.array_equal(region.mask.data, expected[0])
+        assert (region.centroid, region.step_voxels) == expected[1:]

@@ -265,12 +265,17 @@ class TestEvolutionParams:
             dict(max_iters=0),
             dict(reinit_every=0),
             dict(stop_tol=-1e-3),
-            dict(band_halfwidth=0.0),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             EvolutionParams(**kwargs)
+
+    def test_band_halfwidth_lives_on_the_level_set(self):
+        with pytest.raises(ValueError):
+            LevelSetField(_plane_sdf((8, 8, 8)), band_halfwidth=0.0)
+        with pytest.raises(TypeError):
+            EvolutionParams(band_halfwidth=6.0)
 
 
 class TestEvolve:

@@ -12,12 +12,13 @@ from fvfseg.fvf3d import (
     EvolutionParams,
     _update_box,
     evolve,
+    init_window,
     make_force_context,
     signed_distance_init,
     zero_level_mask,
 )
 from fvfseg.metrics import tanimoto
-from fvfseg.volume import BinaryMask, ScalarVolume
+from fvfseg.volume import BinaryMask, ScalarVolume, bounding_box
 
 from .oracles import evolve_oracle
 
@@ -42,18 +43,14 @@ def _travel_case():
     cube[8:40, 8:40, 8:40] = True
     ctx = make_force_context(ScalarVolume(np.ones(dims), UNIT), BinaryMask(cube, UNIT))
     start = BinaryMask(_ball(dims, (23.5,) * 3, 4.0), UNIT)
-    params = EvolutionParams(
-        alpha=0.1, beta=1.0, max_iters=100, reinit_every=100, stop_tol=0.0, band_halfwidth=2.0
-    )
+    params = EvolutionParams(alpha=0.1, beta=1.0, max_iters=100, reinit_every=100, stop_tol=0.0)
     return signed_distance_init(start, band_halfwidth=2.0), ctx, params
 
 
 def _curvature_case():
     dims = (48, 48, 48)
     balls = _ball(dims, (20, 24, 24), 6.0) | _ball(dims, (27, 24, 24), 6.0)
-    params = EvolutionParams(
-        alpha=1.0, beta=0.0, dt=0.15, max_iters=60, stop_tol=0.0, band_halfwidth=3.0
-    )
+    params = EvolutionParams(alpha=1.0, beta=0.0, dt=0.15, max_iters=60, stop_tol=0.0)
     return signed_distance_init(BinaryMask(balls, UNIT), band_halfwidth=3.0), None, params
 
 
@@ -62,7 +59,7 @@ def _anisotropic_case():
     candidate = _ball(dims, (28, 28, 14), 7.0, spacing)
     ctx = make_force_context(_bright(candidate, spacing), BinaryMask(candidate, spacing))
     start = BinaryMask(_ball(dims, (27, 29, 14), 5.0, spacing), spacing)
-    params = EvolutionParams(max_iters=60, stop_tol=0.0, band_halfwidth=3.0)
+    params = EvolutionParams(max_iters=60, stop_tol=0.0)
     return signed_distance_init(start, band_halfwidth=3.0), ctx, params
 
 
@@ -70,7 +67,7 @@ def _grid_face_case():
     dims = (48, 48, 48)
     candidate = _ball(dims, (4, 24, 24), 8.0)
     ctx = make_force_context(_bright(candidate, UNIT), BinaryMask(candidate, UNIT))
-    params = EvolutionParams(max_iters=60, stop_tol=0.0, band_halfwidth=3.0)
+    params = EvolutionParams(max_iters=60, stop_tol=0.0)
     start = BinaryMask(candidate, UNIT)
     return signed_distance_init(start, band_halfwidth=3.0), ctx, params
 
@@ -103,6 +100,65 @@ def test_box_evolution_matches_full_grid(name):
     assert np.array_equal(zero_level_mask(out).data, ref_phi < 0)
     assert [r["iteration"] for r in log] == [r["iteration"] for r in ref_log]
     assert [r["inside"] for r in log] == [r["inside"] for r in ref_log]
+
+
+def _voxels(box):
+    return int(np.prod([s.stop - s.start for s in box]))
+
+
+def _inside(outer, inner):
+    return all(o.start <= i.start and i.stop <= o.stop for o, i in zip(outer, inner))
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CASES))
+def test_evolution_from_a_window_matches_full_grid(name):
+    # the distance starts on the candidate's own bounding box, so evolve has
+    # to widen the window before its first step
+    ls, ctx, params = PARITY_CASES[name]()
+    start = zero_level_mask(ls)
+    window = bounding_box(start.data)
+    log = []
+    out = evolve(signed_distance_init(start, ls.band_halfwidth, window), ctx, params, log=log)
+    ref_phi, ref_log = _oracle(ls, ctx, params)
+
+    assert np.array_equal(zero_level_mask(out).data, ref_phi < 0)
+    assert [r["iteration"] for r in log] == [r["iteration"] for r in ref_log]
+    assert [r["inside"] for r in log] == [r["inside"] for r in ref_log]
+    assert _inside(out.window, window) and _voxels(out.window) > _voxels(window)
+    if name == "travel":
+        # its travel margin spans the grid, so the window grows to all of it
+        assert _voxels(out.window) == ls.phi.data.size
+
+
+def test_window_widens_as_the_front_travels():
+    # The window of init_window holds the first box; the front then crosses
+    # ~15 voxels in ten short segments, and the window has to follow it.
+    # With ten checkpoints the oracle's whole-grid reinitialization moves far
+    # voxels that the boxes leave frozen, so the reference is evolve from a
+    # whole-grid start.
+    dims = (48, 48, 48)
+    cube = np.zeros(dims, dtype=bool)
+    cube[6:42, 6:42, 6:42] = True
+    ctx = make_force_context(ScalarVolume(np.ones(dims), UNIT), BinaryMask(cube, UNIT))
+    start = BinaryMask(_ball(dims, (23.5,) * 3, 4.0), UNIT)
+    params = EvolutionParams(alpha=0.1, beta=1.0, max_iters=100, reinit_every=10, stop_tol=0.0)
+    band = 2.0
+    window = init_window(start, band, params)
+    ls = signed_distance_init(start, band, window)
+    _, outer, _ = _update_box(ls.phi.data, band, params.travel_pads(UNIT, dims))
+    assert _inside(window, outer) and _voxels(window) < 0.25 * cube.size
+
+    log = []
+    out = evolve(ls, ctx, params, log=log)
+    # Against the same boxes from a whole-grid start: every value the
+    # window holds and every log figure are the same to the bit.
+    ref_log = []
+    ref = evolve(signed_distance_init(start, band), ctx, params, log=ref_log)
+    assert ref.window is None
+    assert np.array_equal(out.phi.data[out.window], ref.phi.data[out.window])
+    assert np.array_equal(zero_level_mask(out).data, zero_level_mask(ref).data)
+    assert log == ref_log and len(log) == 10
+    assert _inside(out.window, window) and _voxels(out.window) > 4 * _voxels(window)
 
 
 @pytest.mark.parametrize("name", ["curvature", "anisotropic", "grid_face"])
@@ -180,3 +236,38 @@ def test_inside_distance_on_a_crop_matches_the_whole_grid(dims, spacing, rng):
         )
         got = signed_distance_init(BinaryMask(m, spacing)).phi.data
         assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "dims, spacing",
+    [((20, 17, 15), UNIT), ((16, 16, 16), (1.0, 1.0, 2.0)), ((12, 20, 9), (0.5, 1.25, 3.0))],
+)
+def test_distance_on_a_window_matches_the_whole_grid(dims, spacing, rng):
+    band = 2.0
+    for trial in range(6):
+        m = ndimage.binary_opening(rng.random(dims) < 0.4)
+        m[: trial % 3, :, :] = False  # the first masks touch the x = 0 face
+        m[:, :, dims[2] // 2 :] = False
+        if not m.any():
+            continue
+        box = bounding_box(m)
+        # grown by 0-3 voxels per side, clipped to the grid; one axis open
+        window = tuple(
+            slice(max(b.start - int(lo), 0), min(b.stop + int(hi), n))
+            for b, lo, hi, n in zip(box, rng.integers(0, 4, 3), rng.integers(0, 4, 3), dims)
+        )
+        window = (*window[:2], slice(None, window[2].stop))
+        mask = BinaryMask(m, spacing)
+        full = signed_distance_init(mask, band).phi.data
+        got = signed_distance_init(mask, band, window)
+        assert got.window[2] == slice(0, window[2].stop)
+        assert np.array_equal(got.phi.data[window], full[window])
+        outside = np.ones(dims, dtype=bool)
+        outside[window] = False
+        assert (got.phi.data[outside] > band * max(spacing)).all()
+
+
+def test_window_must_hold_the_region():
+    mask = BinaryMask(_ball((16, 16, 16), (8, 8, 8), 4.0), UNIT)
+    with pytest.raises(ValueError, match="whole region"):
+        signed_distance_init(mask, window=np.s_[5:16, 0:16, 0:16])

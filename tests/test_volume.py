@@ -114,6 +114,13 @@ class TestMorphology:
         with pytest.raises(ValueError):
             morphology(BinaryMask(np.ones((3, 3, 3), dtype=bool), UNIT), "open")
 
+    @pytest.mark.parametrize("mode, oracle", [("erode", erode_oracle), ("dilate", dilate_oracle)])
+    def test_fortran_ordered_mask_matches_oracle(self, mode, oracle, rng):
+        # masks read from MVOL files are Fortran-ordered
+        data = rng.random((9, 7, 5)) > 0.3
+        got = morphology(BinaryMask(np.asfortranarray(data), UNIT), mode, iterations=2).data
+        assert np.array_equal(got, oracle(data, 1, 2))
+
     def test_boundary_strip_is_iterated_erosion(self, rng):
         data = rng.random((9, 9, 9)) > 0.3
         strip = mask_boundary_strip(BinaryMask(data, UNIT), 2)
