@@ -38,6 +38,17 @@ Voxels outside the box stay frozen; the box is rebuilt at every
 checkpoint.  A field with no voxel in the band is evolved on the whole
 grid.
 
+The stencils run on a C-ordered copy of the box flattened to one
+dimension.  Along axis a the neighbours of flat index i are i - stride_a
+and i + stride_a, so each difference is one contiguous pass over the whole
+box, computed once per axis; the backward and forward differences are two
+views of one buffer.  That pass also fills the axis's two face planes,
+with differences across rows, so those planes are then rewritten with the
+edge formulas: the one-sided first difference, and the second and upwind
+differences with the edge voxel replicated.  A face of the halo box and a
+face of the grid are treated alike.  Each formula keeps the operation
+order of its whole-array form, so the results are the same bits.
+
 The starting distance field need not cover the grid either.  It can be
 exact only on a window, a box holding the whole region (the distance to a
 region is exact on any such box), with a placeholder larger than the band
@@ -261,27 +272,6 @@ def zero_level_mask(ls: LevelSetField) -> BinaryMask:
     return BinaryMask(ls.phi.data < 0.0, ls.phi.spacing)
 
 
-def _shift(a: np.ndarray, axis: int, step: int) -> np.ndarray:
-    """Array sampled at index+step along ``axis`` with edge replication."""
-    out = np.empty_like(a)
-    dst = [slice(None)] * a.ndim
-    src = [slice(None)] * a.ndim
-    edge = [slice(None)] * a.ndim
-    if step == 1:
-        dst[axis] = slice(0, -1)
-        src[axis] = slice(1, None)
-        edge[axis] = slice(-1, None)
-    elif step == -1:
-        dst[axis] = slice(1, None)
-        src[axis] = slice(0, -1)
-        edge[axis] = slice(0, 1)
-    else:
-        raise ValueError("step must be +1 or -1")
-    out[tuple(dst)] = a[tuple(src)]
-    out[tuple(edge)] = a[tuple(edge)]
-    return out
-
-
 def _whole(dims):
     return tuple(slice(0, n) for n in dims)
 
@@ -314,24 +304,105 @@ def _force_field(ctx: ForceContext, spacing, dims, box=None):
     return sx * scale, sy * scale, sz * scale
 
 
-def _curvature_times_gradnorm(phi, spacing):
+def _strides(shape):
+    """Element strides of a C-ordered array of ``shape``: along axis a the
+    neighbours of flat index i are i - strides[a] and i + strides[a]."""
+    _, ny, nz = shape
+    return (ny * nz, nz, 1)
+
+
+def _central(f, axis, s, out):
+    """np.gradient(f, s, axis=axis, edge_order=1) written into ``out``:
+    the central difference over the flattened array, then the one-sided
+    difference on the two face planes (which the flat pass filled with
+    differences across rows).  Needs at least 2 voxels along ``axis``."""
+    n, st = f.size, _strides(f.shape)[axis]
+    flat, body = f.reshape(-1), out.reshape(-1)[st : n - st]
+    np.subtract(flat[2 * st :], flat[: n - 2 * st], out=body)
+    body /= 2.0 * s
+    fa, oa = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(fa[1], fa[0], out=oa[0])
+    oa[0] /= s
+    np.subtract(fa[-1], fa[-2], out=oa[-1])
+    oa[-1] /= s
+
+
+def _second(f, twice, axis, s, out):
+    """(f[i+1] - 2 f[i] + f[i-1]) / s**2 along ``axis`` with the edge
+    replicated, written into ``out``; ``twice`` holds 2.0 * f.  Needs at
+    least 2 voxels along ``axis``."""
+    n, st = f.size, _strides(f.shape)[axis]
+    flat, body = f.reshape(-1), out.reshape(-1)[st : n - st]
+    np.subtract(flat[2 * st :], twice.reshape(-1)[st : n - st], out=body)
+    body += flat[: n - 2 * st]
+    body /= s**2
+    fa, ta, oa = np.moveaxis(f, axis, 0), np.moveaxis(twice, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(fa[1], ta[0], out=oa[0])
+    oa[0] += fa[0]
+    oa[0] /= s**2
+    np.subtract(fa[-1], ta[-1], out=oa[-1])
+    oa[-1] += fa[-2]
+    oa[-1] /= s**2
+
+
+def _one_sided(f, axis, s, buf):
+    """The backward and forward differences (f[i] - f[i-1]) / s and
+    (f[i+1] - f[i]) / s along ``axis``, each with the edge replicated (0 on
+    its face), as two flat views of ``buf`` (length f.size + the axis
+    stride): the forward difference at i is the backward one at i + stride,
+    so each is computed once."""
+    n, st = f.size, _strides(f.shape)[axis]
+    flat = f.reshape(-1)
+    np.subtract(flat[st:], flat[: n - st], out=buf[st:n])
+    buf[st:n] /= s
+    dm, dp = buf[:n], buf[st : st + n]
+    fa = np.moveaxis(f, axis, 0)
+    for diff, face in ((dm, 0), (dp, -1)):
+        d = np.moveaxis(diff.reshape(f.shape), axis, 0)[face]
+        np.subtract(fa[face], fa[face], out=d)
+        d /= s
+    return dm, dp
+
+
+def _curvature_times_gradnorm(phi, spacing, scratch):
+    """K|grad phi| and the central gradient (px, py, pz) of the C-ordered
+    ``phi``: four new arrays, with ``scratch`` (four arrays of phi's shape)
+    as workspace.  K|grad| = (lap - grad^T H grad / |grad|^2) / 2 in the
+    same operation order as the whole-array formula, so the same bits."""
     sx, sy, sz = spacing
-    px, py, pz = np.gradient(phi, sx, sy, sz, edge_order=1)
-    pxx = (_shift(phi, 0, 1) - 2.0 * phi + _shift(phi, 0, -1)) / sx**2
-    pyy = (_shift(phi, 1, 1) - 2.0 * phi + _shift(phi, 1, -1)) / sy**2
-    pzz = (_shift(phi, 2, 1) - 2.0 * phi + _shift(phi, 2, -1)) / sz**2
-    pxy = np.gradient(px, sy, axis=1, edge_order=1)
-    pxz = np.gradient(px, sz, axis=2, edge_order=1)
-    pyz = np.gradient(py, sz, axis=2, edge_order=1)
-    grad2 = px * px + py * py + pz * pz
-    quad = (
-        px * px * pxx
-        + py * py * pyy
-        + pz * pz * pzz
-        + 2.0 * (px * py * pxy + px * pz * pxz + py * pz * pyz)
-    )
-    lap = pxx + pyy + pzz
-    return 0.5 * (lap - quad / (grad2 + _EPS_CURVATURE)), (px, py, pz)
+    px, py, pz, lap = (np.empty_like(phi) for _ in range(4))
+    for axis, (p, s) in enumerate(zip((px, py, pz), spacing)):
+        _central(phi, axis, s, p)
+    twice, grad2, quad, tmp = scratch
+    np.multiply(phi, 2.0, out=twice)
+    _second(phi, twice, 0, sx, lap)
+    np.multiply(px, px, out=grad2)
+    np.multiply(grad2, lap, out=quad)
+    d2 = np.empty_like(phi)
+    for axis, (p, s) in ((1, (py, sy)), (2, (pz, sz))):
+        _second(phi, twice, axis, s, d2)
+        lap += d2
+        np.multiply(p, p, out=tmp)
+        grad2 += tmp
+        tmp *= d2
+        quad += tmp
+    # 2 (px py pxy + px pz pxz + py pz pyz), accumulated in d2
+    mixed = twice
+    for k, (a, b, axis, s) in enumerate(((px, py, 1, sy), (px, pz, 2, sz), (py, pz, 2, sz))):
+        _central(a, axis, s, tmp)
+        np.multiply(a, b, out=mixed)
+        if k == 0:
+            np.multiply(mixed, tmp, out=d2)
+        else:
+            mixed *= tmp
+            d2 += mixed
+    d2 *= 2.0
+    quad += d2
+    grad2 += _EPS_CURVATURE
+    quad /= grad2
+    lap -= quad
+    lap *= 0.5
+    return lap, (px, py, pz)
 
 
 def reinitialize(ls: LevelSetField, iterations: int | None = None) -> LevelSetField:
@@ -344,52 +415,96 @@ def reinitialize(ls: LevelSetField, iterations: int | None = None) -> LevelSetFi
     plain upwind reinitialization bleeds such a front by a good fraction
     of a voxel per call.  Elsewhere the usual Godunov flow with a frozen
     smoothed sign rebuilds |grad phi| = 1.  An exact distance field is a
-    fixed point.
+    fixed point.  The result keeps ``ls.window``.
+
+    Every inner step runs on the flattened box (module docstring) with
+    buffers allocated once for all steps: one difference per axis, the
+    upwind term of each voxel's own side, and the interface relaxation on
+    the interface voxels' flat indices only.
     """
-    phi = np.array(ls.phi.data, dtype=np.float64)
+    phi = np.array(ls.phi.data, dtype=np.float64, order="C")
     spacing = ls.phi.spacing
     h = min(spacing)
     if iterations is None:
         iterations = max(8, int(math.ceil(2.0 * ls.band_halfwidth)) + 4)
-    phi0 = phi.copy()
-    sign = phi0 / np.sqrt(phi0 * phi0 + h * h)
-    sign0 = np.sign(phi0)
-    pos = phi0 > 0
-    neg = phi0 < 0
+    n, strides = phi.size, _strides(phi.shape)
+    flat = phi.reshape(-1)
+    buf = np.empty(n + max(strides))
+    work = np.empty(n)
 
-    # Interface cells and their pinned distances: per axis take the larger
-    # one-sided slope of phi0, so a steep compressed jump still yields the
-    # linear-interpolation crossing.
-    interface = np.zeros(phi.shape, dtype=bool)
-    slope_sq = np.zeros_like(phi)
+    # Interface cells: a sign change to a neighbour (on a face the missing
+    # neighbour is the voxel itself), or phi0 == 0.  phi is still phi0 here.
+    interface = flat == 0.0
+    crossing = np.empty(n, dtype=bool)
+    for axis, st in enumerate(strides):
+        np.multiply(flat[: n - st], flat[st:], out=work[: n - st])
+        np.less(work[: n - st], 0.0, out=crossing[: n - st])
+        np.moveaxis(crossing.reshape(phi.shape), axis, 0)[-1] = False
+        interface[: n - st] |= crossing[: n - st]
+        interface[st:] |= crossing[: n - st]
+    iface = np.flatnonzero(interface)
+    del interface, crossing
+    m = iface.size
+    # Their pinned distances: per axis take the larger one-sided slope of
+    # phi0, so a steep compressed jump still yields the linear-interpolation
+    # crossing.  ``relaxed`` holds each step's relaxed interface values.
+    pinned, relaxed, gathered = np.empty(m), np.empty(m), work[:m]
     for axis, s in enumerate(spacing):
-        fwd = _shift(phi0, axis, 1)
-        bwd = _shift(phi0, axis, -1)
-        interface |= (phi0 * fwd < 0) | (phi0 * bwd < 0)
-        dm = (phi0 - bwd) / s
-        dp = (fwd - phi0) / s
-        slope_sq += np.maximum(np.abs(dm), np.abs(dp)) ** 2
-    interface |= phi0 == 0.0
-    pinned = phi0 / np.maximum(np.sqrt(slope_sq), _EPS_DIRECTION)
+        dm, dp = _one_sided(phi, axis, s, buf)
+        np.abs(np.take(dm, iface, out=gathered, mode="clip"), out=gathered)
+        np.abs(np.take(dp, iface, out=relaxed, mode="clip"), out=relaxed)
+        np.maximum(gathered, relaxed, out=gathered)
+        if axis == 0:
+            np.multiply(gathered, gathered, out=pinned)
+        else:
+            pinned += np.multiply(gathered, gathered, out=gathered)
+    np.sqrt(pinned, out=pinned)
+    np.maximum(pinned, _EPS_DIRECTION, out=pinned)
+    np.divide(np.take(flat, iface, out=gathered, mode="clip"), pinned, out=pinned)
 
     dt = 0.5 * h
+    # dt times the frozen smoothed sign
+    dt_sign = np.multiply(flat, flat)
+    dt_sign += h * h
+    np.sqrt(dt_sign, out=dt_sign)
+    np.divide(flat, dt_sign, out=dt_sign)
+    dt_sign *= dt
+    # The upwind term of a voxel with phi0 > 0 is max(dm+, -dp-)^2, and
+    # with phi0 < 0 max(-dm-, dp+)^2: both are max(sign0 dm, -sign0 dp, 0)^2.
+    # A voxel with phi0 == 0 is an interface cell, whose step is replaced.
+    sign0 = np.sign(flat)
+    neg_sign0 = np.negative(sign0)
+    terms = np.empty(n)
     for it in range(iterations):
-        terms_pos = np.zeros_like(phi)
-        terms_neg = np.zeros_like(phi)
+        # relaxed = phi - (dt/h) (sign0 |phi| - pinned) on the interface
+        p, s0 = work[:m], terms[:m]
+        np.take(flat, iface, out=p, mode="clip")
+        np.take(sign0, iface, out=s0, mode="clip")
+        np.abs(p, out=relaxed)
+        relaxed *= s0
+        relaxed -= pinned
+        relaxed *= dt / h
+        np.subtract(p, relaxed, out=relaxed)
         for axis, s in enumerate(spacing):
-            dm = (phi - _shift(phi, axis, -1)) / s
-            dp = (_shift(phi, axis, 1) - phi) / s
-            terms_pos += np.maximum(np.maximum(dm, 0.0) ** 2, np.minimum(dp, 0.0) ** 2)
-            terms_neg += np.maximum(np.minimum(dm, 0.0) ** 2, np.maximum(dp, 0.0) ** 2)
-        g = np.zeros_like(phi)
-        g[pos] = np.sqrt(terms_pos[pos]) - 1.0
-        g[neg] = np.sqrt(terms_neg[neg]) - 1.0
-        stepped = phi - dt * sign * g
-        relaxed = phi - (dt / h) * (sign0 * np.abs(phi) - pinned)
-        phi = np.where(interface, relaxed, stepped)
+            dm, dp = _one_sided(phi, axis, s, buf)
+            up = terms if axis == 0 else work
+            np.multiply(sign0, dm, out=up)
+            # dm is consumed, so dp's buffer can take -sign0 dp in place
+            np.multiply(neg_sign0, dp, out=dp)
+            np.maximum(up, dp, out=up)
+            np.maximum(up, 0.0, out=up)
+            np.multiply(up, up, out=up)
+            if axis:
+                terms += up
+        # stepped = phi - dt sign (sqrt(terms) - 1)
+        np.sqrt(terms, out=terms)
+        terms -= 1.0
+        terms *= dt_sign
+        flat -= terms
+        flat[iface] = relaxed
         if not np.isfinite(phi).all():
             raise NumericalInstabilityError(ls.iteration, f"reinitialization diverged at inner step {it}")
-    return LevelSetField(ScalarVolume(phi, spacing), ls.iteration, ls.band_halfwidth)
+    return LevelSetField(ScalarVolume(phi, spacing), ls.iteration, ls.band_halfwidth, ls.window)
 
 
 def _cos_gamma_stats(px, py, pz, ctx, spacing, dims, band, box=None):
@@ -405,34 +520,57 @@ def _cos_gamma_stats(px, py, pz, ctx, spacing, dims, band, box=None):
     return float(np.clip(cos, -1.0, 1.0).mean())
 
 
+def _upwind_parts(velocity):
+    """Per axis, the positive and negative parts (max(v, 0), min(v, 0)) of
+    a velocity field, C-ordered as _speed reads them flat."""
+    return tuple(
+        (np.maximum(v, 0.0, order="C"), np.minimum(v, 0.0, order="C")) for v in velocity
+    )
+
+
 def _speed(phi, spacing, alpha, velocity):
     """The explicit update alpha * K|grad phi| - V . grad phi of one step
-    (V upwinded; none when ``velocity`` is None) and the central gradient
-    of phi.  Its own function so that the step's temporaries are freed
-    before the next step allocates them again."""
-    curv, grad = _curvature_times_gradnorm(phi, spacing)
-    update = alpha * curv
+    and the central gradient of phi.  ``velocity`` is _upwind_parts of V
+    (upwinded on its sign), or None for no advection.  The stencils run on
+    a C-ordered copy of phi flattened (module docstring) with one set of
+    scratch arrays, freed before the next step allocates them again."""
+    phi = np.ascontiguousarray(phi, dtype=np.float64)
+    # the last scratch array is the difference buffer of the advection
+    buf = np.empty(phi.size + max(_strides(phi.shape)))
+    scratch = [np.empty_like(phi) for _ in range(3)] + [buf[: phi.size].reshape(phi.shape)]
+    update, grad = _curvature_times_gradnorm(phi, spacing, scratch)
+    update *= alpha
     if velocity is not None:
-        adv = np.zeros_like(phi)
-        for axis, (v, s) in enumerate(zip(velocity, spacing)):
-            dm = (phi - _shift(phi, axis, -1)) / s
-            dp = (_shift(phi, axis, 1) - phi) / s
-            adv += np.maximum(v, 0.0) * dm + np.minimum(v, 0.0) * dp
-        update = update - adv
+        adv, left, right = (a.reshape(-1) for a in scratch[:3])
+        adv.fill(0.0)
+        for axis, ((v_pos, v_neg), s) in enumerate(zip(velocity, spacing)):
+            dm, dp = _one_sided(phi, axis, s, buf)
+            np.multiply(v_pos.reshape(-1), dm, out=left)
+            np.multiply(v_neg.reshape(-1), dp, out=right)
+            left += right
+            adv += left
+        update -= adv.reshape(phi.shape)
     return update, grad
 
 
-def _update_box(phi, width, pads):
+def _update_box(phi, width, pads, window=None):
     """The box of voxels an evolution segment may move, the box its
     stencils read (2-voxel halo), and the first as slices into the second.
 
     The first box is the bounding box of |phi| <= width widened by
     pads[axis] voxels, or the whole grid when no voxel is that close to
-    the front.
+    the front.  Only ``window`` (default: the whole grid) is searched; it
+    must hold every voxel with |phi| <= width.
     """
     dims = phi.shape
-    band = bounding_box((phi >= -width) & (phi <= width))
-    core = _whole(dims) if band is None else grow_box(band, pads, dims)
+    window = window or _whole(dims)
+    part = phi[window]
+    band = bounding_box((part >= -width) & (part <= width))
+    if band is None:
+        core = _whole(dims)
+    else:
+        band = tuple(slice(b.start + w.start, b.stop + w.start) for b, w in zip(band, window))
+        core = grow_box(band, pads, dims)
     outer = grow_box(core, (_HALO,) * 3, dims)
     inner = tuple(slice(c.start - o.start, c.stop - o.start) for c, o in zip(core, outer))
     return core, outer, inner
@@ -451,7 +589,7 @@ def _update_box_in_window(phi, start_inside, spacing, window, width, pads):
     reaches that face, and its stencil box leaves the window.
     """
     while True:
-        core, outer, inner = _update_box(phi, width, pads)
+        core, outer, inner = _update_box(phi, width, pads, window)
         if _contains(window, outer):
             return core, outer, inner, window
         grown = grow_box(outer, pads, phi.shape)
@@ -473,15 +611,25 @@ def evolve(
     """Run the explicit level-set update until convergence or max_iters.
 
     Updates, reinitialization and the force run on the narrow-band box of
-    the module docstring; voxels outside it keep their values, so the
-    instability checks, the inside volume and the stop rule still cover
-    the whole grid.  Every ``reinit_every`` iterations phi is reinitialized
-    on the box, the inside volume compared with the previous checkpoint (a
-    fractional change below ``stop_tol`` stops the evolution), and the box
-    rebuilt.  A field exact only on ``ls.window`` has that window widened
-    whenever a box's stencils would read past it (module docstring), and
-    the returned field carries the final window.  Non-finite phi raises
-    NumericalInstabilityError carrying the global iteration index.
+    the module docstring; voxels outside it keep their values.  Every
+    ``reinit_every`` iterations phi is reinitialized on the box, the inside
+    volume compared with the previous checkpoint (a fractional change
+    below ``stop_tol`` stops the evolution), and the box rebuilt.  A field
+    exact only on ``ls.window`` has that window widened whenever a box's
+    stencils would read past it (module docstring), and the returned field
+    carries the final window.  The band search, the inside volume and the
+    relabelled count read the window only: outside it phi holds a
+    placeholder larger than the band, so no voxel there is in the band or
+    inside.  Non-finite phi raises NumericalInstabilityError carrying the
+    global iteration index.
+
+    Reinitializing only the box is exact against a whole-grid
+    reinitialization only while no later box reaches voxels that the
+    whole-grid one would have moved: Sussman reinitialization also moves
+    voxels far from the front.  On a 48^3 cube [6, 42)^3 with an r = 4 ball
+    start, alpha 0.1, beta 1, reinit_every 10 and band 2, the inside
+    volume at the third checkpoint reads 5544 here against 5520 with
+    whole-grid reinitialization.
     ``log`` (a list, optional) receives one record dict per checkpoint:
     ``iteration``, ``inside``, ``changed`` (voxels whose inside/outside
     label differs from the starting phi), ``max_update`` (the largest
@@ -500,10 +648,13 @@ def evolve(
 
     dt = params.resolve_dt(spacing)
     phi = np.array(ls.phi.data, dtype=np.float64)
-    start_inside = ls.phi.data < 0
+    window = ls.window or _whole(dims)
+    # Outside the window phi holds a placeholder larger than the band, so
+    # the inside voxels, then and now, all lie in the window.
+    start_inside = np.zeros(dims, dtype=bool)
+    start_inside[window] = ls.phi.data[window] < 0
     width = max(spacing) * ls.band_halfwidth
     pads = params.travel_pads(spacing, dims)
-    window = ls.window or _whole(dims)
     core, outer, inner, window = _update_box_in_window(
         phi, start_inside, spacing, window, width, pads
     )
@@ -512,15 +663,17 @@ def evolve(
     velocity = None
     force_box = None
 
-    prev_inside = int((phi < 0).sum())
+    prev_inside = int(np.count_nonzero(phi[window] < 0))
     runaway = _RUNAWAY_BANDS * ls.band_halfwidth * max(spacing)
     max_update = 0.0
     done = 0
     while done < params.max_iters:
         if use_advection and force_box != outer:
-            velocity = _force_field(ctx, spacing, dims, outer)
-            for v in velocity:
+            force = _force_field(ctx, spacing, dims, outer)
+            for v in force:
                 v *= params.beta
+            velocity = _upwind_parts(force)
+            del force
             force_box = outer
         with np.errstate(over="ignore", invalid="ignore"):
             update, (px, py, pz) = _speed(phi[outer], spacing, params.alpha, velocity)
@@ -542,13 +695,13 @@ def evolve(
                 )
             )
             phi[core] = field.phi.data[inner]
-            now_inside = phi < 0
-            inside = int(now_inside.sum())
+            now_inside = phi[window] < 0
+            inside = int(np.count_nonzero(now_inside))
             if log is not None:
                 record = {
                     "iteration": ls.iteration + done,
                     "inside": inside,
-                    "changed": int(np.count_nonzero(now_inside != start_inside)),
+                    "changed": int(np.count_nonzero(now_inside != start_inside[window])),
                     "max_update": max_update,
                 }
                 if ctx is not None:

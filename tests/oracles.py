@@ -262,6 +262,16 @@ def _curvature_ref(phi, spacing):
     return 0.5 * (lap - quad / (grad2 + _EPS)), (px, py, pz)
 
 
+def _advection_ref(phi, velocity, spacing):
+    """V . grad phi, upwinded on the sign of each component of V."""
+    adv = np.zeros_like(phi)
+    for axis, (v, s) in enumerate(zip(velocity, spacing)):
+        dm = (phi - _shift_ref(phi, axis, -1)) / s
+        dp = (_shift_ref(phi, axis, 1) - phi) / s
+        adv += np.maximum(v, 0.0) * dm + np.minimum(v, 0.0) * dp
+    return adv
+
+
 def _reinitialize_ref(phi, spacing, band_halfwidth):
     phi = np.array(phi, dtype=np.float64)
     h = min(spacing)
@@ -354,12 +364,7 @@ def evolve_oracle(phi, spacing, band_halfwidth, params, force=None):
             curv, (px, py, pz) = _curvature_ref(phi, spacing)
             update = params.alpha * curv
             if use_advection:
-                adv = np.zeros_like(phi)
-                for axis, (v, s) in enumerate(zip((vx, vy, vz), spacing)):
-                    dm = (phi - _shift_ref(phi, axis, -1)) / s
-                    dp = (_shift_ref(phi, axis, 1) - phi) / s
-                    adv += np.maximum(v, 0.0) * dm + np.minimum(v, 0.0) * dp
-                update = update - adv
+                update = update - _advection_ref(phi, (vx, vy, vz), spacing)
             phi = phi + dt * update
         done += 1
         max_update = float(np.abs(update).max()) * dt

@@ -14,6 +14,7 @@ from fvfseg.fvf3d import (
     evolve,
     init_window,
     make_force_context,
+    reinitialize,
     signed_distance_init,
     zero_level_mask,
 )
@@ -159,6 +160,34 @@ def test_window_widens_as_the_front_travels():
     assert np.array_equal(zero_level_mask(out).data, zero_level_mask(ref).data)
     assert log == ref_log and len(log) == 10
     assert _inside(out.window, window) and _voxels(out.window) > 4 * _voxels(window)
+
+
+def test_reinitialize_keeps_the_window():
+    # A slab front: its distance field is linear in x, so reinitialization
+    # changes only the planes it reaches from the front in its 10 steps,
+    # none of which lies beyond the window.  The front then travels out of
+    # the window, and evolve must widen it with the exact distance.
+    dims = (48, 10, 10)
+    candidate = np.zeros(dims, dtype=bool)
+    candidate[6:42] = True
+    start = np.zeros(dims, dtype=bool)
+    start[20:28] = True
+    start = BinaryMask(start, UNIT)
+    ctx = make_force_context(ScalarVolume(np.ones(dims), UNIT), BinaryMask(candidate, UNIT))
+    params = EvolutionParams(alpha=0.1, beta=1.0, max_iters=60, reinit_every=30, stop_tol=0.0)
+    band = 3.0
+    window = init_window(start, band, params)
+    windowed = reinitialize(signed_distance_init(start, band, window))
+    whole = reinitialize(signed_distance_init(start, band))
+    assert windowed.window == window and whole.window is None
+    assert np.array_equal(windowed.phi.data[window], whole.phi.data[window])
+
+    log, ref_log = [], []
+    out = evolve(windowed, ctx, params, log=log)
+    ref = evolve(whole, ctx, params, log=ref_log)
+    assert _voxels(out.window) > _voxels(window)
+    assert np.array_equal(out.phi.data[out.window], ref.phi.data[out.window])
+    assert log == ref_log and log[-1]["inside"] > start.count()
 
 
 @pytest.mark.parametrize("name", ["curvature", "anisotropic", "grid_face"])
