@@ -57,7 +57,9 @@ class ProbabilisticAtlas:
         for name in ("prob_csf", "prob_gm", "prob_wm"):
             require_same_grid(self.template, getattr(self, name), f"template and {name}")
         require_same_grid(self.template, self.brain_mask, "template and brain mask")
-        total = np.zeros(self.template.dims)
+        # in the maps' memory order (Fortran when read from MVOL), so that
+        # each sum is one contiguous pass
+        total = np.zeros_like(self.prob_csf.data, dtype=np.float64)
         for name in ("prob_csf", "prob_gm", "prob_wm"):
             p = getattr(self, name).data
             if p.min() < -self._PROB_TOL or p.max() > 1 + self._PROB_TOL:

@@ -36,7 +36,11 @@ can move before the next checkpoint, reinit_every * dt * (beta +
 clipped to the grid.  Stencils read a further 2-voxel halo around it.
 Voxels outside the box stay frozen; the box is rebuilt at every
 checkpoint.  A field with no voxel in the band is evolved on the whole
-grid.
+grid.  The force's edge term is built on the box too: of the edge map
+only the divisor of its [0, 1] rescale, the peak of the smoothed gradient
+magnitude over the whole scan, needs the whole grid, so the force context
+keeps the smoothed scan and that peak, and f and grad f are computed on
+the box grown by their stencil reach and then trimmed.
 
 The stencils run on a C-ordered copy of the box flattened to one
 dimension.  Along axis a the neighbours of flat index i are i - stride_a
@@ -75,7 +79,8 @@ from .volume import (
     ScalarVolume,
     VectorField,
     bounding_box,
-    central_gradient,
+    c_strides,
+    central_difference,
     gaussian_smooth,
     grow_box,
     require_same_grid,
@@ -89,7 +94,8 @@ _EPS_CURVATURE = 1e-12
 # values to overflow into inf.
 _RUNAWAY_BANDS = 100.0
 
-# The curvature stencil reads phi two voxels away (np.gradient of np.gradient).
+# The curvature stencil reads phi two voxels away (a central difference of
+# a central difference).
 _HALO = 2
 
 
@@ -112,18 +118,23 @@ class LevelSetField:
 
 @dataclass
 class ForceContext:
-    """Everything the external force needs: edge map, its gradient, the
-    seed point A, and the candidate mask."""
+    """Everything the external force needs: the smoothed scan, the peak of
+    its gradient magnitude, the seed point A, and the candidate mask.
 
-    edge: ScalarVolume
-    edge_grad: VectorField
+    The edge map f = |grad smoothed| / peak and its gradient are not kept:
+    _force_field builds them on the box evolve reads.  Only the peak needs
+    the whole scan, and the smoothed scan is the one whole grid left."""
+
+    smoothed: ScalarVolume
+    peak: float
     center: tuple[float, float, float]
     candidate: BinaryMask
 
     def __post_init__(self):
-        require_same_grid(self.edge, self.candidate, "edge map and candidate")
-        if self.edge.dims != self.edge_grad.dims:
-            raise ValueError("edge map and its gradient disagree on dims")
+        require_same_grid(self.smoothed, self.candidate, "smoothed scan and candidate")
+        self.peak = float(self.peak)
+        if not (self.peak >= 0 and math.isfinite(self.peak)):
+            raise ValueError(f"peak must be finite and >= 0, got {self.peak}")
         self.center = tuple(float(c) for c in self.center)
         if any(not math.isfinite(c) for c in self.center):
             raise ValueError(f"center must be finite, got {self.center}")
@@ -236,35 +247,91 @@ def init_window(region, band_halfwidth: float = 6.0, params: EvolutionParams | N
     )
 
 
-def edge_map(patient: ScalarVolume, sigma: float = 1.0):
-    """Gradient-magnitude edge strength of the smoothed scan.
+def _gradient_norm2(a, spacing):
+    """(gx^2 + gy^2) + gz^2 of the central gradient of ``a``, in the
+    operation order of VectorField.magnitude, with one gradient component
+    alive at a time."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    acc, g = np.empty(a.shape), np.empty(a.shape)
+    central_difference(a, 0, spacing[0], acc)
+    np.multiply(acc, acc, out=acc)
+    for axis in (1, 2):
+        central_difference(a, axis, spacing[axis], g)
+        np.multiply(g, g, out=g)
+        acc += g
+    return acc
 
-    Returns the edge map rescaled to [0, 1] together with its central
-    gradient (the attraction field).  Both cover the whole grid even though
-    evolve reads them only on its boxes: the rescale divides by the peak
-    of the smoothed gradient magnitude over the whole scan, which no crop
-    around the candidate can know.
-    """
+
+def _smoothed_scan(patient: ScalarVolume, sigma: float):
+    """The Gaussian-smoothed scan and the whole-scan peak of its gradient
+    magnitude.  sqrt is correctly rounded and monotone, so the square root
+    of the largest squared magnitude is the largest magnitude."""
+    if any(n < 3 for n in patient.dims):
+        raise ValueError(f"central gradient needs at least 3 voxels per axis, got {patient.dims}")
     smoothed = gaussian_smooth(patient, sigma)
-    g = central_gradient(smoothed)
-    mag = g.magnitude()
-    peak = float(mag.max())
+    peak = math.sqrt(float(_gradient_norm2(smoothed.data, patient.spacing).max()))
+    return smoothed, peak
+
+
+def _relative(box, outer):
+    """``box`` as slices into the array that covers ``outer``."""
+    return tuple(slice(b.start - o.start, b.stop - o.start) for b, o in zip(box, outer))
+
+
+def _edge_on_box(smoothed: ScalarVolume, peak: float, box):
+    """The edge map f = |grad smoothed| / peak (unscaled when peak is 0)
+    and its central gradient on ``box``.
+
+    f is computed on ``box`` grown by one voxel, from the smoothed scan on
+    ``box`` grown by two, both clipped to the grid, and each central
+    difference is trimmed to the box it is exact on.  Within a grown box a
+    voxel off the grid's faces has both neighbours, and on a grid face the
+    one-sided difference reads the same two voxels as on the whole grid, so
+    every value is the whole-grid one."""
+    data, spacing = smoothed.data, smoothed.spacing
+    dims = data.shape
+    near = grow_box(box, (1, 1, 1), dims)
+    reach = grow_box(box, (2, 2, 2), dims)
+    f = np.ascontiguousarray(_gradient_norm2(data[reach], spacing)[_relative(near, reach)])
+    np.sqrt(f, out=f)
     if peak > 0:
-        mag = mag / peak
-    f = ScalarVolume(mag, patient.spacing)
-    return f, central_gradient(f)
+        f /= peak
+    inner = _relative(box, near)
+    grad = []
+    for axis, s in enumerate(spacing):
+        g = np.empty(f.shape)
+        central_difference(f, axis, s, g)
+        grad.append(g[inner])
+    return f[inner], grad
+
+
+def edge_map(patient: ScalarVolume, sigma: float = 1.0):
+    """Gradient-magnitude edge strength of the smoothed scan, rescaled to
+    [0, 1], together with its central gradient (the attraction field), on
+    the whole grid.
+
+    This is _edge_on_box on the whole grid.  The force reads both only on
+    evolve's boxes, and builds them there: only the rescale's divisor, the
+    peak of the smoothed gradient magnitude over the whole scan, needs the
+    whole grid, and make_force_context computes it once.
+    """
+    smoothed, peak = _smoothed_scan(patient, sigma)
+    f, grad = _edge_on_box(smoothed, peak, _whole(patient.dims))
+    return ScalarVolume(f, patient.spacing), VectorField(*grad, patient.spacing)
 
 
 def make_force_context(
     patient: ScalarVolume, region, sigma: float = 1.0, center=None
 ) -> ForceContext:
-    """Build the static force inputs from a scan and a candidate region."""
+    """Build the static force inputs from a scan and a candidate region:
+    the whole-grid work is the Gaussian, one central gradient reduced to
+    its squared magnitude, and the peak."""
     mask = _as_mask(region)
     require_same_grid(patient, mask, "patient and candidate")
     if center is None:
         center = region.centroid if isinstance(region, CandidateRegion) else mask_centroid(mask)
-    f, fgrad = edge_map(patient, sigma)
-    return ForceContext(edge=f, edge_grad=fgrad, center=tuple(center), candidate=mask)
+    smoothed, peak = _smoothed_scan(patient, sigma)
+    return ForceContext(smoothed=smoothed, peak=peak, center=tuple(center), candidate=mask)
 
 
 def zero_level_mask(ls: LevelSetField) -> BinaryMask:
@@ -289,49 +356,29 @@ def _radial(ctx: ForceContext, spacing, box):
 
 
 def _force_field(ctx: ForceContext, spacing, dims, box=None):
-    """Precompute the static unit force E on ``box`` (default: the whole grid)."""
+    """Precompute the static unit force E on ``box`` (default: the whole
+    grid).  The edge gradient grad f is built on the box itself
+    (_edge_on_box), from the smoothed scan two voxels around it."""
     box = box or _whole(dims)
+    _, (gx, gy, gz) = _edge_on_box(ctx.smoothed, ctx.peak, box)
     dx, dy, dz, dn = _radial(ctx, spacing, box)
     away = dn >= _EPS_DIRECTION
     inv = np.divide(1.0, dn, where=away, out=np.zeros_like(dn))
     delta = np.where(ctx.candidate.data[box], 1.0, -1.0)
-    sx = ctx.edge_grad.x[box] + delta * dx * inv
-    sy = ctx.edge_grad.y[box] + delta * dy * inv
-    sz = ctx.edge_grad.z[box] + delta * dz * inv
+    sx = gx + delta * dx * inv
+    sy = gy + delta * dy * inv
+    sz = gz + delta * dz * inv
     sn = np.sqrt(sx * sx + sy * sy + sz * sz)
     ok = away & (sn >= _EPS_DIRECTION)
     scale = np.divide(1.0, sn, where=ok, out=np.zeros_like(sn))
     return sx * scale, sy * scale, sz * scale
 
 
-def _strides(shape):
-    """Element strides of a C-ordered array of ``shape``: along axis a the
-    neighbours of flat index i are i - strides[a] and i + strides[a]."""
-    _, ny, nz = shape
-    return (ny * nz, nz, 1)
-
-
-def _central(f, axis, s, out):
-    """np.gradient(f, s, axis=axis, edge_order=1) written into ``out``:
-    the central difference over the flattened array, then the one-sided
-    difference on the two face planes (which the flat pass filled with
-    differences across rows).  Needs at least 2 voxels along ``axis``."""
-    n, st = f.size, _strides(f.shape)[axis]
-    flat, body = f.reshape(-1), out.reshape(-1)[st : n - st]
-    np.subtract(flat[2 * st :], flat[: n - 2 * st], out=body)
-    body /= 2.0 * s
-    fa, oa = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(fa[1], fa[0], out=oa[0])
-    oa[0] /= s
-    np.subtract(fa[-1], fa[-2], out=oa[-1])
-    oa[-1] /= s
-
-
 def _second(f, twice, axis, s, out):
     """(f[i+1] - 2 f[i] + f[i-1]) / s**2 along ``axis`` with the edge
     replicated, written into ``out``; ``twice`` holds 2.0 * f.  Needs at
     least 2 voxels along ``axis``."""
-    n, st = f.size, _strides(f.shape)[axis]
+    n, st = f.size, c_strides(f.shape)[axis]
     flat, body = f.reshape(-1), out.reshape(-1)[st : n - st]
     np.subtract(flat[2 * st :], twice.reshape(-1)[st : n - st], out=body)
     body += flat[: n - 2 * st]
@@ -351,7 +398,7 @@ def _one_sided(f, axis, s, buf):
     its face), as two flat views of ``buf`` (length f.size + the axis
     stride): the forward difference at i is the backward one at i + stride,
     so each is computed once."""
-    n, st = f.size, _strides(f.shape)[axis]
+    n, st = f.size, c_strides(f.shape)[axis]
     flat = f.reshape(-1)
     np.subtract(flat[st:], flat[: n - st], out=buf[st:n])
     buf[st:n] /= s
@@ -372,7 +419,7 @@ def _curvature_times_gradnorm(phi, spacing, scratch):
     sx, sy, sz = spacing
     px, py, pz, lap = (np.empty_like(phi) for _ in range(4))
     for axis, (p, s) in enumerate(zip((px, py, pz), spacing)):
-        _central(phi, axis, s, p)
+        central_difference(phi, axis, s, p)
     twice, grad2, quad, tmp = scratch
     np.multiply(phi, 2.0, out=twice)
     _second(phi, twice, 0, sx, lap)
@@ -389,7 +436,7 @@ def _curvature_times_gradnorm(phi, spacing, scratch):
     # 2 (px py pxy + px pz pxz + py pz pyz), accumulated in d2
     mixed = twice
     for k, (a, b, axis, s) in enumerate(((px, py, 1, sy), (px, pz, 2, sz), (py, pz, 2, sz))):
-        _central(a, axis, s, tmp)
+        central_difference(a, axis, s, tmp)
         np.multiply(a, b, out=mixed)
         if k == 0:
             np.multiply(mixed, tmp, out=d2)
@@ -427,7 +474,7 @@ def reinitialize(ls: LevelSetField, iterations: int | None = None) -> LevelSetFi
     h = min(spacing)
     if iterations is None:
         iterations = max(8, int(math.ceil(2.0 * ls.band_halfwidth)) + 4)
-    n, strides = phi.size, _strides(phi.shape)
+    n, strides = phi.size, c_strides(phi.shape)
     flat = phi.reshape(-1)
     buf = np.empty(n + max(strides))
     work = np.empty(n)
@@ -536,7 +583,7 @@ def _speed(phi, spacing, alpha, velocity):
     scratch arrays, freed before the next step allocates them again."""
     phi = np.ascontiguousarray(phi, dtype=np.float64)
     # the last scratch array is the difference buffer of the advection
-    buf = np.empty(phi.size + max(_strides(phi.shape)))
+    buf = np.empty(phi.size + max(c_strides(phi.shape)))
     scratch = [np.empty_like(phi) for _ in range(3)] + [buf[: phi.size].reshape(phi.shape)]
     update, grad = _curvature_times_gradnorm(phi, spacing, scratch)
     update *= alpha
@@ -572,8 +619,7 @@ def _update_box(phi, width, pads, window=None):
         band = tuple(slice(b.start + w.start, b.stop + w.start) for b, w in zip(band, window))
         core = grow_box(band, pads, dims)
     outer = grow_box(core, (_HALO,) * 3, dims)
-    inner = tuple(slice(c.start - o.start, c.stop - o.start) for c, o in zip(core, outer))
-    return core, outer, inner
+    return core, outer, _relative(core, outer)
 
 
 def _update_box_in_window(phi, start_inside, spacing, window, width, pads):
@@ -642,7 +688,7 @@ def evolve(
     if any(n < 3 for n in dims):
         raise ValueError(f"evolution needs at least 3 voxels per axis, got {dims}")
     if ctx is not None:
-        require_same_grid(ls.phi, ctx.edge, "level set and force context")
+        require_same_grid(ls.phi, ctx.smoothed, "level set and force context")
     if ctx is None and params.beta > 0:
         raise ValueError("beta > 0 requires a force context")
 

@@ -132,7 +132,7 @@ def decode(blob: bytes):
                 f"payload holds {len(payload)} bytes, mask8 volume of dims {dims} needs {n_vox}"
             )
         flat = np.frombuffer(payload, dtype=np.uint8)
-        if not np.isin(flat, (0, 1)).all():
+        if flat.max() > 1:
             raise MvolFormatError("mask payload contains bytes other than 0/1")
         return BinaryMask(flat.copy().reshape(dims, order="F"), spacing)
     raise MvolFormatError(f"unsupported dtype {dtype!r}")

@@ -38,11 +38,10 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .brainmap import ProbabilisticAtlas
 from .mvol import atomic_write_text, read_volume, write_volume
-from .volume import BinaryMask, ScalarVolume, gaussian_smooth, world_coordinates
+from .volume import BinaryMask, ScalarVolume, gaussian_smooth, morphology, world_coordinates
 
 # Shell radii as fractions of min(dims).
 _VENTRICLE_FRAC = 0.205
@@ -181,7 +180,7 @@ def tissue_statistics(atlas: ProbabilisticAtlas):
     stds = np.empty(3)
     for t in range(3):
         sel = brain & (labels == t)
-        interior = ndimage.binary_erosion(sel, structure=np.ones((3, 3, 3), dtype=bool))
+        interior = morphology(BinaryMask(sel, atlas.spacing), "erode").data
         if interior.sum() >= 2:
             sel = interior
         if sel.sum() < 2:

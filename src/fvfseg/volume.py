@@ -10,6 +10,21 @@ Conventions used throughout the package:
   (a ``(2r+1)^3`` cube, so the 26-neighbourhood at radius 1) and treats
   everything outside the grid as background
 
+Morphology is separable.  A cube is the Minkowski sum of three axis
+segments, and ``iterations`` passes of the radius-r cube are one pass of
+the radius ``r * iterations`` cube (Haralick, Sternberg & Zhuang 1987).
+On the grid this stays exact with an out-of-grid background: an erosion
+never sets a voxel outside the grid, and for a dilation every path from
+a grid voxel to another through segment steps can be routed through the
+box between them, which lies in the grid.  So ``morphology`` runs one
+1-D AND (erode) or OR (dilate) with the neighbours at +-1 per axis,
+``r * iterations`` times, over a C-ordered copy flattened to 1-D, where
+the neighbours along axis a of flat index i are i -+ stride_a.  That flat
+pass also fills the axis's two face planes across rows, so those planes
+are then rewritten: cleared by an erosion, the OR of the plane and its
+one in-grid neighbour by a dilation.  The central difference runs the
+same way: one flat pass, then the one-sided difference on the faces.
+
 All operations are pure functions: they never mutate their inputs, so they
 are safe to call from worker threads.
 """
@@ -114,25 +129,46 @@ def world_coordinates(dims, spacing):
     return np.meshgrid(*axes, indexing="ij")
 
 
-def _ball(radius: int) -> np.ndarray:
-    # Chebyshev ball: all offsets with max-norm <= radius.
-    return np.ones((2 * radius + 1,) * 3, dtype=bool)
+def c_strides(shape):
+    """Element strides of a C-ordered array of ``shape``: along axis a the
+    neighbours of flat index i are i - strides[a] and i + strides[a]."""
+    _, ny, nz = shape
+    return (ny * nz, nz, 1)
 
 
 def morphology(mask: BinaryMask, mode: str, radius: int = 1, iterations: int = 1) -> BinaryMask:
-    """Binary erosion or dilation, out-of-grid voxels counted as background."""
+    """Binary erosion or dilation by the Chebyshev ball of ``radius``,
+    ``iterations`` times, out-of-grid voxels counted as background: the
+    separable passes of the module docstring."""
     if mode not in ("erode", "dilate"):
         raise ValueError(f"mode must be 'erode' or 'dilate', got {mode!r}")
     if radius < 1 or iterations < 1:
         raise ValueError("radius and iterations must both be >= 1")
-    op = ndimage.binary_erosion if mode == "erode" else ndimage.binary_dilation
-    # The ball is symmetric under any permutation of the axes, so a Fortran-
-    # ordered mask (as read from MVOL) is processed as its C-ordered
-    # transpose, which scipy walks in memory order: same voxels, ~1.5x faster.
+    # The cube is symmetric under any permutation of the axes, so a Fortran-
+    # ordered mask (as read from MVOL) is processed as its C-ordered transpose.
     flip = mask.data.flags.f_contiguous
-    data = mask.data.T if flip else mask.data
-    out = op(data, structure=_ball(radius), iterations=iterations, border_value=0)
-    return BinaryMask(out.T if flip else out, mask.spacing)
+    state = np.array(mask.data.T if flip else mask.data, dtype=bool, order="C")
+    prev = np.empty_like(state)
+    n, shape = state.size, state.shape
+    cur, old = state.reshape(-1), prev.reshape(-1)
+    combine = np.logical_and if mode == "erode" else np.logical_or
+    for axis, st in enumerate(c_strides(shape)):
+        if mode == "dilate" and shape[axis] == 1:
+            continue  # no neighbour along this axis lies in the grid
+        cur_a, old_a = np.moveaxis(state, axis, 0), np.moveaxis(prev, axis, 0)
+        for _ in range(radius * iterations):
+            np.copyto(prev, state)
+            if n > 2 * st:
+                body = cur[st : n - st]
+                combine(body, old[: n - 2 * st], out=body)
+                combine(body, old[2 * st :], out=body)
+            if mode == "erode":
+                cur_a[0] = False
+                cur_a[-1] = False
+            else:
+                combine(old_a[0], old_a[1], out=cur_a[0])
+                combine(old_a[-1], old_a[-2], out=cur_a[-1])
+    return BinaryMask(state.T if flip else state, mask.spacing)
 
 
 def _linear_index_min(labels: np.ndarray, lab: int, dims) -> int:
@@ -203,13 +239,35 @@ def gaussian_smooth(vol: ScalarVolume, sigma: float) -> ScalarVolume:
     return ScalarVolume(out, vol.spacing)
 
 
+def central_difference(f: np.ndarray, axis: int, s: float, out: np.ndarray):
+    """The derivative of ``f`` along ``axis`` at spacing ``s``, written into
+    the C-ordered ``out`` with the values and operation order of numpy's
+    ``gradient`` at edge_order=1: the central difference over the flattened
+    array, then the one-sided difference on the two face planes (which the
+    flat pass filled with differences across rows).  ``f`` is read flat,
+    so it should be C-ordered too.  Needs at least 2 voxels along ``axis``."""
+    n, st = f.size, c_strides(f.shape)[axis]
+    flat, body = f.reshape(-1), out.reshape(-1)[st : n - st]
+    np.subtract(flat[2 * st :], flat[: n - 2 * st], out=body)
+    body /= 2.0 * s
+    fa, oa = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(fa[1], fa[0], out=oa[0])
+    oa[0] /= s
+    np.subtract(fa[-1], fa[-2], out=oa[-1])
+    oa[-1] /= s
+
+
 def central_gradient(vol: ScalarVolume) -> VectorField:
     """Finite-difference gradient in world units: central differences in the
-    interior, one-sided on the faces."""
+    interior, one-sided on the faces (numpy's ``gradient`` at edge_order=1,
+    in float64), by central_difference."""
     if any(n < 3 for n in vol.dims):
         raise ValueError(f"central gradient needs at least 3 voxels per axis, got {vol.dims}")
-    gx, gy, gz = np.gradient(np.asarray(vol.data, dtype=np.float64), *vol.spacing, edge_order=1)
-    return VectorField(gx, gy, gz, vol.spacing)
+    f = np.ascontiguousarray(vol.data, dtype=np.float64)
+    grad = [np.empty(f.shape) for _ in range(3)]
+    for axis, (g, s) in enumerate(zip(grad, vol.spacing)):
+        central_difference(f, axis, s, g)
+    return VectorField(*grad, vol.spacing)
 
 
 def mask_boundary_strip(mask: BinaryMask, depth: int) -> BinaryMask:

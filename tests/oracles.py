@@ -310,6 +310,17 @@ def _reinitialize_ref(phi, spacing, band_halfwidth):
     return phi
 
 
+def edge_map_oracle(smoothed, spacing):
+    """The whole-grid edge map of a smoothed scan, rescaled to [0, 1] by its
+    peak, and its gradient, by np.gradient."""
+    gx, gy, gz = np.gradient(smoothed, *spacing, edge_order=1)
+    mag = np.sqrt(gx**2 + gy**2 + gz**2)
+    peak = float(mag.max())
+    if peak > 0:
+        mag = mag / peak
+    return mag, np.gradient(mag, *spacing, edge_order=1)
+
+
 def _radial_ref(center, spacing, dims):
     axes = [np.arange(n, dtype=np.float64) * s for n, s in zip(dims, spacing)]
     wx, wy, wz = np.meshgrid(*axes, indexing="ij")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fvfseg.fvf3d import (
     ForceContext,
     LevelSetField,
     _cos_gamma_stats,
+    _edge_on_box,
     _force_field,
     edge_map,
     evolve,
@@ -19,7 +21,9 @@ from fvfseg.fvf3d import (
     zero_level_mask,
 )
 from fvfseg.metrics import tanimoto
-from fvfseg.volume import BinaryMask, ScalarVolume
+from fvfseg.volume import BinaryMask, ScalarVolume, gaussian_smooth
+
+from .oracles import _force_ref, edge_map_oracle
 
 UNIT = (1.0, 1.0, 1.0)
 
@@ -173,6 +177,67 @@ class TestEdgeMap:
         assert profile.argmax() in (7, 8)
 
 
+EDGE_DIMS = (14, 12, 10)
+EDGE_BOXES = {
+    "interior": (slice(4, 9), slice(3, 8), slice(2, 7)),
+    "x_low": (slice(0, 5), slice(3, 8), slice(2, 7)),
+    "x_high": (slice(9, 14), slice(3, 8), slice(2, 7)),
+    "y_low": (slice(4, 9), slice(0, 4), slice(2, 7)),
+    "y_high": (slice(4, 9), slice(7, 12), slice(2, 7)),
+    "z_low": (slice(4, 9), slice(3, 8), slice(0, 3)),
+    "z_high": (slice(4, 9), slice(3, 8), slice(6, 10)),
+    "x_low_plane": (slice(0, 1), slice(0, 12), slice(0, 10)),
+    "x_high_plane": (slice(13, 14), slice(2, 9), slice(1, 8)),
+    "z_high_plane": (slice(2, 12), slice(0, 12), slice(9, 10)),
+    "whole": (slice(0, 14), slice(0, 12), slice(0, 10)),
+}
+
+
+def _same_bits(a, b):
+    return np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("spacing", [UNIT, (1.0, 1.0, 2.0), (0.9375, 1.1, 1.3)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_edge_and_force_on_a_box_match_the_whole_grid(order, spacing, rng):
+    """The edge map, its gradient and the force built on a box are the
+    whole-grid values on that box, bit for bit, wherever the box sits."""
+    data = np.asarray(rng.random(EDGE_DIMS).astype(np.float32), order=order)
+    patient = ScalarVolume(data, spacing)
+    candidate = _ball_mask(EDGE_DIMS, (7, 5, 4), 3.0, spacing)
+    ctx = make_force_context(patient, candidate)
+    f_ref, grad_ref = edge_map_oracle(gaussian_smooth(patient, 1.0).data, spacing)
+    force_ref = _force_ref(grad_ref, candidate.data, ctx.center, spacing, EDGE_DIMS)
+
+    f, grad = edge_map(patient)
+    assert _same_bits(f.data, f_ref)
+    assert all(_same_bits(g, r) for g, r in zip((grad.x, grad.y, grad.z), grad_ref))
+    for box in EDGE_BOXES.values():
+        f_box, grad_box = _edge_on_box(ctx.smoothed, ctx.peak, box)
+        assert _same_bits(f_box, f_ref[box])
+        assert all(_same_bits(g, r[box]) for g, r in zip(grad_box, grad_ref))
+        force = _force_field(ctx, spacing, EDGE_DIMS, box)
+        assert all(_same_bits(e, r[box]) for e, r in zip(force, force_ref))
+
+
+def test_force_context_keeps_one_grid(rng):
+    # a scan as read from MVOL: Fortran-ordered float32
+    dims = (64, 64, 64)
+    patient = ScalarVolume(np.asfortranarray(rng.random(dims).astype(np.float32)), UNIT)
+    candidate = _ball_mask(dims, (32, 32, 32), 8.0)
+    grid = 8 * np.prod(dims)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ctx = make_force_context(patient, candidate)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctx.peak > 0
+    assert (peak - before) / grid <= 5.0
+    assert (retained - before) / grid <= 1.25
+
+
 class TestExternalForce:
     def _ctx(self, dims=(16, 16, 16), patient=None, center=None):
         candidate = _cube_mask(dims, 6, 10)
@@ -182,7 +247,7 @@ class TestExternalForce:
 
     @staticmethod
     def _force_at(ctx, voxel):
-        field = _force_field(ctx, ctx.edge.spacing, ctx.edge.dims)
+        field = _force_field(ctx, ctx.smoothed.spacing, ctx.smoothed.dims)
         return np.array([f[voxel] for f in field])
 
     def test_unit_magnitude(self):

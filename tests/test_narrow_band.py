@@ -21,7 +21,7 @@ from fvfseg.fvf3d import (
 from fvfseg.metrics import tanimoto
 from fvfseg.volume import BinaryMask, ScalarVolume, bounding_box
 
-from .oracles import evolve_oracle
+from .oracles import edge_map_oracle, evolve_oracle
 
 UNIT = (1.0, 1.0, 1.0)
 
@@ -84,7 +84,7 @@ PARITY_CASES = {
 def _oracle(ls, ctx, params):
     force = None
     if ctx is not None:
-        grad = (ctx.edge_grad.x, ctx.edge_grad.y, ctx.edge_grad.z)
+        _, grad = edge_map_oracle(ctx.smoothed.data, ctx.smoothed.spacing)
         force = (grad, ctx.candidate.data, ctx.center)
     spacing = ls.phi.spacing
     resolved = replace(params, dt=params.resolve_dt(spacing))

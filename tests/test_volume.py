@@ -121,6 +121,27 @@ class TestMorphology:
         got = morphology(BinaryMask(np.asfortranarray(data), UNIT), mode, iterations=2).data
         assert np.array_equal(got, oracle(data, 1, 2))
 
+    @pytest.mark.parametrize("mode, oracle", [("erode", erode_oracle), ("dilate", dilate_oracle)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 13, 5), (13, 1, 5), (6, 13, 1), (2, 13, 4), (13, 2, 4), (4, 13, 2), (1, 2, 9),
+         (2, 2, 2), (13, 11, 12)],
+    )
+    def test_radius_and_thin_axes_match_oracle(self, shape, order, mode, oracle, rng):
+        # Axes of length 1 and 2 are all face planes.  A dense mask keeps
+        # erosions of the 13x11x12 grid non-empty and a sparse one keeps
+        # dilations from filling it, at radius 1 and 2 and one to three
+        # iterations; empty and full masks too.
+        masks = [rng.random(shape) > p for p in (0.1, 0.97)]
+        masks += [np.zeros(shape, bool), np.ones(shape, bool)]
+        for data in masks:
+            mask = BinaryMask(np.asarray(data, order=order), UNIT)
+            for radius in (1, 2):
+                for iters in (1, 2, 3):
+                    got = morphology(mask, mode, radius, iters).data
+                    assert np.array_equal(got, oracle(data, radius, iters))
+
     def test_boundary_strip_is_iterated_erosion(self, rng):
         data = rng.random((9, 9, 9)) > 0.3
         strip = mask_boundary_strip(BinaryMask(data, UNIT), 2)
@@ -192,6 +213,17 @@ class TestGradient:
         assert np.allclose(g.x, 2.0)
         assert np.allclose(g.y, -3.0)
         assert np.allclose(g.z, 0.5)
+
+    @pytest.mark.parametrize("spacing", [UNIT, (1.0, 1.0, 2.0), (0.9375, 1.1, 1.3)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (9, 5, 7)])
+    def test_matches_numpy_gradient_bit_for_bit(self, shape, order, spacing, rng):
+        data = np.asarray(rng.normal(size=shape), order=order)
+        data[rng.random(shape) < 0.2] = 0.0
+        g = central_gradient(ScalarVolume(data, spacing))
+        ref = np.gradient(data, *spacing, edge_order=1)
+        for got, want in zip((g.x, g.y, g.z), ref):
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_needs_three_voxels(self):
         with pytest.raises(ValueError):
