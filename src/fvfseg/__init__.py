@@ -27,7 +27,6 @@ from .fvf3d import (
     EvolutionParams,
     ForceContext,
     LevelSetField,
-    edge_map,
     evolve,
     make_force_context,
     reinitialize,
@@ -47,6 +46,6 @@ from .ngmm import (
 )
 from .phantom import TumorSpec, load_atlas_dir, save_atlas_dir, synth_atlas, synth_patient
 from .pipeline import PipelineConfig, load_config, run_pipeline
-from .volume import BinaryMask, ScalarVolume, VectorField
+from .volume import BinaryMask, ScalarVolume
 
 __version__ = "0.1.0"

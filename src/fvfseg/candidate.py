@@ -3,8 +3,10 @@
 The abnormality volume is noisy at tissue interfaces and near the skull
 edge, so a fixed five-step cleanup isolates one solid candidate blob:
 
-1. zero the map outside a boundary-stripped copy of the brain mask
-2. threshold (strictly greater than psi)
+1. strip strip_depth voxel layers off the brain mask (erosion)
+2. threshold inside the stripped mask (strictly greater than psi), as
+   one AND of (map > psi) and that mask; since psi >= 0 this equals
+   zeroing the map outside the mask and then thresholding
 3. erode, to break thin bridges and drop isolated speckle
 4. keep the largest connected component
 5. dilate, clipped to the stripped brain mask, to restore the lost margin
@@ -33,7 +35,7 @@ from .volume import (
     bounding_box,
     grow_box,
     largest_component,
-    mask_boundary_strip,
+    mask_centroid,
     morphology,
     require_same_grid,
 )
@@ -70,22 +72,6 @@ class CandidateRegion:
             raise ValueError("candidate region cannot be empty")
 
 
-def binarize_gbbm(gbbm: ScalarVolume, psi: float) -> BinaryMask:
-    """Voxels whose abnormality score strictly exceeds psi."""
-    if not (math.isfinite(psi) and psi >= 0):
-        raise ValueError(f"psi must be finite and >= 0, got {psi}")
-    return BinaryMask(gbbm.data > psi, gbbm.spacing)
-
-
-def mask_centroid(mask: BinaryMask, origin=(0, 0, 0)) -> tuple[float, float, float]:
-    """Voxel-count-weighted mean world position of a nonempty mask whose
-    first voxel sits at grid index ``origin`` (a crop of a larger grid)."""
-    idx = np.nonzero(mask.data)
-    if idx[0].size == 0:
-        raise ValueError("centroid of an empty mask")
-    return tuple(float((idx[ax] + origin[ax]).mean() * mask.spacing[ax]) for ax in range(3))
-
-
 def extract_candidate(
     gbbm: ScalarVolume,
     brain_mask: BinaryMask,
@@ -99,10 +85,8 @@ def extract_candidate(
     params = params or CandidateParams()
     require_same_grid(gbbm, brain_mask, "abnormality map and brain mask")
 
-    stripped = mask_boundary_strip(brain_mask, params.strip_depth)
-    zeroed = ScalarVolume(np.where(stripped.data, gbbm.data, 0.0), gbbm.spacing)
-
-    mask = binarize_gbbm(zeroed, params.psi)
+    stripped = morphology(brain_mask, "erode", iterations=params.strip_depth)
+    mask = BinaryMask((gbbm.data > params.psi) & stripped.data, gbbm.spacing)
     counts = [mask.count()]
     if counts[-1] == 0:
         raise NoCandidateError(2, f"no voxel exceeds psi={params.psi} inside the stripped brain")

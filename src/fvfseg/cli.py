@@ -13,9 +13,11 @@ import os
 import sys
 
 from . import phantom, pipeline
+from .candidate import CandidateRegion
 from .errors import MvolFormatError, NoCandidateError, NumericalInstabilityError
 from .metrics import tanimoto
 from .pipeline import PipelineConfig, load_config
+from .volume import mask_centroid
 
 EXIT_OK = 0
 EXIT_GENERIC = 1
@@ -112,9 +114,10 @@ def cmd_candidate(args) -> int:
 def cmd_segment(args) -> int:
     config = _config_from_args(args)
     cand_path = args.candidate or os.path.join(config.output_dir, pipeline.CANDIDATE_FILE)
-    final, _ = pipeline.segment_stage(
-        pipeline.read_scalar(config.input), pipeline.read_mask(cand_path), config
-    )
+    patient = pipeline.read_scalar(config.input)
+    mask = pipeline.read_mask(cand_path)
+    region = CandidateRegion(mask, mask_centroid(mask), mask.count())
+    final, _ = pipeline.segment_stage(patient, region, config)
     print(f"iterations={final.iteration}")
     return EXIT_OK
 

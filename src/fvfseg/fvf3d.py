@@ -72,17 +72,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .candidate import CandidateRegion, mask_centroid
 from .errors import NumericalInstabilityError
 from .volume import (
     BinaryMask,
     ScalarVolume,
-    VectorField,
     bounding_box,
     c_strides,
     central_difference,
     gaussian_smooth,
     grow_box,
+    mask_centroid,
     require_same_grid,
 )
 
@@ -182,10 +181,6 @@ class EvolutionParams:
         return [math.ceil(min(travel / s, n)) for s, n in zip(spacing, dims)]
 
 
-def _as_mask(region) -> BinaryMask:
-    return region.mask if isinstance(region, CandidateRegion) else region
-
-
 def _fill_distance(phi: np.ndarray, m: np.ndarray, spacing, window):
     """Write the signed Euclidean distance to the boundary of mask ``m``
     (negative inside) into phi[window], a box holding every voxel of m."""
@@ -203,15 +198,16 @@ def _contains(outer, inner) -> bool:
     return all(o.start <= i.start and i.stop <= o.stop for o, i in zip(outer, inner))
 
 
-def signed_distance_init(region, band_halfwidth: float = 6.0, window=None) -> LevelSetField:
+def signed_distance_init(
+    mask: BinaryMask, band_halfwidth: float = 6.0, window=None
+) -> LevelSetField:
     """Signed Euclidean distance to the mask boundary, negative inside.
 
-    With ``window`` (three slices holding the whole region) the distance is
+    With ``window`` (three slices holding the whole mask) the distance is
     computed on that box only, and every voxel outside it holds the grid's
     diagonal plus the band width: more than any distance on the grid, so
     never inside the band.
     """
-    mask = _as_mask(region)
     m = mask.data
     if not m.any():
         raise ValueError("cannot build a distance field for an empty region")
@@ -230,12 +226,13 @@ def signed_distance_init(region, band_halfwidth: float = 6.0, window=None) -> Le
     return LevelSetField(ScalarVolume(phi, spacing), 0, band_halfwidth, window)
 
 
-def init_window(region, band_halfwidth: float = 6.0, params: EvolutionParams | None = None):
+def init_window(
+    mask: BinaryMask, band_halfwidth: float = 6.0, params: EvolutionParams | None = None
+):
     """The window for signed_distance_init that holds evolve's first update
-    box: the region's bounding box grown by the band, the travel margin of
+    box: the mask's bounding box grown by the band, the travel margin of
     ``params`` and the stencil halo, clipped to the grid (None for an empty
-    region, which signed_distance_init rejects)."""
-    mask = _as_mask(region)
+    mask, which signed_distance_init rejects)."""
     box = bounding_box(mask.data)
     if box is None:
         return None
@@ -248,9 +245,9 @@ def init_window(region, band_halfwidth: float = 6.0, params: EvolutionParams | N
 
 
 def _gradient_norm2(a, spacing):
-    """(gx^2 + gy^2) + gz^2 of the central gradient of ``a``, in the
-    operation order of VectorField.magnitude, with one gradient component
-    alive at a time."""
+    """(gx^2 + gy^2) + gz^2 of the central gradient of ``a``: the x and y
+    squares are added first and the z square last, with one gradient
+    component alive at a time."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     acc, g = np.empty(a.shape), np.empty(a.shape)
     central_difference(a, 0, spacing[0], acc)
@@ -260,17 +257,6 @@ def _gradient_norm2(a, spacing):
         np.multiply(g, g, out=g)
         acc += g
     return acc
-
-
-def _smoothed_scan(patient: ScalarVolume, sigma: float):
-    """The Gaussian-smoothed scan and the whole-scan peak of its gradient
-    magnitude.  sqrt is correctly rounded and monotone, so the square root
-    of the largest squared magnitude is the largest magnitude."""
-    if any(n < 3 for n in patient.dims):
-        raise ValueError(f"central gradient needs at least 3 voxels per axis, got {patient.dims}")
-    smoothed = gaussian_smooth(patient, sigma)
-    peak = math.sqrt(float(_gradient_norm2(smoothed.data, patient.spacing).max()))
-    return smoothed, peak
 
 
 def _relative(box, outer):
@@ -305,32 +291,23 @@ def _edge_on_box(smoothed: ScalarVolume, peak: float, box):
     return f[inner], grad
 
 
-def edge_map(patient: ScalarVolume, sigma: float = 1.0):
-    """Gradient-magnitude edge strength of the smoothed scan, rescaled to
-    [0, 1], together with its central gradient (the attraction field), on
-    the whole grid.
-
-    This is _edge_on_box on the whole grid.  The force reads both only on
-    evolve's boxes, and builds them there: only the rescale's divisor, the
-    peak of the smoothed gradient magnitude over the whole scan, needs the
-    whole grid, and make_force_context computes it once.
-    """
-    smoothed, peak = _smoothed_scan(patient, sigma)
-    f, grad = _edge_on_box(smoothed, peak, _whole(patient.dims))
-    return ScalarVolume(f, patient.spacing), VectorField(*grad, patient.spacing)
-
-
 def make_force_context(
-    patient: ScalarVolume, region, sigma: float = 1.0, center=None
+    patient: ScalarVolume, mask: BinaryMask, sigma: float = 1.0, center=None
 ) -> ForceContext:
-    """Build the static force inputs from a scan and a candidate region:
-    the whole-grid work is the Gaussian, one central gradient reduced to
-    its squared magnitude, and the peak."""
-    mask = _as_mask(region)
+    """Build the static force inputs from a scan and a candidate mask, with
+    the seed point A at ``center`` (default: the mask's centroid).
+
+    The whole-grid work is the Gaussian, one central gradient reduced to
+    its squared magnitude, and the peak: sqrt is correctly rounded and
+    monotone, so the square root of the largest squared magnitude is the
+    largest magnitude."""
     require_same_grid(patient, mask, "patient and candidate")
     if center is None:
-        center = region.centroid if isinstance(region, CandidateRegion) else mask_centroid(mask)
-    smoothed, peak = _smoothed_scan(patient, sigma)
+        center = mask_centroid(mask)
+    if any(n < 3 for n in patient.dims):
+        raise ValueError(f"central gradient needs at least 3 voxels per axis, got {patient.dims}")
+    smoothed = gaussian_smooth(patient, sigma)
+    peak = math.sqrt(float(_gradient_norm2(smoothed.data, patient.spacing).max()))
     return ForceContext(smoothed=smoothed, peak=peak, center=tuple(center), candidate=mask)
 
 
@@ -343,25 +320,24 @@ def _whole(dims):
     return tuple(slice(0, n) for n in dims)
 
 
-def _radial(ctx: ForceContext, spacing, box):
+def _radial(ctx: ForceContext, box):
     """The components of B - A at every voxel B of ``box`` (broadcastable
     per-axis arrays), and its length."""
     dx, dy, dz = (
         (np.arange(sl.start, sl.stop, dtype=np.float64) * s - c).reshape(shape)
         for sl, s, c, shape in zip(
-            box, spacing, ctx.center, ((-1, 1, 1), (1, -1, 1), (1, 1, -1))
+            box, ctx.smoothed.spacing, ctx.center, ((-1, 1, 1), (1, -1, 1), (1, 1, -1))
         )
     )
     return dx, dy, dz, np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def _force_field(ctx: ForceContext, spacing, dims, box=None):
-    """Precompute the static unit force E on ``box`` (default: the whole
-    grid).  The edge gradient grad f is built on the box itself
-    (_edge_on_box), from the smoothed scan two voxels around it."""
-    box = box or _whole(dims)
+def _force_field(ctx: ForceContext, box):
+    """Precompute the static unit force E on ``box``.  The edge gradient
+    grad f is built on the box itself (_edge_on_box), from the smoothed
+    scan two voxels around it."""
     _, (gx, gy, gz) = _edge_on_box(ctx.smoothed, ctx.peak, box)
-    dx, dy, dz, dn = _radial(ctx, spacing, box)
+    dx, dy, dz, dn = _radial(ctx, box)
     away = dn >= _EPS_DIRECTION
     inv = np.divide(1.0, dn, where=away, out=np.zeros_like(dn))
     delta = np.where(ctx.candidate.data[box], 1.0, -1.0)
@@ -452,7 +428,7 @@ def _curvature_times_gradnorm(phi, spacing, scratch):
     return lap, (px, py, pz)
 
 
-def reinitialize(ls: LevelSetField, iterations: int | None = None) -> LevelSetField:
+def reinitialize(ls: LevelSetField) -> LevelSetField:
     """Restore phi to a signed distance function (Sussman scheme with the
     subcell interface fix).
 
@@ -462,7 +438,9 @@ def reinitialize(ls: LevelSetField, iterations: int | None = None) -> LevelSetFi
     plain upwind reinitialization bleeds such a front by a good fraction
     of a voxel per call.  Elsewhere the usual Godunov flow with a frozen
     smoothed sign rebuilds |grad phi| = 1.  An exact distance field is a
-    fixed point.  The result keeps ``ls.window``.
+    fixed point.  It takes max(8, ceil(2 band_halfwidth) + 4) steps of
+    half a voxel, enough for the rebuilt distance to cross the band.  The
+    result keeps ``ls.window``.
 
     Every inner step runs on the flattened box (module docstring) with
     buffers allocated once for all steps: one difference per axis, the
@@ -472,8 +450,7 @@ def reinitialize(ls: LevelSetField, iterations: int | None = None) -> LevelSetFi
     phi = np.array(ls.phi.data, dtype=np.float64, order="C")
     spacing = ls.phi.spacing
     h = min(spacing)
-    if iterations is None:
-        iterations = max(8, int(math.ceil(2.0 * ls.band_halfwidth)) + 4)
+    iterations = max(8, math.ceil(2.0 * ls.band_halfwidth) + 4)
     n, strides = phi.size, c_strides(phi.shape)
     flat = phi.reshape(-1)
     buf = np.empty(n + max(strides))
@@ -554,11 +531,10 @@ def reinitialize(ls: LevelSetField, iterations: int | None = None) -> LevelSetFi
     return LevelSetField(ScalarVolume(phi, spacing), ls.iteration, ls.band_halfwidth, ls.window)
 
 
-def _cos_gamma_stats(px, py, pz, ctx, spacing, dims, band, box=None):
+def _cos_gamma_stats(px, py, pz, ctx, band, box):
     """Mean cosine between the front normal and the A->B direction inside
-    the band, with the arrays covering ``box`` (default: the whole grid);
-    diagnostic only."""
-    dx, dy, dz, dn = _radial(ctx, spacing, box or _whole(dims))
+    the band, with the arrays covering ``box``; diagnostic only."""
+    dx, dy, dz, dn = _radial(ctx, box)
     gn = np.sqrt(px * px + py * py + pz * pz)
     ok = band & (dn >= _EPS_DIRECTION) & (gn >= _EPS_DIRECTION)
     if not ok.any():
@@ -600,17 +576,16 @@ def _speed(phi, spacing, alpha, velocity):
     return update, grad
 
 
-def _update_box(phi, width, pads, window=None):
+def _update_box(phi, width, pads, window):
     """The box of voxels an evolution segment may move, the box its
     stencils read (2-voxel halo), and the first as slices into the second.
 
     The first box is the bounding box of |phi| <= width widened by
     pads[axis] voxels, or the whole grid when no voxel is that close to
-    the front.  Only ``window`` (default: the whole grid) is searched; it
-    must hold every voxel with |phi| <= width.
+    the front.  Only ``window`` is searched; it must hold every voxel with
+    |phi| <= width.
     """
     dims = phi.shape
-    window = window or _whole(dims)
     part = phi[window]
     band = bounding_box((part >= -width) & (part <= width))
     if band is None:
@@ -715,7 +690,7 @@ def evolve(
     done = 0
     while done < params.max_iters:
         if use_advection and force_box != outer:
-            force = _force_field(ctx, spacing, dims, outer)
+            force = _force_field(ctx, outer)
             for v in force:
                 v *= params.beta
             velocity = _upwind_parts(force)
@@ -752,9 +727,7 @@ def evolve(
                 }
                 if ctx is not None:
                     band = np.abs(phi[outer]) <= width
-                    record["cos_gamma_mean"] = _cos_gamma_stats(
-                        px, py, pz, ctx, spacing, dims, band, outer
-                    )
+                    record["cos_gamma_mean"] = _cos_gamma_stats(px, py, pz, ctx, band, outer)
                 log.append(record)
             if abs(inside - prev_inside) / max(prev_inside, 1) < params.stop_tol:
                 prev_inside = inside

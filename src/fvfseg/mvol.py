@@ -83,11 +83,17 @@ def encode(vol) -> bytes:
     return header.encode("ascii") + payload
 
 
-def _header_field(line: str, key: str, n_values: int) -> list[str]:
+def _header_field(line: str, key: str, n_values: int, kind=str) -> list:
+    """The values of header line ``key``, each converted by ``kind``."""
     parts = line.split()
     if len(parts) != n_values + 1 or parts[0] != key:
         raise MvolFormatError(f"bad header line {line!r}, expected '{key}' with {n_values} values")
-    return parts[1:]
+    try:
+        return [kind(v) for v in parts[1:]]
+    except ValueError:
+        raise MvolFormatError(
+            f"bad header line {line!r}, '{key}' values must be of type {kind.__name__}"
+        ) from None
 
 
 def decode(blob: bytes):
@@ -103,10 +109,10 @@ def decode(blob: bytes):
         raise MvolFormatError(f"expected 5 header lines, got {len(lines)}")
     if lines[0] != _MAGIC:
         raise MvolFormatError(f"bad magic {lines[0]!r}")
-    dims = tuple(int(v) for v in _header_field(lines[1], "dims", 3))
+    dims = tuple(_header_field(lines[1], "dims", 3, int))
     if any(n < 1 for n in dims):
         raise MvolFormatError(f"dims must be positive, got {dims}")
-    spacing = tuple(float(v) for v in _header_field(lines[2], "spacing", 3))
+    spacing = tuple(_header_field(lines[2], "spacing", 3, float))
     if any(not math.isfinite(s) or s <= 0 for s in spacing):
         raise MvolFormatError(f"spacing must be positive and finite, got {spacing}")
     (dtype,) = _header_field(lines[3], "dtype", 1)

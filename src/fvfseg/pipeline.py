@@ -244,18 +244,20 @@ def candidate_stage(
     return region
 
 
-def segment_stage(patient: ScalarVolume, region, config: PipelineConfig):
-    """Seed a distance field on the candidate (a CandidateRegion or a mask)
-    and evolve it; writes evolution.log and segmentation.mvol.
+def segment_stage(patient: ScalarVolume, region: CandidateRegion, config: PipelineConfig):
+    """Seed a distance field on the candidate's mask and evolve it under
+    the force seeded at the candidate's centroid; writes evolution.log and
+    segmentation.mvol.
 
-    The distance field is computed on the window around the candidate that
+    The distance field is computed on the window around the mask that
     holds evolve's first box, which evolve widens if the front needs more.
     Returns the final LevelSetField and its zero-level mask.
     """
     params = config.evolution_params()
-    ctx = fvf3d.make_force_context(patient, region, sigma=config.edge_sigma)
-    window = fvf3d.init_window(region, config.band_halfwidth, params)
-    ls = fvf3d.signed_distance_init(region, config.band_halfwidth, window)
+    mask = region.mask
+    ctx = fvf3d.make_force_context(patient, mask, sigma=config.edge_sigma, center=region.centroid)
+    window = fvf3d.init_window(mask, config.band_halfwidth, params)
+    ls = fvf3d.signed_distance_init(mask, config.band_halfwidth, window)
     log: list = []
     final = fvf3d.evolve(ls, ctx, params, log=log)
     atomic_write_text(_artifact(config, EVOLUTION_LOG_FILE), _evolution_log_text(log))

@@ -94,28 +94,6 @@ class BinaryMask:
         return int(self.data.sum())
 
 
-@dataclass
-class VectorField:
-    """Per-voxel 3-vectors stored as three component arrays."""
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    spacing: Triple = (1.0, 1.0, 1.0)
-
-    def __post_init__(self):
-        if not (self.x.shape == self.y.shape == self.z.shape) or self.x.ndim != 3:
-            raise ValueError("vector field components must share one 3-d shape")
-        self.spacing = _check_spacing(self.spacing)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.x.shape
-
-    def magnitude(self) -> np.ndarray:
-        return np.sqrt(self.x**2 + self.y**2 + self.z**2)
-
-
 def require_same_grid(a, b, what: str = "volumes"):
     if a.dims != b.dims or a.spacing != b.spacing:
         raise GridMismatchError(
@@ -201,6 +179,15 @@ def largest_component(mask: BinaryMask, connectivity: int = 26) -> BinaryMask:
     return BinaryMask(labels == winner, mask.spacing)
 
 
+def mask_centroid(mask: BinaryMask, origin=(0, 0, 0)) -> Triple:
+    """Voxel-count-weighted mean world position of a nonempty mask whose
+    first voxel sits at grid index ``origin`` (a crop of a larger grid)."""
+    idx = np.nonzero(mask.data)
+    if idx[0].size == 0:
+        raise ValueError("centroid of an empty mask")
+    return tuple(float((idx[ax] + origin[ax]).mean() * mask.spacing[ax]) for ax in range(3))
+
+
 def bounding_box(mask: np.ndarray):
     """Slices of the smallest box holding every true voxel, None if none."""
     box = []
@@ -255,24 +242,3 @@ def central_difference(f: np.ndarray, axis: int, s: float, out: np.ndarray):
     oa[0] /= s
     np.subtract(fa[-1], fa[-2], out=oa[-1])
     oa[-1] /= s
-
-
-def central_gradient(vol: ScalarVolume) -> VectorField:
-    """Finite-difference gradient in world units: central differences in the
-    interior, one-sided on the faces (numpy's ``gradient`` at edge_order=1,
-    in float64), by central_difference."""
-    if any(n < 3 for n in vol.dims):
-        raise ValueError(f"central gradient needs at least 3 voxels per axis, got {vol.dims}")
-    f = np.ascontiguousarray(vol.data, dtype=np.float64)
-    grad = [np.empty(f.shape) for _ in range(3)]
-    for axis, (g, s) in enumerate(zip(grad, vol.spacing)):
-        central_difference(f, axis, s, g)
-    return VectorField(*grad, vol.spacing)
-
-
-def mask_boundary_strip(mask: BinaryMask, depth: int) -> BinaryMask:
-    """Peel ``depth`` voxel layers off a mask (erosion by the radius-1 ball,
-    ``depth`` times)."""
-    if depth < 1:
-        raise ValueError(f"strip depth must be >= 1, got {depth}")
-    return morphology(mask, "erode", radius=1, iterations=depth)

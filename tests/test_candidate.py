@@ -2,19 +2,13 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from fvfseg.candidate import (
-    CandidateParams,
-    CandidateRegion,
-    binarize_gbbm,
-    extract_candidate,
-    mask_centroid,
-)
+from fvfseg.candidate import CandidateParams, CandidateRegion, extract_candidate
 from fvfseg.errors import GridMismatchError, NoCandidateError
 from fvfseg.volume import (
     BinaryMask,
     ScalarVolume,
     largest_component,
-    mask_boundary_strip,
+    mask_centroid,
     morphology,
 )
 
@@ -36,19 +30,15 @@ def _map_with_blob(value=200.0, lo=8, hi=16, dims=DIMS):
 
 class TestBinarize:
     def test_threshold_is_strict(self):
-        data = np.zeros((3, 3, 3))
-        data[0, 0, 0] = 153.0
-        data[1, 1, 1] = 153.0000001
-        mask = binarize_gbbm(ScalarVolume(data, UNIT), 153.0)
-        assert not mask.data[0, 0, 0]
-        assert mask.data[1, 1, 1]
-
-    def test_rejects_bad_psi(self):
-        vol = ScalarVolume(np.zeros((3, 3, 3)), UNIT)
-        with pytest.raises(ValueError):
-            binarize_gbbm(vol, -1.0)
-        with pytest.raises(ValueError):
-            binarize_gbbm(vol, float("nan"))
+        # both voxels lie inside the brain stripped by one layer
+        data = np.zeros((5, 5, 5))
+        data[1, 1, 1] = 153.0
+        data[3, 3, 3] = 153.0 + 1e-7
+        params = CandidateParams(psi=153.0, strip_depth=1, erode_iters=0, dilate_iters=0)
+        region = extract_candidate(ScalarVolume(data, UNIT), _brain((5, 5, 5)), params)
+        assert region.step_voxels[0] == 1
+        assert not region.mask.data[1, 1, 1]
+        assert region.mask.data[3, 3, 3]
 
 
 class TestCentroid:
@@ -76,6 +66,7 @@ class TestParams:
             dict(erode_iters=-1),
             dict(dilate_iters=-1),
             dict(connectivity=18),
+            dict(psi=float("nan")),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -111,7 +102,7 @@ class TestExtraction:
         params = CandidateParams()
         region = extract_candidate(gbbm, brain, params)
 
-        stripped = mask_boundary_strip(brain, params.strip_depth)
+        stripped = morphology(brain, "erode", iterations=params.strip_depth)
         manual = BinaryMask(
             np.where(stripped.data, gbbm.data, 0.0) > params.psi, UNIT
         )
@@ -158,7 +149,7 @@ class TestExtraction:
         data = np.zeros(DIMS)
         data[2:10, 2:10, 2:10] = 200.0
         region = extract_candidate(ScalarVolume(data, UNIT), _brain())
-        stripped = mask_boundary_strip(_brain(), 2)
+        stripped = morphology(_brain(), "erode", iterations=2)
         assert not (region.mask.data & ~stripped.data).any()
 
     def test_erode_zero_iterations_skips_step(self):

@@ -382,6 +382,16 @@ class TestEvaluateCommand:
         assert code == EXIT_GENERIC
         assert "mask" in capsys.readouterr().err
 
+    def test_evaluate_malformed_header_exit_two(self, case_dir, tmp_path, capsys):
+        blob = (case_dir / TRUTH_FILE).read_bytes()
+        end = blob.index(b"\n\n")
+        header = blob[:end].replace(blob[:end].split(b"\n")[1], b"dims 2.5 3 4", 1)
+        bad = tmp_path / "bad.mvol"
+        bad.write_bytes(header + blob[end:])
+        code = main(["evaluate", "--input", str(bad), "--ground-truth", str(bad)])
+        assert code == EXIT_IO
+        assert "dims 2.5 3 4" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_missing_required_flag_is_systemexit_two(self):

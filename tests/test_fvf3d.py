@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fvfseg.candidate import CandidateRegion, mask_centroid
 from fvfseg.errors import GridMismatchError, NumericalInstabilityError
 from fvfseg.fvf3d import (
     EvolutionParams,
@@ -13,7 +12,7 @@ from fvfseg.fvf3d import (
     _cos_gamma_stats,
     _edge_on_box,
     _force_field,
-    edge_map,
+    _whole,
     evolve,
     make_force_context,
     reinitialize,
@@ -21,7 +20,7 @@ from fvfseg.fvf3d import (
     zero_level_mask,
 )
 from fvfseg.metrics import tanimoto
-from fvfseg.volume import BinaryMask, ScalarVolume, gaussian_smooth
+from fvfseg.volume import BinaryMask, ScalarVolume, gaussian_smooth, mask_centroid
 
 from .oracles import _force_ref, edge_map_oracle
 
@@ -68,14 +67,6 @@ class TestSignedDistanceInit:
         data[4, 4, 4] = True
         ls = signed_distance_init(BinaryMask(data, (1.0, 1.0, 2.0)))
         assert ls.phi.data[4, 4, 5] == pytest.approx(2.0)
-
-    def test_accepts_candidate_region(self):
-        mask = _cube_mask((12, 12, 12), 4, 8)
-        region = CandidateRegion(
-            mask=mask, centroid=mask_centroid(mask), voxel_count=mask.count()
-        )
-        ls = signed_distance_init(region)
-        assert np.array_equal(ls.phi.data < 0, mask.data)
 
     def test_empty_and_full_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -135,7 +126,7 @@ def _cos_gamma(normal, gamma):
     band = np.zeros(dims, dtype=bool)
     band[b] = True
     px, py, pz = (np.full(dims, float(c)) for c in normal)
-    return _cos_gamma_stats(px, py, pz, ctx, UNIT, dims, band)
+    return _cos_gamma_stats(px, py, pz, ctx, band, _whole(dims))
 
 
 class TestDirectionalCosine:
@@ -155,25 +146,32 @@ class TestDirectionalCosine:
         assert _cos_gamma((1, 0, 0), (0, 0, 0)) == 0.0
 
 
+def _edge_map(vol, sigma=1.0):
+    """The edge map f and its gradient on the whole grid, as the force
+    builds them on a box."""
+    ctx = make_force_context(vol, _cube_mask(vol.dims, 1, 3), sigma=sigma)
+    return _edge_on_box(ctx.smoothed, ctx.peak, _whole(vol.dims))
+
+
 class TestEdgeMap:
     def test_range_is_unit_interval(self, rng):
         vol = ScalarVolume(rng.random((12, 12, 12)), UNIT)
-        f, grad = edge_map(vol)
-        assert f.data.min() >= 0.0
-        assert f.data.max() == pytest.approx(1.0)
-        assert grad.dims == f.dims
+        f, grad = _edge_map(vol)
+        assert f.min() >= 0.0
+        assert f.max() == pytest.approx(1.0)
+        assert all(g.shape == f.shape for g in grad)
 
     def test_constant_image_has_no_edges(self):
         vol = ScalarVolume(np.full((10, 10, 10), 2.0), UNIT)
-        f, grad = edge_map(vol)
-        assert np.all(f.data == 0.0)
-        assert np.all(grad.magnitude() == 0.0)
+        f, grad = _edge_map(vol)
+        assert np.all(f == 0.0)
+        assert all(np.all(g == 0.0) for g in grad)
 
     def test_step_edge_peaks_at_interface(self):
         data = np.zeros((16, 10, 10))
         data[8:, :, :] = 1.0
-        f, _ = edge_map(ScalarVolume(data, UNIT), sigma=1.0)
-        profile = f.data[:, 5, 5]
+        f, _ = _edge_map(ScalarVolume(data, UNIT), sigma=1.0)
+        profile = f[:, 5, 5]
         assert profile.argmax() in (7, 8)
 
 
@@ -209,14 +207,11 @@ def test_edge_and_force_on_a_box_match_the_whole_grid(order, spacing, rng):
     f_ref, grad_ref = edge_map_oracle(gaussian_smooth(patient, 1.0).data, spacing)
     force_ref = _force_ref(grad_ref, candidate.data, ctx.center, spacing, EDGE_DIMS)
 
-    f, grad = edge_map(patient)
-    assert _same_bits(f.data, f_ref)
-    assert all(_same_bits(g, r) for g, r in zip((grad.x, grad.y, grad.z), grad_ref))
     for box in EDGE_BOXES.values():
         f_box, grad_box = _edge_on_box(ctx.smoothed, ctx.peak, box)
         assert _same_bits(f_box, f_ref[box])
         assert all(_same_bits(g, r[box]) for g, r in zip(grad_box, grad_ref))
-        force = _force_field(ctx, spacing, EDGE_DIMS, box)
+        force = _force_field(ctx, box)
         assert all(_same_bits(e, r[box]) for e, r in zip(force, force_ref))
 
 
@@ -247,7 +242,7 @@ class TestExternalForce:
 
     @staticmethod
     def _force_at(ctx, voxel):
-        field = _force_field(ctx, ctx.smoothed.spacing, ctx.smoothed.dims)
+        field = _force_field(ctx, _whole(ctx.smoothed.dims))
         return np.array([f[voxel] for f in field])
 
     def test_unit_magnitude(self):
@@ -285,6 +280,13 @@ class TestExternalForce:
     def test_default_center_is_candidate_centroid(self):
         ctx = self._ctx()
         assert ctx.center == pytest.approx((7.5, 7.5, 7.5))
+
+    def test_needs_three_voxels(self):
+        dims = (2, 5, 5)
+        candidate = BinaryMask(np.zeros(dims, dtype=bool), UNIT)
+        candidate.data[1, 2, 2] = True
+        with pytest.raises(ValueError, match="3 voxels"):
+            make_force_context(ScalarVolume(np.zeros(dims), UNIT), candidate)
 
 
 class TestEvolutionParams:

@@ -107,6 +107,8 @@ class TestDecodeErrors:
             b"dims -2 3 4",
             b"dims 2 3",
             b"size 2 3 4",
+            b"dims 2 x 4",
+            b"dims 2.5 3 4",
         ],
     )
     def test_bad_dims_line(self, bad):
@@ -115,7 +117,7 @@ class TestDecodeErrors:
             decode(blob)
 
     @pytest.mark.parametrize(
-        "bad", [b"spacing 0 1 1", b"spacing -1 1 1", b"spacing inf 1 1"]
+        "bad", [b"spacing 0 1 1", b"spacing -1 1 1", b"spacing inf 1 1", b"spacing 1 1 abc"]
     )
     def test_bad_spacing_line(self, bad):
         blob = _valid_blob().replace(b"spacing 1 1 1", bad, 1)

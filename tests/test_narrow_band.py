@@ -11,6 +11,7 @@ from scipy import ndimage
 from fvfseg.fvf3d import (
     EvolutionParams,
     _update_box,
+    _whole,
     evolve,
     init_window,
     make_force_context,
@@ -146,7 +147,7 @@ def test_window_widens_as_the_front_travels():
     band = 2.0
     window = init_window(start, band, params)
     ls = signed_distance_init(start, band, window)
-    _, outer, _ = _update_box(ls.phi.data, band, params.travel_pads(UNIT, dims))
+    _, outer, _ = _update_box(ls.phi.data, band, params.travel_pads(UNIT, dims), _whole(dims))
     assert _inside(window, outer) and _voxels(window) < 0.25 * cube.size
 
     log = []
@@ -197,7 +198,9 @@ def test_parity_cases_run_on_a_box_smaller_than_the_grid(name):
     dt = params.resolve_dt(spacing)
     travel = params.reinit_every * dt * (params.beta + 2.0 * params.alpha / min(spacing))
     pads = [int(np.ceil(travel / s)) for s in spacing]
-    _, outer, _ = _update_box(ls.phi.data, max(spacing) * ls.band_halfwidth, pads)
+    _, outer, _ = _update_box(
+        ls.phi.data, max(spacing) * ls.band_halfwidth, pads, _whole(ls.phi.dims)
+    )
     box_voxels = np.prod([s.stop - s.start for s in outer])
     assert box_voxels < 0.5 * ls.phi.data.size
 

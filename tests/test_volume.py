@@ -8,10 +8,9 @@ from fvfseg.errors import GridMismatchError
 from fvfseg.volume import (
     BinaryMask,
     ScalarVolume,
-    central_gradient,
+    central_difference,
     gaussian_smooth,
     largest_component,
-    mask_boundary_strip,
     morphology,
     require_same_grid,
     world_coordinates,
@@ -142,12 +141,6 @@ class TestMorphology:
                     got = morphology(mask, mode, radius, iters).data
                     assert np.array_equal(got, oracle(data, radius, iters))
 
-    def test_boundary_strip_is_iterated_erosion(self, rng):
-        data = rng.random((9, 9, 9)) > 0.3
-        strip = mask_boundary_strip(BinaryMask(data, UNIT), 2)
-        twice = morphology(BinaryMask(data, UNIT), "erode", iterations=2)
-        assert np.array_equal(strip.data, twice.data)
-
 
 class TestLargestComponent:
     @given(small_masks(), st.sampled_from([6, 26]))
@@ -203,16 +196,24 @@ class TestSmoothing:
         assert np.allclose(out.data, ref, atol=1e-12)
 
 
+def _central_gradient(data, spacing):
+    """central_difference along each axis of a C-ordered float64 copy."""
+    f = np.ascontiguousarray(data, dtype=np.float64)
+    grad = [np.empty(f.shape) for _ in range(3)]
+    for axis, (g, s) in enumerate(zip(grad, spacing)):
+        central_difference(f, axis, s, g)
+    return grad
+
+
 class TestGradient:
     def test_linear_field_exact(self):
         dims = (6, 7, 8)
         spacing = (0.5, 1.0, 2.0)
         wx, wy, wz = world_coordinates(dims, spacing)
-        v = ScalarVolume(2.0 * wx - 3.0 * wy + 0.5 * wz, spacing)
-        g = central_gradient(v)
-        assert np.allclose(g.x, 2.0)
-        assert np.allclose(g.y, -3.0)
-        assert np.allclose(g.z, 0.5)
+        gx, gy, gz = _central_gradient(2.0 * wx - 3.0 * wy + 0.5 * wz, spacing)
+        assert np.allclose(gx, 2.0)
+        assert np.allclose(gy, -3.0)
+        assert np.allclose(gz, 0.5)
 
     @pytest.mark.parametrize("spacing", [UNIT, (1.0, 1.0, 2.0), (0.9375, 1.1, 1.3)])
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -220,11 +221,6 @@ class TestGradient:
     def test_matches_numpy_gradient_bit_for_bit(self, shape, order, spacing, rng):
         data = np.asarray(rng.normal(size=shape), order=order)
         data[rng.random(shape) < 0.2] = 0.0
-        g = central_gradient(ScalarVolume(data, spacing))
         ref = np.gradient(data, *spacing, edge_order=1)
-        for got, want in zip((g.x, g.y, g.z), ref):
+        for got, want in zip(_central_gradient(data, spacing), ref):
             assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
-
-    def test_needs_three_voxels(self):
-        with pytest.raises(ValueError):
-            central_gradient(ScalarVolume(np.zeros((2, 5, 5)), UNIT))
