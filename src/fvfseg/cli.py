@@ -81,6 +81,11 @@ def cmd_phantom(args) -> int:
     return EXIT_OK
 
 
+def _em_line(iterations: int, converged: bool) -> str:
+    stop = "converged" if converged else "hit --max-iters"
+    return f"em_iterations={iterations} ({stop})"
+
+
 def cmd_fit(args) -> int:
     config = _config_from_args(args)
     atlas = phantom.load_atlas_dir(config.atlas_dir)
@@ -88,8 +93,7 @@ def cmd_fit(args) -> int:
     path = os.path.join(config.output_dir, pipeline.MODEL_FILE)
     print(f"model written to {path} ({record.note})")
     if model.loglik_trace is not None:
-        stop = "converged" if model.converged else "hit --max-iters"
-        print(f"em_iterations={len(model.loglik_trace)} ({stop})")
+        print(_em_line(len(model.loglik_trace), model.converged))
     return EXIT_OK
 
 
@@ -140,6 +144,8 @@ def cmd_pipeline(args) -> int:
         if key in report:
             val = report[key]
             print(f"{key}={format(val, '.17g') if isinstance(val, float) else val}")
+    if "em_iterations" in report:
+        print(_em_line(report["em_iterations"], report["em_converged"]))
     return EXIT_OK
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -29,6 +30,13 @@ from .errors import MvolFormatError
 from .volume import BinaryMask, ScalarVolume
 
 _MAGIC = "MVOL1"
+# The number syntax of header values.  Python's int() and float() also take
+# digit-group underscores ("1_0" is 10), and float() takes "inf" and "nan";
+# the format does not.  Exponents stay legal: spacings are written ".17g".
+_PLAIN_NUMBER = {
+    int: re.compile(r"[+-]?[0-9]+"),
+    float: re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"),
+}
 
 
 def atomic_write_bytes(path, blob: bytes) -> None:
@@ -88,12 +96,12 @@ def _header_field(line: str, key: str, n_values: int, kind=str) -> list:
     parts = line.split()
     if len(parts) != n_values + 1 or parts[0] != key:
         raise MvolFormatError(f"bad header line {line!r}, expected '{key}' with {n_values} values")
-    try:
-        return [kind(v) for v in parts[1:]]
-    except ValueError:
+    syntax = _PLAIN_NUMBER.get(kind)
+    if syntax is not None and not all(syntax.fullmatch(v) for v in parts[1:]):
         raise MvolFormatError(
-            f"bad header line {line!r}, '{key}' values must be of type {kind.__name__}"
-        ) from None
+            f"bad header line {line!r}, '{key}' values must be plain decimal {kind.__name__}s"
+        )
+    return [kind(v) for v in parts[1:]]
 
 
 def decode(blob: bytes):

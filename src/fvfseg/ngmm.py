@@ -7,6 +7,12 @@ Gaussian mixture is then fitted to the normalized masked intensities with
 EM.  For K = 3 the components are labelled CSF/GM/WM in ascending order of
 mean, matching the usual T1 ordering: fluid darkest, white matter
 brightest.
+
+Each EM iteration is a single pass over the sorted samples in chunks of
+``EM_CHUNK_SAMPLES``: the E-step and the M-step's sums run on one chunk
+while it is in cache, and the variances come from second moments about
+the previous means (the shifted-data identity), so no (k, n) array of
+responsibilities is ever held.
 """
 
 from __future__ import annotations
@@ -19,6 +25,10 @@ import numpy as np
 from .volume import BinaryMask, ScalarVolume, require_same_grid
 
 VARIANCE_FLOOR = 1e-6
+# samples per EM chunk: for a 3-component fit the (k, chunk) E-step buffers,
+# the two scratch rows and the chunk itself take 768 KB, well inside a 2 MB
+# L2 cache
+EM_CHUNK_SAMPLES = 16384
 _STD_FLOOR = math.sqrt(VARIANCE_FLOOR)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -158,15 +168,20 @@ def fit_em(
     uniform.  Samples are sorted internally, so permuting the input
     changes nothing.
 
-    Each iteration runs on one preallocated (k, n) buffer of contiguous
-    rows.  The E-step fills row j with log w_j + log N(x; mu_j, sigma_j),
-    subtracts the per-sample max and makes one ``exp`` pass; the column
-    sums give both the per-sample log mixture density and, by division,
-    the responsibilities (``_log_normalize``).  The M-step takes the
-    effective counts as row sums, all means from one matrix-vector
-    product, and each variance from one dot product against the squared
-    deviations; a component whose count falls below 1e-12 keeps its
-    parameters.
+    Each iteration is one pass over the sorted samples in chunks of
+    ``EM_CHUNK_SAMPLES``, on (k, chunk) buffers small enough to stay in
+    cache.  Per chunk, the E-step fills row j with
+    log w_j + log N(x; mu_j, sigma_j), subtracts the per-sample max and
+    makes one ``exp`` pass; the column sums give both the per-sample log
+    mixture density and, by division, the responsibilities r
+    (``_log_normalize``).  The chunk then adds its share of the
+    log-likelihood and of three k-vectors: the effective counts
+    n_j = sum r, the first moments sum r*x and the second moments about
+    the old means, S_j = sum r*(x - mu_j)^2.  After the pass the new mean
+    is sum r*x / n_j and the variance comes from the shifted-data identity
+    S_j/n_j - (mu_new - mu_j)^2, so the responsibilities are never stored
+    and never read twice.  A component whose count falls below 1e-12
+    keeps its parameters; variances are floored at ``VARIANCE_FLOOR``.
 
     The per-sample log-likelihood is tracked every iteration (exposed as
     ``loglik_trace`` on the result) and must never decrease; a decrease
@@ -187,15 +202,33 @@ def fit_em(
     stds = np.full(k, max(float(x.std()) / k, _STD_FLOOR))
     weights = np.full(k, 1.0 / k)
 
-    terms = np.empty((k, x.size))
-    peak = np.empty(x.size)
-    log_z = np.empty(x.size)
+    n = x.size
+    width = min(n, EM_CHUNK_SAMPLES)
+    terms_buf = np.empty((k, width))
+    peak_buf = np.empty(width)
+    log_z_buf = np.empty(width)
     trace = []
     prev_ll = -np.inf
     converged = False
     for _ in range(max_iters):
-        _log_weighted_densities(x, weights, means, stds, terms)
-        ll = float(_log_normalize(terms, peak, log_z).mean())
+        nk = np.zeros(k)
+        first = np.zeros(k)
+        second = np.zeros(k)
+        ll_sum = 0.0
+        for start in range(0, n, width):
+            xc = x[start : start + width]
+            terms = terms_buf[:, : xc.size]
+            peak = peak_buf[: xc.size]
+            _log_weighted_densities(xc, weights, means, stds, terms)
+            ll_sum += float(_log_normalize(terms, peak, log_z_buf[: xc.size]).sum())
+            nk += terms.sum(axis=1)
+            first += terms @ xc
+            sq_dev = peak  # the E-step is done with its scratch row
+            for j in range(k):
+                np.subtract(xc, means[j], out=sq_dev)
+                np.square(sq_dev, out=sq_dev)
+                second[j] += terms[j] @ sq_dev
+        ll = ll_sum / n
         if not math.isfinite(ll):
             raise ValueError("EM log-likelihood became non-finite")
         if ll < prev_ll - 1e-9:
@@ -206,19 +239,14 @@ def fit_em(
             break
         prev_ll = ll
 
-        nk = terms.sum(axis=1)
-        sums = terms @ x
-        sq_dev = peak  # the E-step is done with its scratch row
         for j in range(k):
             if nk[j] < 1e-12:
                 continue  # starved component: keep its parameters
-            mu = sums[j] / nk[j]
-            np.subtract(x, mu, out=sq_dev)
-            np.square(sq_dev, out=sq_dev)
-            var = float(terms[j] @ sq_dev) / nk[j]
+            mu = first[j] / nk[j]
+            var = second[j] / nk[j] - (mu - means[j]) ** 2
             means[j] = mu
             stds[j] = math.sqrt(max(var, VARIANCE_FLOOR))
-        weights = nk / x.size
+        weights = nk / n
 
     order = np.argsort(means, kind="stable")
     return TissueMixtureModel(

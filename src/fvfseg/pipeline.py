@@ -297,7 +297,9 @@ def _evolution_log_text(records: list) -> str:
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute every stage and write all artifacts.
 
-    Returns the report as a dict.  A NoCandidateError still writes
+    Returns the report as a dict.  When the run fitted its model the dict
+    also holds ``em_iterations`` and ``em_converged``; like the wall time,
+    they stay out of report.txt.  A NoCandidateError still writes
     report.txt (status=no-candidate) before propagating, so callers can
     map it to a distinct exit code while keeping the run inspectable.
     """
@@ -321,7 +323,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
         _write_report(config, "no-candidate", 0, 0, empty, truth, t0)
         raise
     final, seg = segment_stage(patient, region, config)
-    return _write_report(config, "ok", region.voxel_count, final.iteration, seg, truth, t0)
+    report = _write_report(config, "ok", region.voxel_count, final.iteration, seg, truth, t0)
+    if model.loglik_trace is not None:
+        report["em_iterations"] = len(model.loglik_trace)
+        report["em_converged"] = model.converged
+    return report
 
 
 # runtime_seconds is reported to the caller but never written: artifacts

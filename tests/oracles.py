@@ -5,7 +5,9 @@ precision arithmetic.  None of it shares code with the implementations
 under test.
 """
 
+import math
 from collections import deque
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -214,6 +216,73 @@ def tanimoto_oracle(x: np.ndarray, g: np.ndarray) -> float:
 def rel_close(value, oracle, tol=1e-12) -> bool:
     """|value - oracle| <= tol * max(|oracle|, 1)."""
     return abs(value - float(oracle)) <= tol * max(abs(float(oracle)), 1.0)
+
+
+# --- full-buffer EM: every iteration on (k, n) arrays, responsibilities
+# stored for a second pass; the reference for the package's chunked fit_em
+
+
+class EmFit(NamedTuple):
+    weights: tuple
+    means: tuple
+    stds: tuple
+    loglik_trace: tuple
+    converged: bool
+
+
+def fit_em_oracle(samples, k=3, tol=1e-6, max_iters=500) -> EmFit:
+    """The fit_em contract (quantile init, sorted samples, log-domain
+    E-step, starved components frozen, floored variances, stop when the
+    log-likelihood gains less than ``tol``) with the M-step's variance
+    taken about the new mean in a second pass over stored responsibilities.
+    """
+    variance_floor = 1e-6  # ngmm.VARIANCE_FLOOR
+    x = np.sort(np.asarray(samples, dtype=np.float64).ravel())
+    if x.size < k:
+        raise ValueError(f"need at least {k} samples to fit {k} components, got {x.size}")
+    if not np.isfinite(x).all():
+        raise ValueError("samples contain non-finite values")
+    means = np.quantile(x, (2.0 * np.arange(k) + 1.0) / (2.0 * k))
+    stds = np.full(k, max(float(x.std()) / k, math.sqrt(variance_floor)))
+    weights = np.full(k, 1.0 / k)
+    trace = []
+    prev_ll = -np.inf
+    converged = False
+    for _ in range(max_iters):
+        consts = np.log(weights) - np.log(stds) - 0.5 * math.log(2.0 * math.pi)
+        terms = np.stack(
+            [-0.5 / (s * s) * (x - m) ** 2 + c for m, s, c in zip(means, stds, consts)]
+        )
+        peak = terms.max(axis=0)
+        resp = np.exp(terms - peak)
+        total = resp.sum(axis=0)
+        resp /= total
+        ll = float((np.log(total) + peak).mean())
+        if not math.isfinite(ll):
+            raise ValueError("EM log-likelihood became non-finite")
+        if ll < prev_ll - 1e-9:
+            raise ValueError(f"EM log-likelihood decreased ({prev_ll} -> {ll})")
+        trace.append(ll)
+        if ll - prev_ll < tol and len(trace) > 1:
+            converged = True
+            break
+        prev_ll = ll
+        nk = resp.sum(axis=1)
+        for j in range(k):
+            if nk[j] < 1e-12:
+                continue
+            means[j] = float(resp[j] @ x) / nk[j]
+            var = float(resp[j] @ (x - means[j]) ** 2) / nk[j]
+            stds[j] = math.sqrt(max(var, variance_floor))
+        weights = nk / x.size
+    order = np.argsort(means, kind="stable")
+    return EmFit(
+        tuple(float(v) for v in weights[order]),
+        tuple(float(v) for v in means[order]),
+        tuple(float(v) for v in stds[order]),
+        tuple(trace),
+        converged,
+    )
 
 
 # --- full-grid level-set evolution: the explicit scheme, reinitialization

@@ -97,9 +97,13 @@ class TestPipelineCommand:
         assert code == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         keys = [line.split("=", 1)[0] for line in lines]
-        assert keys == ["status", "tm", "iterations", "candidate_voxels", "runtime_seconds"]
+        assert keys == [
+            "status", "tm", "iterations", "candidate_voxels", "runtime_seconds", "em_iterations"
+        ]
         values = dict(line.split("=", 1) for line in lines)
         assert values["status"] == "ok"
+        count, stop = values["em_iterations"].split()
+        assert int(count) > 1 and stop == "(converged)"
         assert 0.0 <= float(values["tm"]) <= 1.0
         assert int(values["iterations"]) > 0
         assert int(values["candidate_voxels"]) > 0
@@ -391,6 +395,17 @@ class TestEvaluateCommand:
         code = main(["evaluate", "--input", str(bad), "--ground-truth", str(bad)])
         assert code == EXIT_IO
         assert "dims 2.5 3 4" in capsys.readouterr().err
+
+    def test_evaluate_underscored_spacing_exit_two(self, case_dir, tmp_path, capsys):
+        blob = (case_dir / TRUTH_FILE).read_bytes()
+        end = blob.index(b"\n\n")
+        header = blob[:end].split(b"\n")
+        header[2] = b"spacing 1 1 1_0"
+        bad = tmp_path / "bad.mvol"
+        bad.write_bytes(b"\n".join(header) + blob[end:])
+        code = main(["evaluate", "--input", str(bad), "--ground-truth", str(bad)])
+        assert code == EXIT_IO
+        assert "spacing 1 1 1_0" in capsys.readouterr().err
 
 
 class TestUsageErrors:

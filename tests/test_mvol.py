@@ -109,6 +109,7 @@ class TestDecodeErrors:
             b"size 2 3 4",
             b"dims 2 x 4",
             b"dims 2.5 3 4",
+            b"dims 2 3 0_4",
         ],
     )
     def test_bad_dims_line(self, bad):
@@ -117,12 +118,23 @@ class TestDecodeErrors:
             decode(blob)
 
     @pytest.mark.parametrize(
-        "bad", [b"spacing 0 1 1", b"spacing -1 1 1", b"spacing inf 1 1", b"spacing 1 1 abc"]
+        "bad",
+        [
+            b"spacing 0 1 1",
+            b"spacing -1 1 1",
+            b"spacing inf 1 1",
+            b"spacing 1 1 abc",
+            b"spacing 1 1 1_0",
+        ],
     )
     def test_bad_spacing_line(self, bad):
         blob = _valid_blob().replace(b"spacing 1 1 1", bad, 1)
         with pytest.raises(MvolFormatError):
             decode(blob)
+
+    def test_spacing_exponents_accepted(self):
+        blob = _valid_blob().replace(b"spacing 1 1 1", b"spacing 1e0 +2.5E-1 .5e+1", 1)
+        assert decode(blob).spacing == (1.0, 0.25, 5.0)
 
     def test_unknown_dtype(self):
         blob = _valid_blob().replace(b"dtype scalar32", b"dtype scalar64", 1)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fvfseg.ngmm import (
+    EM_CHUNK_SAMPLES,
     TissueMixtureModel,
     _log_normalize,
     _log_weighted_densities,
@@ -20,7 +21,7 @@ from fvfseg.ngmm import (
 )
 from fvfseg.volume import BinaryMask, ScalarVolume
 
-from .oracles import mp_gaussian_pdf, mp_mixture_density, rel_close
+from .oracles import fit_em_oracle, mp_gaussian_pdf, mp_mixture_density, rel_close
 
 UNIT = (1.0, 1.0, 1.0)
 
@@ -129,6 +130,10 @@ def _draw_mixture(rng, n):
     return rng.normal(means, stds)
 
 
+def _outlier_samples():
+    return np.append(_draw_mixture(np.random.default_rng(20261017), 20_000), 1e5)
+
+
 class TestFitEm:
     def test_recovers_well_separated_components(self, rng):
         x = _draw_mixture(rng, 60_000)
@@ -171,7 +176,7 @@ class TestFitEm:
         # density of it underflows to 0 in linear space, so only the
         # log-domain E-step keeps its responsibilities finite.  Expected
         # values were recorded from the earlier scipy-logsumexp E-step.
-        x = np.append(_draw_mixture(np.random.default_rng(20261017), 20_000), 1e5)
+        x = _outlier_samples()
         init_means = np.quantile(x, [1 / 6, 1 / 2, 5 / 6])
         init_std = x.std() / 3
         assert all(gaussian_pdf(1e5, mu, init_std) / 3 == 0.0 for mu in init_means)
@@ -192,7 +197,9 @@ class TestFitEm:
 
     def test_peak_memory_bounded_by_sample_buffers(self):
         # the 200k reference samples of the acceptance EM test; EM may hold
-        # at most 8 float64 arrays the size of the sample at any one time
+        # at most 3 float64 arrays the size of the sample at any one time
+        # (the sorted copy and the initialisation's temporaries: the
+        # iterations only touch chunk-sized buffers)
         x = _draw_mixture(np.random.default_rng(7), 200_000)
         tracemalloc.start()
         try:
@@ -200,7 +207,7 @@ class TestFitEm:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * x.size * 8, f"peak {peak / (8 * x.size):.1f} sample buffers"
+        assert peak <= 3 * x.size * 8, f"peak {peak / (8 * x.size):.1f} sample buffers"
 
     def test_single_component_matches_sample_moments(self, rng):
         x = rng.normal(2.0, 0.5, size=10_000)
@@ -216,6 +223,51 @@ class TestFitEm:
     def test_nonfinite_samples_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             fit_em([1.0, np.nan, 2.0, 3.0], k=2)
+
+    def test_nonfinite_sample_past_the_first_chunk_rejected(self, rng):
+        x = _draw_mixture(rng, 3 * EM_CHUNK_SAMPLES)
+        x[2 * EM_CHUNK_SAMPLES + 5] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            fit_em(x, k=3)
+
+
+class TestFitEmMatchesOracle:
+    """The chunked one-pass EM against the full-buffer two-pass reference:
+    same iteration count and stop reason, parameters within rtol 1e-12."""
+
+    @staticmethod
+    def _assert_matches(x, **kwargs):
+        got = fit_em(x, **kwargs)
+        want = fit_em_oracle(x, **kwargs)
+        assert len(got.loglik_trace) == len(want.loglik_trace)
+        assert got.converged == want.converged
+        assert np.allclose(got.loglik_trace, want.loglik_trace, rtol=1e-12, atol=0)
+        for name in ("weights", "means", "stds"):
+            assert np.allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=0), name
+        return got
+
+    @pytest.mark.parametrize("n", [5_000, 60_000])
+    def test_mixture_draws(self, rng, n):
+        self._assert_matches(_draw_mixture(rng, n), k=3)
+
+    @pytest.mark.parametrize("max_iters", [500, 2])
+    def test_outlier_underflow(self, max_iters):
+        # under the 2-iteration cap the far component's variance is the
+        # largest cancellation the shifted-data identity sees
+        self._assert_matches(_outlier_samples(), k=3, max_iters=max_iters)
+
+    @pytest.mark.parametrize(
+        "n", [EM_CHUNK_SAMPLES - 1, EM_CHUNK_SAMPLES, EM_CHUNK_SAMPLES + 1, 3 * EM_CHUNK_SAMPLES]
+    )
+    def test_chunk_edges(self, rng, n):
+        self._assert_matches(_draw_mixture(rng, n), k=3)
+
+    def test_single_component(self, rng):
+        self._assert_matches(_draw_mixture(rng, 2 * EM_CHUNK_SAMPLES + 7), k=1)
+
+    def test_max_iters_cap(self, rng):
+        x = _draw_mixture(rng, 2 * EM_CHUNK_SAMPLES + 7)
+        assert self._assert_matches(x, k=3, max_iters=2).converged is False
 
 
 class TestSampling:
