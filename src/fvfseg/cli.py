@@ -137,15 +137,23 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_pipeline(args) -> int:
-    config = _config_from_args(args)
-    report = pipeline.run_pipeline(config)
+def _print_report(report: dict) -> None:
     for key in ("status", "tm", "iterations", "candidate_voxels", "runtime_seconds"):
         if key in report:
             val = report[key]
             print(f"{key}={format(val, '.17g') if isinstance(val, float) else val}")
     if "em_iterations" in report:
         print(_em_line(report["em_iterations"], report["em_converged"]))
+
+
+def cmd_pipeline(args) -> int:
+    config = _config_from_args(args)
+    try:
+        report = pipeline.run_pipeline(config)
+    except NoCandidateError as err:
+        _print_report(err.report)  # then exit 3 through main
+        raise
+    _print_report(report)
     return EXIT_OK
 
 

@@ -17,10 +17,12 @@ class MvolFormatError(ValueError):
 
 class NoCandidateError(RuntimeError):
     """Candidate extraction produced an empty mask.  ``step`` records the
-    1-based pipeline step at which the mask became empty."""
+    1-based pipeline step at which the mask became empty; ``report`` is the
+    run's report dict when the error leaves ``run_pipeline``, else None."""
 
     def __init__(self, step: int, message: str = ""):
         self.step = step
+        self.report = None
         super().__init__(message or f"no candidate region (empty after step {step})")
 
 

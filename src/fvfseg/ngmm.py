@@ -8,11 +8,12 @@ EM.  For K = 3 the components are labelled CSF/GM/WM in ascending order of
 mean, matching the usual T1 ordering: fluid darkest, white matter
 brightest.
 
-Each EM iteration is a single pass over the sorted samples in chunks of
-``EM_CHUNK_SAMPLES``: the E-step and the M-step's sums run on one chunk
-while it is in cache, and the variances come from second moments about
-the previous means (the shifted-data identity), so no (k, n) array of
-responsibilities is ever held.
+EM runs on a weighted histogram of the samples (grouped-data EM,
+McLachlan & Jones 1988): the samples are binned once into ``EM_BINS``
+bins with exact fixed-point moments, in chunks of ``EM_CHUNK_SAMPLES``,
+and every iteration costs O(bins), not O(samples).  Each bin stands in at
+the exact mean of its samples, and its scatter enters the variances, so
+the fit matches per-sample EM to a tolerance set by the bin width.
 """
 
 from __future__ import annotations
@@ -25,10 +26,17 @@ import numpy as np
 from .volume import BinaryMask, ScalarVolume, require_same_grid
 
 VARIANCE_FLOOR = 1e-6
-# samples per EM chunk: for a 3-component fit the (k, chunk) E-step buffers,
-# the two scratch rows and the chunk itself take 768 KB, well inside a 2 MB
-# L2 cache
+# EM's histogram: bins over the widened central span of the samples, each
+# quantized to 2**_LEVEL_BITS fixed-point levels
+EM_BINS = 16384
+_LEVEL_BITS = 15
+# samples binned per np.bincount call: at 2**14 samples every per-chunk bin
+# sum of the levels and of their squares is an integer below 2**44, exact
+# in float64
 EM_CHUNK_SAMPLES = 16384
+# the bins span the samples' _TAIL_QUANTILE and 1 - _TAIL_QUANTILE
+# quantiles, widened by a quarter of that span on each side
+_TAIL_QUANTILE = 0.0005
 _STD_FLOOR = math.sqrt(VARIANCE_FLOOR)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -155,6 +163,72 @@ def _log_normalize(terms, peak, log_z):
     return log_z
 
 
+def _bin_moments(x, lo, hi):
+    """Exact per-bin moments of the samples of ``x`` inside [lo, hi].
+
+    [lo, hi] is cut into EM_BINS * 2**15 levels.  A sample's fixed-point
+    position is the index t of its level (clipped, so hi falls in the last
+    one): the high bits of t are the bin and its low 15 bits the level f
+    inside the bin.  When lo == hi every sample inside sits at t = 0.
+
+    For each chunk of ``EM_CHUNK_SAMPLES``, ``np.bincount`` sums 1, f and
+    f*f per bin; each such sum is an integer below 2**44, so it is exact in
+    float64, and it is added into an int64 accumulator.  The sums therefore
+    do not depend on the order of the samples or of the chunks.  Returns
+    the count, sum f and sum f*f per bin and the samples outside [lo, hi],
+    unsorted.
+    """
+    levels = EM_BINS << _LEVEL_BITS
+    scale = levels / (hi - lo) if hi > lo else 0.0
+    count = np.zeros(EM_BINS, dtype=np.int64)
+    sum_f = np.zeros(EM_BINS, dtype=np.int64)
+    sum_f2 = np.zeros(EM_BINS, dtype=np.int64)
+    outside = []
+    for start in range(0, x.size, EM_CHUNK_SAMPLES):
+        xc = x[start : start + EM_CHUNK_SAMPLES]
+        inside = (xc >= lo) & (xc <= hi)
+        if not inside.all():
+            outside.append(xc[~inside])
+            xc = xc[inside]
+        t = ((xc - lo) * scale).astype(np.int64)  # truncation is floor: xc >= lo
+        np.minimum(t, levels - 1, out=t)
+        b = t >> _LEVEL_BITS
+        f = (t & ((1 << _LEVEL_BITS) - 1)).astype(np.float64)
+        count += np.bincount(b, minlength=EM_BINS)
+        sum_f += np.bincount(b, weights=f, minlength=EM_BINS).astype(np.int64)
+        np.square(f, out=f)
+        sum_f2 += np.bincount(b, weights=f, minlength=EM_BINS).astype(np.int64)
+    outside = np.concatenate(outside) if outside else np.empty(0)
+    return count, sum_f, sum_f2, outside
+
+
+def _binned_samples(x, lo, hi):
+    """The samples as weighted points for EM: (points, counts, scatter).
+
+    [lo, hi] is cut into ``EM_BINS`` bins, each quantized to 2**15 levels
+    (``_bin_moments``).  Each non-empty bin gives one point at the exact
+    mean of its quantized samples, weighted by its count; its scatter is
+    their summed squared deviation about that mean plus the quantization
+    variance step**2/12 per sample, where step is the level width.  Each
+    sample outside [lo, hi] is a unit-weight point with no scatter; these
+    follow the bins, sorted.  When lo == hi the bin width is 0 and every
+    sample equal to lo lands in one bin at exactly lo.
+    """
+    count, sum_f, sum_f2, outside = _bin_moments(x, lo, hi)
+    step = (hi - lo) / (EM_BINS << _LEVEL_BITS)
+    full = np.flatnonzero(count)
+    c = count[full].astype(np.float64)
+    s1 = sum_f[full].astype(np.float64)
+    mean_f = s1 / c
+    spread = np.maximum(sum_f2[full].astype(np.float64) - s1 * mean_f, 0.0) + c / 12.0
+    points = lo + step * ((full << _LEVEL_BITS) + mean_f + 0.5)
+    return (
+        np.concatenate((points, np.sort(outside))),
+        np.concatenate((c, np.ones(outside.size))),
+        np.concatenate((step * step * spread, np.zeros(outside.size))),
+    )
+
+
 def fit_em(
     samples,
     k: int = 3,
@@ -165,31 +239,35 @@ def fit_em(
 
     Initialization is deterministic: component means start at the
     (2j+1)/(2k) sample quantiles, all stds at sample_std/k, weights
-    uniform.  Samples are sorted internally, so permuting the input
-    changes nothing.
+    uniform.
 
-    Each iteration is one pass over the sorted samples in chunks of
-    ``EM_CHUNK_SAMPLES``, on (k, chunk) buffers small enough to stay in
-    cache.  Per chunk, the E-step fills row j with
-    log w_j + log N(x; mu_j, sigma_j), subtracts the per-sample max and
-    makes one ``exp`` pass; the column sums give both the per-sample log
-    mixture density and, by division, the responsibilities r
-    (``_log_normalize``).  The chunk then adds its share of the
-    log-likelihood and of three k-vectors: the effective counts
-    n_j = sum r, the first moments sum r*x and the second moments about
-    the old means, S_j = sum r*(x - mu_j)^2.  After the pass the new mean
-    is sum r*x / n_j and the variance comes from the shifted-data identity
-    S_j/n_j - (mu_new - mu_j)^2, so the responsibilities are never stored
-    and never read twice.  A component whose count falls below 1e-12
+    The samples are binned once and every iteration runs over the bins,
+    the grouped-data EM of McLachlan & Jones (1988).  The bins cover the
+    span between the 0.0005 and 0.9995 quantiles, widened by a quarter of
+    it on each side, in ``EM_BINS`` bins of 2**15 fixed-point levels each
+    (``_binned_samples``).  A bin enters EM as one point at the exact mean
+    of its quantized samples, weighted by its count; a sample outside the
+    span enters as a point of its own.  The bin sums are exact integers,
+    so the fit is bitwise invariant to the order of the samples.  The
+    initial std comes from the moments of these points and scatters.
+
+    Per iteration, the E-step fills row j with
+    log w_j + log N(x; mu_j, sigma_j) at each point and normalizes the
+    columns in log space (``_log_normalize``), giving the responsibilities
+    r and the log mixture density log z.  The M-step weights r by the
+    points' counts c: n_j = sum c*r, the mean moves by
+    sum c*r*(x - mu_j) / n_j (so samples that all equal v give exactly v),
+    and the variance is sum c*r*(x - mu_j)^2 about the new mean plus
+    sum r*scatter, over n_j.  A component whose count falls below 1e-12
     keeps its parameters; variances are floored at ``VARIANCE_FLOOR``.
 
-    The per-sample log-likelihood is tracked every iteration (exposed as
-    ``loglik_trace`` on the result) and must never decrease; a decrease
-    beyond 1e-9 raises, since it signals a numerical problem.  The result's
-    ``converged`` is false when ``max_iters`` ran out before the gain in
-    log-likelihood fell below ``tol``.
+    The per-sample log-likelihood sum c*log z / n is tracked every
+    iteration (exposed as ``loglik_trace`` on the result) and must never
+    decrease; a decrease beyond 1e-9 raises, since it signals a numerical
+    problem.  The result's ``converged`` is false when ``max_iters`` ran out
+    before the gain in log-likelihood fell below ``tol``.
     """
-    x = np.sort(np.asarray(samples, dtype=np.float64).ravel())
+    x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < k:
         raise ValueError(f"need at least {k} samples to fit {k} components, got {x.size}")
     if not np.isfinite(x).all():
@@ -198,37 +276,26 @@ def fit_em(
         raise ValueError("k and max_iters must be >= 1 and tol > 0")
 
     qs = (2.0 * np.arange(k) + 1.0) / (2.0 * k)
-    means = np.quantile(x, qs)
-    stds = np.full(k, max(float(x.std()) / k, _STD_FLOOR))
-    weights = np.full(k, 1.0 / k)
+    q = np.quantile(x, np.concatenate(([_TAIL_QUANTILE, 1.0 - _TAIL_QUANTILE], qs)))
+    margin = 0.25 * (q[1] - q[0])
+    points, counts, scatter = _binned_samples(x, q[0] - margin, q[1] + margin)
 
     n = x.size
-    width = min(n, EM_CHUNK_SAMPLES)
-    terms_buf = np.empty((k, width))
-    peak_buf = np.empty(width)
-    log_z_buf = np.empty(width)
+    centre = float(counts @ points) / n
+    variance = float(counts @ np.square(points - centre) + scatter.sum()) / n
+    means = q[2:].copy()
+    stds = np.full(k, max(math.sqrt(variance) / k, _STD_FLOOR))
+    weights = np.full(k, 1.0 / k)
+
+    terms = np.empty((k, points.size))
+    peak = np.empty(points.size)
+    log_z = np.empty(points.size)
     trace = []
     prev_ll = -np.inf
     converged = False
     for _ in range(max_iters):
-        nk = np.zeros(k)
-        first = np.zeros(k)
-        second = np.zeros(k)
-        ll_sum = 0.0
-        for start in range(0, n, width):
-            xc = x[start : start + width]
-            terms = terms_buf[:, : xc.size]
-            peak = peak_buf[: xc.size]
-            _log_weighted_densities(xc, weights, means, stds, terms)
-            ll_sum += float(_log_normalize(terms, peak, log_z_buf[: xc.size]).sum())
-            nk += terms.sum(axis=1)
-            first += terms @ xc
-            sq_dev = peak  # the E-step is done with its scratch row
-            for j in range(k):
-                np.subtract(xc, means[j], out=sq_dev)
-                np.square(sq_dev, out=sq_dev)
-                second[j] += terms[j] @ sq_dev
-        ll = ll_sum / n
+        _log_weighted_densities(points, weights, means, stds, terms)
+        ll = float(counts @ _log_normalize(terms, peak, log_z)) / n
         if not math.isfinite(ll):
             raise ValueError("EM log-likelihood became non-finite")
         if ll < prev_ll - 1e-9:
@@ -239,13 +306,19 @@ def fit_em(
             break
         prev_ll = ll
 
+        within = terms @ scatter
+        terms *= counts  # responsibilities times counts
+        nk = terms.sum(axis=1)
+        dev = peak  # the E-step is done with its scratch row
         for j in range(k):
             if nk[j] < 1e-12:
                 continue  # starved component: keep its parameters
-            mu = first[j] / nk[j]
-            var = second[j] / nk[j] - (mu - means[j]) ** 2
-            means[j] = mu
-            stds[j] = math.sqrt(max(var, VARIANCE_FLOOR))
+            np.subtract(points, means[j], out=dev)
+            shift = float(terms[j] @ dev) / nk[j]
+            dev -= shift
+            np.square(dev, out=dev)
+            means[j] += shift
+            stds[j] = math.sqrt(max((terms[j] @ dev + within[j]) / nk[j], VARIANCE_FLOOR))
         weights = nk / n
 
     order = np.argsort(means, kind="stable")

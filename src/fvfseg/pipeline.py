@@ -300,8 +300,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
     Returns the report as a dict.  When the run fitted its model the dict
     also holds ``em_iterations`` and ``em_converged``; like the wall time,
     they stay out of report.txt.  A NoCandidateError still writes
-    report.txt (status=no-candidate) before propagating, so callers can
-    map it to a distinct exit code while keeping the run inspectable.
+    report.txt (status=no-candidate) and carries the report dict as its
+    ``report`` before propagating, so callers can map it to a distinct exit
+    code while keeping the run inspectable.
     """
     for key in ("input", "atlas_dir", "output_dir"):
         if getattr(config, key) is None:
@@ -315,19 +316,18 @@ def run_pipeline(config: PipelineConfig) -> dict:
         require_same_grid(truth, patient, "ground truth and patient")
 
     normalized, _, model = fit_stage(patient, atlas, config)
+    em = {}
+    if model.loglik_trace is not None:
+        em = {"em_iterations": len(model.loglik_trace), "em_converged": model.converged}
     gbbm = gbbm_stage(normalized, atlas, model, config)
     try:
         region = candidate_stage(gbbm, atlas, config)
-    except NoCandidateError:
+    except NoCandidateError as err:
         empty = BinaryMask(np.zeros(patient.dims, dtype=bool), patient.spacing)
-        _write_report(config, "no-candidate", 0, 0, empty, truth, t0)
+        err.report = _write_report(config, "no-candidate", 0, 0, empty, truth, t0) | em
         raise
     final, seg = segment_stage(patient, region, config)
-    report = _write_report(config, "ok", region.voxel_count, final.iteration, seg, truth, t0)
-    if model.loglik_trace is not None:
-        report["em_iterations"] = len(model.loglik_trace)
-        report["em_converged"] = model.converged
-    return report
+    return _write_report(config, "ok", region.voxel_count, final.iteration, seg, truth, t0) | em
 
 
 # runtime_seconds is reported to the caller but never written: artifacts

@@ -221,8 +221,12 @@ def gaussian_smooth(vol: ScalarVolume, sigma: float) -> ScalarVolume:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     k = _gauss_kernel(sigma)
     out = np.asarray(vol.data, dtype=np.float64)
-    for axis in range(3):
-        out = ndimage.correlate1d(out, k, axis=axis, mode="nearest")
+    # each pass computes its output line by line along its axis, so the
+    # memory order of an output changes no value, only the speed: the first
+    # pass writes Fortran order, the others C order (the result is C-ordered)
+    for axis, order in enumerate("FCC"):
+        buf = np.empty(out.shape, order=order)
+        out = ndimage.correlate1d(out, k, axis=axis, output=buf, mode="nearest")
     return ScalarVolume(out, vol.spacing)
 
 

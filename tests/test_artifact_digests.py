@@ -1,0 +1,76 @@
+"""scripts/artifact_digests.py --compare on two tiny kept trees."""
+
+import importlib.util
+import os
+import shutil
+
+import numpy as np
+import pytest
+
+from fvfseg.mvol import atomic_write_text, write_volume
+from fvfseg.ngmm import TissueMixtureModel, save_model
+from fvfseg.pipeline import (
+    CANDIDATE_FILE,
+    CANDIDATE_REPORT_FILE,
+    GBBM_FILE,
+    MODEL_FILE,
+    REPORT_FILE,
+)
+from fvfseg.volume import BinaryMask, ScalarVolume
+
+UNIT = (1.0, 1.0, 1.0)
+SCRIPT = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "artifact_digests.py")
+
+
+@pytest.fixture(scope="module")
+def digests():
+    spec = importlib.util.spec_from_file_location("artifact_digests", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write_case(out, model, gbbm, candidate, report):
+    os.makedirs(out)
+    save_model(model, os.path.join(out, MODEL_FILE))
+    write_volume(ScalarVolume(gbbm, UNIT), os.path.join(out, GBBM_FILE))
+    write_volume(BinaryMask(candidate, UNIT), os.path.join(out, CANDIDATE_FILE))
+    atomic_write_text(os.path.join(out, REPORT_FILE), report)
+
+
+def test_compare_reports_each_artifact(digests, tmp_path, capsys):
+    model = TissueMixtureModel((0.2, 0.5, 0.3), (0.6, 1.0, 1.25), (0.08, 0.1, 0.12))
+    moved = TissueMixtureModel((0.2, 0.5, 0.3), (0.6, 1.0, 1.25 * (1 + 2e-6)), (0.08, 0.1, 0.12))
+    gbbm = np.linspace(0.0, 200.0, 4 * 5 * 6, dtype=np.float32).reshape(4, 5, 6)
+    candidate = gbbm > 153.0
+    shifted = gbbm.copy()
+    shifted[0, 0, 0] += 0.25  # stays below psi = 153
+    shifted[3, 4, 5] = 150.0  # crosses psi
+    fewer = candidate.copy()
+    fewer[3, 4, 5] = False
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write_case(a / "wl" / "out" / "case1", model, gbbm, candidate, "status=ok\n")
+    _write_case(b / "wl" / "out" / "case1", moved, shifted, fewer, "status=no-candidate\n")
+    _write_case(a / "wl" / "out" / "case2", model, gbbm, candidate, "status=ok\n")
+    shutil.copytree(a / "wl" / "out" / "case2", b / "wl" / "out" / "case2")
+    atomic_write_text(str(a / "wl" / "out" / "case2" / CANDIDATE_REPORT_FILE), "final_voxels=1\n")
+
+    digests.main(["--compare", str(a), str(b)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "wl case1 model.txt max_rel_change=2e-06",
+        "wl case1 gbbm.mvol max_abs_diff=50 psi_crossings=1",
+        "wl case1 candidate.mvol voxels_differ=1",
+        "wl case1 report.txt differs",
+        "wl case2 model.txt same",
+        "wl case2 gbbm.mvol same",
+        "wl case2 candidate.mvol same",
+        "wl case2 candidate_report.txt only in A",
+        "wl case2 report.txt same",
+    ]
+
+
+def test_compare_rejects_workloads(digests):
+    with pytest.raises(SystemExit):
+        digests.main(["lesion64", "--compare", "a", "b"])

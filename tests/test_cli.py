@@ -179,6 +179,37 @@ class TestPipelineCommand:
         assert report["candidate_voxels"] == "0"
         assert float(report["tm"]) == 0.0  # empty segmentation vs nonempty truth
 
+    def test_control_case_prints_report_and_em_line(self, tmp_path, capsys):
+        """EM ran on a no-candidate run too, so stdout says how it stopped;
+        report.txt keeps only its deterministic keys."""
+        case = tmp_path / "control"
+        assert (
+            main(
+                ["phantom", "--output-dir", str(case), "--dims", DIMS_FLAG,
+                 "--offset", "0", "--tumor-seed", "3"]
+            )
+            == EXIT_OK
+        )
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = main(
+            [
+                "pipeline",
+                "--input", str(case / PATIENT_FILE),
+                "--atlas-dir", str(case),
+                "--output-dir", str(out),
+            ]
+        )
+        assert code == EXIT_NO_CANDIDATE
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "status=no-candidate"
+        assert "iterations=0" in lines and "candidate_voxels=0" in lines
+        assert any(line.startswith("runtime_seconds=") for line in lines)
+        assert lines[-1].startswith("em_iterations=") and lines[-1].endswith(" (converged)")
+        assert (out / pipeline.REPORT_FILE).read_text() == (
+            "status=no-candidate\niterations=0\ncandidate_voxels=0\n"
+        )
+
     def test_no_candidate_run_clears_stale_artifacts(self, case_dir, tmp_path):
         """A control run into a directory that holds an ok run must not
         leave that run's candidate and segmentation next to its report."""

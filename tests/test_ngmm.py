@@ -6,8 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fvfseg.ngmm import (
+    _STD_FLOOR,
     EM_CHUNK_SAMPLES,
     TissueMixtureModel,
+    _bin_moments,
+    _binned_samples,
     _log_normalize,
     _log_weighted_densities,
     fit_em,
@@ -175,7 +178,9 @@ class TestFitEm:
         # One sample far out in the tail: at initialisation every weighted
         # density of it underflows to 0 in linear space, so only the
         # log-domain E-step keeps its responsibilities finite.  Expected
-        # values were recorded from the earlier scipy-logsumexp E-step.
+        # values were recorded from the earlier scipy-logsumexp E-step on
+        # every sample; the binned fit meets them within 4.3e-12 relative
+        # (the far sample is a point of its own, outside the bins).
         x = _outlier_samples()
         init_means = np.quantile(x, [1 / 6, 1 / 2, 5 / 6])
         init_std = x.std() / 3
@@ -193,13 +198,13 @@ class TestFitEm:
             "stds": (0.2618827221483532, 0.2618827164312237, 0.001),
         }
         for name, values in want.items():
-            assert np.allclose(getattr(model, name), values, rtol=1e-12, atol=0), name
+            assert np.allclose(getattr(model, name), values, rtol=1e-9, atol=0), name
 
     def test_peak_memory_bounded_by_sample_buffers(self):
         # the 200k reference samples of the acceptance EM test; EM may hold
         # at most 3 float64 arrays the size of the sample at any one time
-        # (the sorted copy and the initialisation's temporaries: the
-        # iterations only touch chunk-sized buffers)
+        # (the quantiles' partitioned copy: binning runs in chunks and the
+        # iterations only touch bin-sized buffers)
         x = _draw_mixture(np.random.default_rng(7), 200_000)
         tracemalloc.start()
         try:
@@ -232,8 +237,12 @@ class TestFitEm:
 
 
 class TestFitEmMatchesOracle:
-    """The chunked one-pass EM against the full-buffer two-pass reference:
-    same iteration count and stop reason, parameters within rtol 1e-12."""
+    """The binned EM against the per-sample reference: same iteration count
+    and stop reason; means and stds within rtol 1e-6, weights within atol
+    1e-6 and each log-likelihood within 1e-7, a tolerance set by the bin
+    width (measured on these fixtures and the benchmark's samples: 2.7e-8
+    relative on means, 1.9e-7 on stds, 7.5e-8 on weights, 3.5e-8 on the
+    trace)."""
 
     @staticmethod
     def _assert_matches(x, **kwargs):
@@ -241,9 +250,10 @@ class TestFitEmMatchesOracle:
         want = fit_em_oracle(x, **kwargs)
         assert len(got.loglik_trace) == len(want.loglik_trace)
         assert got.converged == want.converged
-        assert np.allclose(got.loglik_trace, want.loglik_trace, rtol=1e-12, atol=0)
-        for name in ("weights", "means", "stds"):
-            assert np.allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=0), name
+        assert np.allclose(got.loglik_trace, want.loglik_trace, rtol=0, atol=1e-7)
+        for name in ("means", "stds"):
+            assert np.allclose(getattr(got, name), getattr(want, name), rtol=1e-6, atol=0), name
+        assert np.allclose(got.weights, want.weights, rtol=0, atol=1e-6)
         return got
 
     @pytest.mark.parametrize("n", [5_000, 60_000])
@@ -252,9 +262,14 @@ class TestFitEmMatchesOracle:
 
     @pytest.mark.parametrize("max_iters", [500, 2])
     def test_outlier_underflow(self, max_iters):
-        # under the 2-iteration cap the far component's variance is the
-        # largest cancellation the shifted-data identity sees
         self._assert_matches(_outlier_samples(), k=3, max_iters=max_iters)
+
+    def test_spike_of_identical_values(self, rng):
+        # like the phantom's constant lesion: 2% of the samples share one
+        # value, so one bin's mean must stand for all of them
+        x = _draw_mixture(rng, 60_000)
+        x[rng.choice(x.size, size=x.size // 50, replace=False)] = 1.6180339887
+        self._assert_matches(x, k=3)
 
     @pytest.mark.parametrize(
         "n", [EM_CHUNK_SAMPLES - 1, EM_CHUNK_SAMPLES, EM_CHUNK_SAMPLES + 1, 3 * EM_CHUNK_SAMPLES]
@@ -268,6 +283,41 @@ class TestFitEmMatchesOracle:
     def test_max_iters_cap(self, rng):
         x = _draw_mixture(rng, 2 * EM_CHUNK_SAMPLES + 7)
         assert self._assert_matches(x, k=3, max_iters=2).converged is False
+
+
+class TestBinning:
+    def test_all_samples_equal(self):
+        # the tail quantiles coincide, so the bins have zero width
+        x = np.full(1000, 0.7)
+        one = fit_em(x, k=1)
+        assert one.means == (0.7,)
+        assert one.weights == (1.0,)
+        assert one.stds == (_STD_FLOOR,)
+        assert fit_em(x, k=3).means == (0.7, 0.7, 0.7)
+
+    def test_sample_past_the_span_is_an_exact_point(self, rng):
+        x = np.concatenate((_draw_mixture(rng, 5_000), [0.5, 1.5, 40.0, -7.25]))
+        points, counts, scatter = _binned_samples(x, 0.5, 1.5)
+        inside = (x >= 0.5) & (x <= 1.5)
+        n_out = int((~inside).sum())
+        # the span's ends are binned, the rest are unit-weight points, sorted
+        assert counts[:-n_out].sum() == inside.sum()
+        assert ((points[:-n_out] >= 0.5) & (points[:-n_out] <= 1.5)).all()
+        assert np.array_equal(points[-n_out:], np.sort(x[~inside]))
+        assert (counts[-n_out:] == 1).all() and (scatter[-n_out:] == 0).all()
+        assert counts.sum() == x.size
+        assert (scatter[:-n_out] > 0).all()
+
+    def test_moment_sums_do_not_depend_on_chunk_order(self, rng):
+        x = _draw_mixture(rng, 4 * EM_CHUNK_SAMPLES)
+        chunks = x.reshape(4, EM_CHUNK_SAMPLES)
+        forward = _bin_moments(x, 0.3, 1.6)
+        backward = _bin_moments(chunks[::-1].ravel(), 0.3, 1.6)
+        for a, b in zip(forward[:3], backward[:3]):
+            assert a.dtype == np.int64
+            assert np.array_equal(a, b)
+        assert np.array_equal(np.sort(forward[3]), np.sort(backward[3]))
+        assert forward[0].sum() + forward[3].size == x.size
 
 
 class TestSampling:

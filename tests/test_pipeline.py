@@ -66,9 +66,10 @@ def _sphere_case(path):
 
 
 def test_reference_em_model_changes_only_the_gbbm_within_tolerance(tmp_path):
-    """The pipeline's chunked EM against the full-buffer reference fit on
+    """The pipeline's binned EM against the per-sample reference fit on
     the same samples: every artifact downstream of the map is the same
-    bytes, and the map moves by at most 1e-6 with no voxel crossing psi."""
+    bytes, and the map moves by at most 1e-3 (measured 3.05e-4) with no
+    voxel crossing psi."""
     config = _sphere_case(tmp_path / "case")
     fitted = replace(config, output_dir=str(tmp_path / "fitted"))
     report = run_pipeline(fitted)
@@ -100,6 +101,6 @@ def test_reference_em_model_changes_only_the_gbbm_within_tolerance(tmp_path):
         assert (out / name).read_bytes() == (ref_out / name).read_bytes(), name
     gbbm = read_scalar(str(out / GBBM_FILE)).data
     ref_gbbm = read_scalar(str(ref_out / GBBM_FILE)).data
-    assert np.abs(gbbm.astype(np.float64) - ref_gbbm).max() <= 1e-6
+    assert np.abs(gbbm.astype(np.float64) - ref_gbbm).max() <= 1e-3
     psi = config.resolved_psi()
     assert np.array_equal(gbbm > psi, ref_gbbm > psi)

@@ -195,6 +195,21 @@ class TestSmoothing:
         ref = correlate(data, kernel, mode="nearest")
         assert np.allclose(out.data, ref, atol=1e-12)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bitwise_equal_to_three_plain_passes(self, rng, order):
+        # the passes' output memory order must not change a single bit
+        from scipy.ndimage import correlate1d
+
+        from fvfseg.volume import _gauss_kernel
+
+        data = np.asarray(rng.normal(size=(9, 14, 11)), order=order)
+        ref = data
+        for axis in range(3):
+            ref = correlate1d(ref, _gauss_kernel(1.0), axis=axis, mode="nearest")
+        out = gaussian_smooth(ScalarVolume(data, UNIT), 1.0).data
+        assert np.array_equal(out, ref)
+        assert out.flags.c_contiguous
+
 
 def _central_gradient(data, spacing):
     """central_difference along each axis of a C-ordered float64 copy."""
