@@ -13,8 +13,13 @@ and prints one ``workload case file verdict`` line per artifact, where the
 verdict is ``same`` for identical bytes; otherwise, for a scalar .mvol,
 the largest absolute difference and the number of voxels on different
 sides of the default psi; for a mask .mvol, the number of differing
-voxels; for model.txt, the largest relative parameter change; for other
-files, ``differs``.
+voxels; for model.txt, the largest relative parameter change; for
+evolution.log, field by field over the checkpoints both logs hold,
+whether ``iter``, ``inside`` and ``changed`` are equal and the largest
+absolute difference of ``max_update`` and ``cos_gamma_mean`` (and the two
+checkpoint counts when they differ); for other files, ``differs``.  A
+last line ``N of M same`` sums up, and the exit status is 0 only when
+every artifact is the same, so the comparison can serve as a gate.
 
 Usage, from the root of a checkout:
     python3 scripts/artifact_digests.py lesion64 control128 refit128 --seed 1 [--held-out]
@@ -87,6 +92,30 @@ def _model_change(path_a, path_b) -> str:
     return f"max_rel_change={rel:.3g}"
 
 
+_LOG_COUNTS = ("iter", "inside", "changed")
+_LOG_FLOATS = ("max_update", "cos_gamma_mean")
+
+
+def _read_log(path):
+    with open(path) as fh:
+        return [dict(part.split("=", 1) for part in line.split()) for line in fh if line.strip()]
+
+
+def _log_change(path_a, path_b) -> str:
+    a, b = _read_log(path_a), _read_log(path_b)
+    parts = [] if len(a) == len(b) else [f"checkpoints={len(a)}/{len(b)}"]
+    for key in _LOG_COUNTS + _LOG_FLOATS:
+        pairs = [(ra[key], rb[key]) for ra, rb in zip(a, b) if key in ra and key in rb]
+        if not pairs:
+            continue
+        if key in _LOG_COUNTS:
+            parts.append(f"{key}={'equal' if all(x == y for x, y in pairs) else 'differs'}")
+        else:
+            diff = max(abs(float(x) - float(y)) for x, y in pairs)
+            parts.append(f"{key}_max_abs_diff={diff:.3g}")
+    return " ".join(parts)
+
+
 def _volume_change(path_a, path_b, psi) -> str:
     a, b = read_volume(path_a), read_volume(path_b)
     if type(a) is not type(b) or a.dims != b.dims:
@@ -111,6 +140,8 @@ def compare_artifact(path_a, path_b, psi) -> str | None:
     name = os.path.basename(path_a)
     if name == MODEL_FILE:
         return _model_change(path_a, path_b)
+    if name == EVOLUTION_LOG_FILE:
+        return _log_change(path_a, path_b)
     if name.endswith(".mvol"):
         return _volume_change(path_a, path_b, psi)
     return "differs"
@@ -125,8 +156,11 @@ def _case_dirs(tree):
     )
 
 
-def compare_trees(tree_a, tree_b):
+def compare_trees(tree_a, tree_b) -> bool:
+    """Print a verdict per artifact and the summary; True when every
+    artifact (at least one) is the same."""
     psi = PipelineConfig().resolved_psi()  # the workloads run at the default
+    same = total = 0
     for rel in sorted(set(_case_dirs(tree_a)) | set(_case_dirs(tree_b))):
         parts = rel.split(os.sep)
         for name in ARTIFACTS:
@@ -135,6 +169,10 @@ def compare_trees(tree_a, tree_b):
             )
             if verdict is not None:
                 print(parts[0], parts[-1], name, verdict, flush=True)
+                total += 1
+                same += verdict == "same"
+    print(f"{same} of {total} same", flush=True)
+    return total > 0 and same == total
 
 
 def main(argv=None):
@@ -149,8 +187,7 @@ def main(argv=None):
     if args.compare:
         if args.workloads or args.keep:
             ap.error("--compare takes no workloads and no --keep")
-        compare_trees(*args.compare)
-        return
+        return 0 if compare_trees(*args.compare) else 1
     if not args.workloads:
         ap.error("name at least one workload")
     unknown = sorted(set(args.workloads) - set(WORKLOADS))
@@ -165,7 +202,8 @@ def main(argv=None):
         else:
             with tempfile.TemporaryDirectory() as root:
                 digest_workload(workload, args.seed, args.held_out, root)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -33,7 +33,13 @@ axis-aligned box, a narrow band in the sense of Adalsteinsson & Sethian
 |phi| <= band_halfwidth * max(spacing), widened by the farthest the front
 can move before the next checkpoint, reinit_every * dt * (beta +
 2 alpha / h) with the same per-term speeds as the stability bound, and
-clipped to the grid.  Stencils read a further 2-voxel halo around it.
+clipped to the grid.  Every term of a step reads phi within one voxel
+(Chebyshev distance 1; the mixed second differences read the diagonal
+neighbours), so each step runs on the box grown by one voxel, its read
+box, and no face formula of the read box reaches the update box except
+on a grid face, where the two share the face and its formula.  The
+reinitialization runs on the box grown by two voxels: its values depend
+on where its box's faces lie, so that margin is part of the scheme.
 Voxels outside the box stay frozen; the box is rebuilt at every
 checkpoint.  A field with no voxel in the band is evolved on the whole
 grid.  The force's edge term is built on the box too: of the edge map
@@ -51,7 +57,11 @@ with differences across rows, so those planes are then rewritten with the
 edge formulas: the one-sided first difference, and the second and upwind
 differences with the edge voxel replicated.  A face of the halo box and a
 face of the grid are treated alike.  Each formula keeps the operation
-order of its whole-array form, so the results are the same bits.
+order of its whole-array form, so the results are the same bits.  The
+steps on one box write into arrays allocated once for that box and
+dropped before its checkpoint's reinitialization (the force on the read
+box is rebuilt only when the box moves), and a division by a spacing of
+exactly 1.0 is skipped.
 
 The starting distance field need not cover the grid either.  It can be
 exact only on a window, a box holding the whole region (the distance to a
@@ -74,6 +84,7 @@ from scipy import ndimage
 
 from .errors import NumericalInstabilityError
 from .volume import (
+    PLANES,
     BinaryMask,
     ScalarVolume,
     bounding_box,
@@ -93,9 +104,17 @@ _EPS_CURVATURE = 1e-12
 # values to overflow into inf.
 _RUNAWAY_BANDS = 100.0
 
-# The curvature stencil reads phi two voxels away (a central difference of
-# a central difference).
+# The margin around the update box on which reinitialization runs, the
+# checkpoint's cos_gamma is taken and the window must hold phi exact.  The
+# step itself reads phi only one voxel around the box (the read box of
+# evolve).  Sussman's values depend on where the faces of its box lie, so
+# this margin is part of the scheme: a narrower one changes the bits.
 _HALO = 2
+
+# Planes of x per slab of the squared-gradient peak in make_force_context:
+# a slab and its two halo planes stay in cache, where the two whole-grid
+# arrays of one pass would not.
+_PEAK_SLAB = 8
 
 
 @dataclass
@@ -259,6 +278,30 @@ def _gradient_norm2(a, spacing):
     return acc
 
 
+def _central_gradient(a, spacing):
+    """The three central differences (central_difference) of ``a``, each a
+    new C-ordered array."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    grad = tuple(np.empty(a.shape) for _ in spacing)
+    for axis, (g, s) in enumerate(zip(grad, spacing)):
+        central_difference(a, axis, s, g)
+    return grad
+
+
+def _peak_gradient_norm2(data, spacing):
+    """The largest value of _gradient_norm2 over the grid, taken _PEAK_SLAB
+    planes of x at a time.  Each slab is differenced with the plane before
+    and after it wherever the grid has one, so its central differences are
+    the whole-grid values, and a max is exact in any order."""
+    n, peak = data.shape[0], 0.0
+    for start in range(0, n, _PEAK_SLAB):
+        stop = min(start + _PEAK_SLAB, n)
+        lo, hi = max(start - 1, 0), min(stop + 1, n)
+        part = _gradient_norm2(data[lo:hi], spacing)
+        peak = max(peak, float(part[start - lo : stop - lo].max()))
+    return peak
+
+
 def _relative(box, outer):
     """``box`` as slices into the array that covers ``outer``."""
     return tuple(slice(b.start - o.start, b.stop - o.start) for b, o in zip(box, outer))
@@ -283,12 +326,7 @@ def _edge_on_box(smoothed: ScalarVolume, peak: float, box):
     if peak > 0:
         f /= peak
     inner = _relative(box, near)
-    grad = []
-    for axis, s in enumerate(spacing):
-        g = np.empty(f.shape)
-        central_difference(f, axis, s, g)
-        grad.append(g[inner])
-    return f[inner], grad
+    return f[inner], [g[inner] for g in _central_gradient(f, spacing)]
 
 
 def make_force_context(
@@ -297,17 +335,17 @@ def make_force_context(
     """Build the static force inputs from a scan and a candidate mask, with
     the seed point A at ``center`` (default: the mask's centroid).
 
-    The whole-grid work is the Gaussian, one central gradient reduced to
-    its squared magnitude, and the peak: sqrt is correctly rounded and
-    monotone, so the square root of the largest squared magnitude is the
-    largest magnitude."""
+    The whole-grid work is the Gaussian and the peak of the central
+    gradient's squared magnitude, taken slab by slab: sqrt is correctly
+    rounded and monotone, so the square root of the largest squared
+    magnitude is the largest magnitude."""
     require_same_grid(patient, mask, "patient and candidate")
     if center is None:
         center = mask_centroid(mask)
     if any(n < 3 for n in patient.dims):
         raise ValueError(f"central gradient needs at least 3 voxels per axis, got {patient.dims}")
     smoothed = gaussian_smooth(patient, sigma)
-    peak = math.sqrt(float(_gradient_norm2(smoothed.data, patient.spacing).max()))
+    peak = math.sqrt(_peak_gradient_norm2(smoothed.data, patient.spacing))
     return ForceContext(smoothed=smoothed, peak=peak, center=tuple(center), candidate=mask)
 
 
@@ -353,19 +391,23 @@ def _force_field(ctx: ForceContext, box):
 def _second(f, twice, axis, s, out):
     """(f[i+1] - 2 f[i] + f[i-1]) / s**2 along ``axis`` with the edge
     replicated, written into ``out``; ``twice`` holds 2.0 * f.  Needs at
-    least 2 voxels along ``axis``."""
+    least 2 voxels along ``axis``.  Each voxel's numerator is final before
+    one division pass over ``out``, skipped when s**2 is 1.0 (x / 1.0 is x
+    for every float)."""
     n, st = f.size, c_strides(f.shape)[axis]
     flat, body = f.reshape(-1), out.reshape(-1)[st : n - st]
     np.subtract(flat[2 * st :], twice.reshape(-1)[st : n - st], out=body)
     body += flat[: n - 2 * st]
-    body /= s**2
-    fa, ta, oa = np.moveaxis(f, axis, 0), np.moveaxis(twice, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(fa[1], ta[0], out=oa[0])
-    oa[0] += fa[0]
-    oa[0] /= s**2
-    np.subtract(fa[-1], ta[-1], out=oa[-1])
-    oa[-1] += fa[-2]
-    oa[-1] /= s**2
+    first, second, before_last, last = PLANES[axis]
+    o = out[first]
+    np.subtract(f[second], twice[first], out=o)
+    o += f[first]
+    o = out[last]
+    np.subtract(f[last], twice[last], out=o)
+    o += f[before_last]
+    s2 = s**2
+    if s2 != 1.0:
+        out /= s2
 
 
 def _one_sided(f, axis, s, buf):
@@ -373,35 +415,51 @@ def _one_sided(f, axis, s, buf):
     (f[i+1] - f[i]) / s along ``axis``, each with the edge replicated (0 on
     its face), as two flat views of ``buf`` (length f.size + the axis
     stride): the forward difference at i is the backward one at i + stride,
-    so each is computed once."""
+    so each is computed once.  Every element of ``buf`` holds its final
+    difference before one division pass, skipped when s is 1.0."""
     n, st = f.size, c_strides(f.shape)[axis]
     flat = f.reshape(-1)
     np.subtract(flat[st:], flat[: n - st], out=buf[st:n])
-    buf[st:n] /= s
     dm, dp = buf[:n], buf[st : st + n]
-    fa = np.moveaxis(f, axis, 0)
-    for diff, face in ((dm, 0), (dp, -1)):
-        d = np.moveaxis(diff.reshape(f.shape), axis, 0)[face]
-        np.subtract(fa[face], fa[face], out=d)
-        d /= s
+    for diff, face in ((dm, PLANES[axis][0]), (dp, PLANES[axis][-1])):
+        np.subtract(f[face], f[face], out=diff.reshape(f.shape)[face])
+    if s != 1.0:
+        buf[: n + st] /= s
     return dm, dp
 
 
-def _curvature_times_gradnorm(phi, spacing, scratch):
+class _Workspace:
+    """The arrays of one step on a box of ``shape``, all overwritten by each
+    _speed call: the C-ordered copy of phi, its central gradient, the
+    update, five scratch arrays (the last a view of ``buf``, the difference
+    buffer of the advection, one axis stride longer than the box) and a
+    boolean array.  evolve allocates one at the first step on each box and
+    drops it at the box's checkpoint."""
+
+    def __init__(self, shape):
+        self.shape = tuple(shape)
+        size = math.prod(self.shape)
+        self.phi, self.update = np.empty(shape), np.empty(shape)
+        self.grad = tuple(np.empty(shape) for _ in range(3))
+        self.buf = np.empty(size + max(c_strides(shape)))
+        self.scratch = [np.empty(shape) for _ in range(4)] + [self.buf[:size].reshape(shape)]
+        self.flags = np.empty(shape, dtype=bool)
+
+
+def _curvature_times_gradnorm(phi, spacing, work):
     """K|grad phi| and the central gradient (px, py, pz) of the C-ordered
-    ``phi``: four new arrays, with ``scratch`` (four arrays of phi's shape)
-    as workspace.  K|grad| = (lap - grad^T H grad / |grad|^2) / 2 in the
-    same operation order as the whole-array formula, so the same bits."""
+    ``phi``, as work.update and work.grad, with work.scratch as workspace.
+    K|grad| = (lap - grad^T H grad / |grad|^2) / 2 in the same operation
+    order as the whole-array formula, so the same bits."""
     sx, sy, sz = spacing
-    px, py, pz, lap = (np.empty_like(phi) for _ in range(4))
-    for axis, (p, s) in enumerate(zip((px, py, pz), spacing)):
+    (px, py, pz), lap = work.grad, work.update
+    for axis, (p, s) in enumerate(zip(work.grad, spacing)):
         central_difference(phi, axis, s, p)
-    twice, grad2, quad, tmp = scratch
+    twice, grad2, quad, d2, tmp = work.scratch
     np.multiply(phi, 2.0, out=twice)
     _second(phi, twice, 0, sx, lap)
     np.multiply(px, px, out=grad2)
     np.multiply(grad2, lap, out=quad)
-    d2 = np.empty_like(phi)
     for axis, (p, s) in ((1, (py, sy)), (2, (pz, sz))):
         _second(phi, twice, axis, s, d2)
         lap += d2
@@ -463,7 +521,7 @@ def reinitialize(ls: LevelSetField) -> LevelSetField:
     for axis, st in enumerate(strides):
         np.multiply(flat[: n - st], flat[st:], out=work[: n - st])
         np.less(work[: n - st], 0.0, out=crossing[: n - st])
-        np.moveaxis(crossing.reshape(phi.shape), axis, 0)[-1] = False
+        crossing.reshape(phi.shape)[PLANES[axis][-1]] = False
         interface[: n - st] |= crossing[: n - st]
         interface[st:] |= crossing[: n - st]
     iface = np.flatnonzero(interface)
@@ -551,23 +609,25 @@ def _upwind_parts(velocity):
     )
 
 
-def _speed(phi, spacing, alpha, velocity):
+def _speed(phi, spacing, alpha, velocity, work=None):
     """The explicit update alpha * K|grad phi| - V . grad phi of one step
     and the central gradient of phi.  ``velocity`` is _upwind_parts of V
     (upwinded on its sign), or None for no advection.  The stencils run on
-    a C-ordered copy of phi flattened (module docstring) with one set of
-    scratch arrays, freed before the next step allocates them again."""
-    phi = np.ascontiguousarray(phi, dtype=np.float64)
-    # the last scratch array is the difference buffer of the advection
-    buf = np.empty(phi.size + max(c_strides(phi.shape)))
-    scratch = [np.empty_like(phi) for _ in range(3)] + [buf[: phi.size].reshape(phi.shape)]
-    update, grad = _curvature_times_gradnorm(phi, spacing, scratch)
+    a C-ordered copy of phi flattened (module docstring), in the arrays of
+    ``work``, a _Workspace of phi's shape: the update and the gradient
+    returned are its arrays, valid until the next call with it.  Without
+    ``work`` the call allocates one for itself."""
+    if work is None:
+        work = _Workspace(phi.shape)
+    np.copyto(work.phi, phi)
+    phi = work.phi
+    update, grad = _curvature_times_gradnorm(phi, spacing, work)
     update *= alpha
     if velocity is not None:
-        adv, left, right = (a.reshape(-1) for a in scratch[:3])
+        adv, left, right = (a.reshape(-1) for a in work.scratch[:3])
         adv.fill(0.0)
         for axis, ((v_pos, v_neg), s) in enumerate(zip(velocity, spacing)):
-            dm, dp = _one_sided(phi, axis, s, buf)
+            dm, dp = _one_sided(phi, axis, s, work.buf)
             np.multiply(v_pos.reshape(-1), dm, out=left)
             np.multiply(v_neg.reshape(-1), dp, out=right)
             left += right
@@ -578,7 +638,8 @@ def _speed(phi, spacing, alpha, velocity):
 
 def _update_box(phi, width, pads, window):
     """The box of voxels an evolution segment may move, the box its
-    stencils read (2-voxel halo), and the first as slices into the second.
+    reinitialization reads (the _HALO margin), and the first as slices into
+    the second.
 
     The first box is the bounding box of |phi| <= width widened by
     pads[axis] voxels, or the whole grid when no voxel is that close to
@@ -599,7 +660,7 @@ def _update_box(phi, width, pads, window):
 
 def _update_box_in_window(phi, start_inside, spacing, window, width, pads):
     """_update_box, with ``window`` (the box on which phi is exact) widened
-    until the stencil box lies inside it; returns the three boxes and the
+    until the halo box lies inside it; returns the three boxes and the
     window.
 
     A widening writes the exact distance to the boundary of
@@ -607,7 +668,7 @@ def _update_box_in_window(phi, start_inside, spacing, window, width, pads):
     old, so phi stays what the whole-grid scheme holds.  Voxels on a window
     face that is not a grid face lie outside every earlier update box and
     hold their starting distance, so a band reaching past the window also
-    reaches that face, and its stencil box leaves the window.
+    reaches that face, and its halo box leaves the window.
     """
     while True:
         core, outer, inner = _update_box(phi, width, pads, window)
@@ -637,7 +698,7 @@ def evolve(
     volume compared with the previous checkpoint (a fractional change
     below ``stop_tol`` stops the evolution), and the box rebuilt.  A field
     exact only on ``ls.window`` has that window widened whenever a box's
-    stencils would read past it (module docstring), and the returned field
+    halo would reach past it (module docstring), and the returned field
     carries the final window.  The band search, the inside volume and the
     relabelled count read the window only: outside it phi holds a
     placeholder larger than the band, so no voxel there is in the band or
@@ -683,33 +744,45 @@ def evolve(
     use_advection = ctx is not None and params.beta > 0
     velocity = None
     force_box = None
+    work = None  # the step's buffers, from a box's first step to its checkpoint
 
     prev_inside = int(np.count_nonzero(phi[window] < 0))
     runaway = _RUNAWAY_BANDS * ls.band_halfwidth * max(spacing)
     max_update = 0.0
     done = 0
     while done < params.max_iters:
-        if use_advection and force_box != outer:
-            force = _force_field(ctx, outer)
-            for v in force:
-                v *= params.beta
-            velocity = _upwind_parts(force)
-            del force
-            force_box = outer
+        if work is None:
+            read = grow_box(core, (1, 1, 1), dims)
+            step_inner = _relative(core, read)
+            if use_advection and force_box != read:
+                force = _force_field(ctx, read)
+                for v in force:
+                    v *= params.beta
+                velocity = _upwind_parts(force)
+                del force
+                force_box = read
+            work = _Workspace(tuple(r.stop - r.start for r in read))
+        checkpoint = (done + 1) % params.reinit_every == 0 or done + 1 == params.max_iters
+        if checkpoint and log is not None and ctx is not None:
+            # cos_gamma reads the gradient of the last step's phi on outer
+            grad = _central_gradient(phi[outer], spacing)
         with np.errstate(over="ignore", invalid="ignore"):
-            update, (px, py, pz) = _speed(phi[outer], spacing, params.alpha, velocity)
-            update = update[inner]
-            phi[core] += dt * update
+            update = _speed(phi[read], spacing, params.alpha, velocity, work)[0][step_inner]
+            step = np.multiply(update, dt, out=work.scratch[0][step_inner])
+            phi[core] += step
         done += 1
-        max_update = float(np.abs(update).max()) * dt
+        max_update = float(np.abs(update, out=step).max()) * dt
         if (
             not math.isfinite(max_update)
             or max_update > runaway
-            or not np.isfinite(phi[core]).all()
+            or not np.isfinite(phi[core], out=work.flags[step_inner]).all()
         ):
             raise NumericalInstabilityError(ls.iteration + done)
 
-        if done % params.reinit_every == 0 or done == params.max_iters:
+        if checkpoint:
+            # reinitialization and the next box's force run without the
+            # step's buffers, so the peak memory is that of one of the three
+            work = update = step = None
             field = reinitialize(
                 LevelSetField(
                     ScalarVolume(phi[outer], spacing), ls.iteration + done, ls.band_halfwidth
@@ -727,7 +800,8 @@ def evolve(
                 }
                 if ctx is not None:
                     band = np.abs(phi[outer]) <= width
-                    record["cos_gamma_mean"] = _cos_gamma_stats(px, py, pz, ctx, band, outer)
+                    record["cos_gamma_mean"] = _cos_gamma_stats(*grad, ctx, band, outer)
+                    del grad
                 log.append(record)
             if abs(inside - prev_inside) / max(prev_inside, 1) < params.stop_tol:
                 prev_inside = inside

@@ -135,11 +135,11 @@ def decode(blob: bytes):
             raise MvolFormatError(
                 f"payload holds {len(payload)} bytes, scalar32 volume of dims {dims} needs {expected}"
             )
-        flat = np.frombuffer(payload, dtype="<f4").copy()
-        data = flat.reshape(dims, order="F")
-        if not np.isfinite(data).all():
-            raise MvolFormatError("scalar payload contains non-finite values")
-        return ScalarVolume(data, spacing)
+        data = np.frombuffer(payload, dtype="<f4").copy().reshape(dims, order="F")
+        try:
+            return ScalarVolume(data, spacing)
+        except ValueError as exc:  # dims and spacing hold, so only its finiteness check
+            raise MvolFormatError("scalar payload contains non-finite values") from exc
     if dtype == "mask8":
         if len(payload) != n_vox:
             raise MvolFormatError(
@@ -148,7 +148,7 @@ def decode(blob: bytes):
         flat = np.frombuffer(payload, dtype=np.uint8)
         if flat.max() > 1:
             raise MvolFormatError("mask payload contains bytes other than 0/1")
-        return BinaryMask(flat.copy().reshape(dims, order="F"), spacing)
+        return BinaryMask(flat.reshape(dims, order="F").astype(bool), spacing)
     raise MvolFormatError(f"unsupported dtype {dtype!r}")
 
 

@@ -107,6 +107,13 @@ def world_coordinates(dims, spacing):
     return np.meshgrid(*axes, indexing="ij")
 
 
+# PLANES[a] holds the index tuples of planes 0, 1, -2 and -1 along axis a of
+# a 3-d array: f[PLANES[a][k]] is the view np.moveaxis(f, a, 0)[k].
+PLANES = tuple(
+    tuple((slice(None),) * axis + (k,) for k in (0, 1, -2, -1)) for axis in range(3)
+)
+
+
 def c_strides(shape):
     """Element strides of a C-ordered array of ``shape``: along axis a the
     neighbours of flat index i are i - strides[a] and i + strides[a]."""
@@ -220,10 +227,12 @@ def gaussian_smooth(vol: ScalarVolume, sigma: float) -> ScalarVolume:
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     k = _gauss_kernel(sigma)
-    out = np.asarray(vol.data, dtype=np.float64)
-    # each pass computes its output line by line along its axis, so the
-    # memory order of an output changes no value, only the speed: the first
-    # pass writes Fortran order, the others C order (the result is C-ordered)
+    # Each pass computes its output line by line along its axis, in double
+    # precision whatever the input type, so the memory order of an output
+    # changes no value, only the speed: the first pass writes Fortran order,
+    # the others C order (the result is C-ordered).  A float32 scan goes
+    # straight into the first pass: widening to float64 is exact.
+    out = vol.data
     for axis, order in enumerate("FCC"):
         buf = np.empty(out.shape, order=order)
         out = ndimage.correlate1d(out, k, axis=axis, output=buf, mode="nearest")
@@ -241,8 +250,10 @@ def central_difference(f: np.ndarray, axis: int, s: float, out: np.ndarray):
     flat, body = f.reshape(-1), out.reshape(-1)[st : n - st]
     np.subtract(flat[2 * st :], flat[: n - 2 * st], out=body)
     body /= 2.0 * s
-    fa, oa = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(fa[1], fa[0], out=oa[0])
-    oa[0] /= s
-    np.subtract(fa[-1], fa[-2], out=oa[-1])
-    oa[-1] /= s
+    first, second, before_last, last = PLANES[axis]
+    o = out[first]
+    np.subtract(f[second], f[first], out=o)
+    o /= s
+    o = out[last]
+    np.subtract(f[last], f[before_last], out=o)
+    o /= s

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: explicit shifting, BFS, arbitrary
 precision arithmetic.  None of it shares code with the implementations
-under test.
+under test, except evolve_box_oracle: a guard on evolve's loop, it runs
+that loop in its plainer form on the package's kernels, which the other
+oracles check.
 """
 
 import math
@@ -460,3 +462,93 @@ def evolve_oracle(phi, spacing, band_halfwidth, params, force=None):
                 break
             prev_inside = inside
     return phi, log
+
+
+def evolve_box_oracle(ls, ctx, params, log=None):
+    """fvfseg.fvf3d.evolve's loop in its plainer form, for bitwise parity:
+    each step runs _speed on the whole stencil box ``outer`` (the update box
+    plus a 2-voxel halo) with fresh arrays, and the checkpoint's cos_gamma
+    reads the gradient that _speed returned.  Arguments, log records and
+    the returned field are evolve's."""
+    from fvfseg import fvf3d
+    from fvfseg.errors import NumericalInstabilityError
+    from fvfseg.volume import ScalarVolume
+
+    spacing = ls.phi.spacing
+    dims = ls.phi.dims
+    dt = params.resolve_dt(spacing)
+    phi = np.array(ls.phi.data, dtype=np.float64)
+    window = ls.window or fvf3d._whole(dims)
+    start_inside = np.zeros(dims, dtype=bool)
+    start_inside[window] = ls.phi.data[window] < 0
+    width = max(spacing) * ls.band_halfwidth
+    pads = params.travel_pads(spacing, dims)
+    core, outer, inner, window = fvf3d._update_box_in_window(
+        phi, start_inside, spacing, window, width, pads
+    )
+
+    use_advection = ctx is not None and params.beta > 0
+    velocity = None
+    force_box = None
+
+    prev_inside = int(np.count_nonzero(phi[window] < 0))
+    runaway = fvf3d._RUNAWAY_BANDS * ls.band_halfwidth * max(spacing)
+    max_update = 0.0
+    done = 0
+    while done < params.max_iters:
+        if use_advection and force_box != outer:
+            force = fvf3d._force_field(ctx, outer)
+            for v in force:
+                v *= params.beta
+            velocity = fvf3d._upwind_parts(force)
+            del force
+            force_box = outer
+        with np.errstate(over="ignore", invalid="ignore"):
+            update, (px, py, pz) = fvf3d._speed(phi[outer], spacing, params.alpha, velocity)
+            update = update[inner]
+            phi[core] += dt * update
+        done += 1
+        max_update = float(np.abs(update).max()) * dt
+        if (
+            not math.isfinite(max_update)
+            or max_update > runaway
+            or not np.isfinite(phi[core]).all()
+        ):
+            raise NumericalInstabilityError(ls.iteration + done)
+
+        if done % params.reinit_every == 0 or done == params.max_iters:
+            field = fvf3d.reinitialize(
+                fvf3d.LevelSetField(
+                    ScalarVolume(phi[outer], spacing), ls.iteration + done, ls.band_halfwidth
+                )
+            )
+            phi[core] = field.phi.data[inner]
+            now_inside = phi[window] < 0
+            inside = int(np.count_nonzero(now_inside))
+            if log is not None:
+                record = {
+                    "iteration": ls.iteration + done,
+                    "inside": inside,
+                    "changed": int(np.count_nonzero(now_inside != start_inside[window])),
+                    "max_update": max_update,
+                }
+                if ctx is not None:
+                    band = np.abs(phi[outer]) <= width
+                    record["cos_gamma_mean"] = fvf3d._cos_gamma_stats(
+                        px, py, pz, ctx, band, outer
+                    )
+                log.append(record)
+            if abs(inside - prev_inside) / max(prev_inside, 1) < params.stop_tol:
+                prev_inside = inside
+                break
+            prev_inside = inside
+            core, outer, inner, window = fvf3d._update_box_in_window(
+                phi, start_inside, spacing, window, width, pads
+            )
+
+    return fvf3d.LevelSetField(
+        ScalarVolume(phi, spacing),
+        ls.iteration + done,
+        ls.band_halfwidth,
+        None if ls.window is None else window,
+    )

@@ -12,6 +12,7 @@ from fvfseg.ngmm import TissueMixtureModel, save_model
 from fvfseg.pipeline import (
     CANDIDATE_FILE,
     CANDIDATE_REPORT_FILE,
+    EVOLUTION_LOG_FILE,
     GBBM_FILE,
     MODEL_FILE,
     REPORT_FILE,
@@ -56,7 +57,7 @@ def test_compare_reports_each_artifact(digests, tmp_path, capsys):
     shutil.copytree(a / "wl" / "out" / "case2", b / "wl" / "out" / "case2")
     atomic_write_text(str(a / "wl" / "out" / "case2" / CANDIDATE_REPORT_FILE), "final_voxels=1\n")
 
-    digests.main(["--compare", str(a), str(b)])
+    assert digests.main(["--compare", str(a), str(b)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
         "wl case1 model.txt max_rel_change=2e-06",
@@ -68,7 +69,63 @@ def test_compare_reports_each_artifact(digests, tmp_path, capsys):
         "wl case2 candidate.mvol same",
         "wl case2 candidate_report.txt only in A",
         "wl case2 report.txt same",
+        "4 of 9 same",
     ]
+
+
+def _log_line(it, inside, changed, max_update, cos=None):
+    line = f"iter={it} inside={inside} changed={changed} max_update={max_update!r}"
+    return line + ("" if cos is None else f" cos_gamma_mean={cos!r}") + "\n"
+
+
+def test_compare_gives_evolution_log_field_by_field(digests, tmp_path, capsys):
+    model = TissueMixtureModel((0.2, 0.5, 0.3), (0.6, 1.0, 1.25), (0.08, 0.1, 0.12))
+    gbbm = np.zeros((3, 3, 3), dtype=np.float32)
+    a, b = tmp_path / "a", tmp_path / "b"
+    logs = {
+        # equal counts, floats moved
+        "c1": (
+            _log_line(20, 100, 5, 0.5, 0.25) + _log_line(40, 110, 15, 0.75, 0.5),
+            _log_line(20, 100, 5, 0.5, 0.25) + _log_line(40, 110, 15, 0.625, 0.5 + 2**-20),
+        ),
+        # one more checkpoint, and inside/changed differ on the shared one
+        "c2": (
+            _log_line(20, 100, 5, 0.5, 0.25),
+            _log_line(20, 101, 6, 0.5, 0.25) + _log_line(40, 101, 6, 0.25, 0.25),
+        ),
+        # no force context: no cos_gamma_mean
+        "c3": (_log_line(20, 100, 5, 0.5), _log_line(20, 100, 5, 0.5)),
+    }
+    for case, (log_a, log_b) in logs.items():
+        for tree, text in ((a, log_a), (b, log_b)):
+            out = tree / "wl" / "out" / case
+            _write_case(out, model, gbbm, gbbm > 1, "status=ok\n")
+            atomic_write_text(str(out / EVOLUTION_LOG_FILE), text)
+
+    assert digests.main(["--compare", str(a), str(b)]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if "evolution.log" in line]
+    assert lines == [
+        "wl c1 evolution.log iter=equal inside=equal changed=equal"
+        " max_update_max_abs_diff=0.125 cos_gamma_mean_max_abs_diff=9.54e-07",
+        "wl c2 evolution.log checkpoints=1/2 iter=equal inside=differs changed=differs"
+        " max_update_max_abs_diff=0 cos_gamma_mean_max_abs_diff=0",
+        "wl c3 evolution.log same",
+    ]
+
+
+def test_compare_of_identical_trees_exits_zero(digests, tmp_path, capsys):
+    model = TissueMixtureModel((0.2, 0.5, 0.3), (0.6, 1.0, 1.25), (0.08, 0.1, 0.12))
+    gbbm = np.linspace(0.0, 200.0, 27, dtype=np.float32).reshape(3, 3, 3)
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write_case(a / "wl" / "out" / "case", model, gbbm, gbbm > 153.0, "status=ok\n")
+    shutil.copytree(a, b)
+    assert digests.main(["--compare", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "4 of 4 same"
+    # nothing to compare is no pass
+    (tmp_path / "e1").mkdir()
+    (tmp_path / "e2").mkdir()
+    assert digests.main(["--compare", str(tmp_path / "e1"), str(tmp_path / "e2")]) == 1
+    assert capsys.readouterr().out.splitlines() == ["0 of 0 same"]
 
 
 def test_compare_rejects_workloads(digests):

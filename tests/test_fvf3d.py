@@ -12,6 +12,8 @@ from fvfseg.fvf3d import (
     _cos_gamma_stats,
     _edge_on_box,
     _force_field,
+    _gradient_norm2,
+    _peak_gradient_norm2,
     _whole,
     evolve,
     make_force_context,
@@ -213,6 +215,17 @@ def test_edge_and_force_on_a_box_match_the_whole_grid(order, spacing, rng):
         assert all(_same_bits(g, r[box]) for g, r in zip(grad_box, grad_ref))
         force = _force_field(ctx, box)
         assert all(_same_bits(e, r[box]) for e, r in zip(force, force_ref))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_slab_peak_matches_the_whole_grid_peak(order, dtype, rng):
+    # grids of less than one slab, one slab, and whole slabs plus 1 or 2 planes
+    for nx in (3, 8, 9, 17, 18):
+        data = np.asarray(rng.normal(size=(nx, 6, 7)) ** 3, dtype=dtype, order=order)
+        spacing = (0.9375, 1.1, 1.3)
+        whole = float(_gradient_norm2(data, spacing).max())
+        assert _peak_gradient_norm2(data, spacing) == whole
 
 
 def test_force_context_keeps_one_grid(rng):

@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fvfseg.fvf3d import LevelSetField, _speed, _upwind_parts, reinitialize
-from fvfseg.volume import ScalarVolume
+from fvfseg.fvf3d import LevelSetField, _relative, _speed, _upwind_parts, _Workspace, reinitialize
+from fvfseg.volume import ScalarVolume, grow_box
 
 from .oracles import _advection_ref, _curvature_ref, _reinitialize_ref
 
@@ -43,6 +43,50 @@ def test_speed_matches_the_oracle_bit_for_bit(shape, order, spacing, rng):
         assert all(_same_bits(a, b) for a, b in zip(out_grad, grad))
         update, _ = _speed(phi, spacing, alpha, _upwind_parts(velocity))
         assert _same_bits(update, alpha * curv - _advection_ref(phi, velocity, spacing))
+
+
+# update boxes in a (13, 12, 11) grid touching 0, 1, 2 and 3 grid faces;
+# the second and third lie one voxel off a face on another axis
+CORES = [
+    (slice(3, 9), slice(4, 8), slice(3, 8)),
+    (slice(0, 6), slice(1, 8), slice(3, 8)),
+    (slice(0, 6), slice(5, 12), slice(3, 10)),
+    (slice(4, 13), slice(0, 1), slice(6, 11)),
+]
+
+
+@pytest.mark.parametrize("spacing", SPACINGS)
+@pytest.mark.parametrize("core", CORES)
+def test_speed_on_the_read_box_matches_the_stencil_box(core, spacing, rng):
+    # every term at a voxel reads phi within one voxel, so the box grown by
+    # one voxel gives the update box the values of the box grown by two
+    dims = (13, 12, 11)
+    phi = _field(rng, dims)
+    velocity = [_field(rng, dims) for _ in range(3)]
+    results = []
+    for halo in (1, 2):
+        box = grow_box(core, (halo,) * 3, dims)
+        parts = _upwind_parts([v[box] for v in velocity])
+        for v in (None, parts):
+            update, grad = _speed(phi[box], spacing, 0.2, v)
+            inner = _relative(core, box)
+            results.append([update[inner], *(g[inner] for g in grad)])
+    for got, want in zip(results[:2], results[2:]):
+        assert all(_same_bits(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("spacing", SPACINGS)
+def test_a_reused_workspace_gives_the_bits_of_a_fresh_call(spacing, rng):
+    shape = (9, 14, 11)
+    work = _Workspace(shape)
+    for order in ("C", "F"):
+        phi = _field(rng, shape, order)
+        velocity = _upwind_parts([_field(rng, shape) for _ in range(3)])
+        for v in (velocity, None):
+            update, grad = _speed(phi, spacing, 0.2, v, work)
+            fresh, fresh_grad = _speed(phi, spacing, 0.2, v)
+            assert update is work.update and _same_bits(update, fresh)
+            assert all(_same_bits(a, b) for a, b in zip(grad, fresh_grad))
 
 
 @pytest.mark.parametrize("spacing", SPACINGS)
@@ -90,3 +134,12 @@ def test_kernels_allocate_a_bounded_number_of_fields(rng):
     assert _peak_grids(_speed, phi, unit, 0.2, velocity) <= 12
     assert _peak_grids(_speed, phi, (0.9375, 1.1, 1.3), 0.2, velocity) <= 12
     assert _peak_grids(reinitialize, ls) <= 12
+
+
+def test_speed_in_a_workspace_allocates_less_than_one_field(rng):
+    phi = _field(rng, (64, 64, 64))
+    velocity = _upwind_parts([_field(rng, phi.shape) for _ in range(3)])
+    work = _Workspace(phi.shape)
+    for spacing in ((1.0, 1.0, 1.0), (0.9375, 1.1, 1.3)):
+        assert _peak_grids(_speed, phi[::-1], spacing, 0.2, velocity, work) < 1
+        assert _peak_grids(_speed, phi, spacing, 0.2, None, work) < 1

@@ -46,6 +46,24 @@ class TestRoundTrip:
         assert np.array_equal(back.data, m.data)
         assert encode(back) == blob
 
+    @pytest.mark.parametrize("kind", ["scalar", "mask"])
+    def test_decoded_array_is_a_writable_fortran_copy(self, kind, rng):
+        raw = rng.random((5, 4, 3))
+        vol = (
+            ScalarVolume(raw.astype(np.float32), (1, 1, 2))
+            if kind == "scalar"
+            else BinaryMask(raw < 0.5, (1, 1, 2))
+        )
+        blob = bytearray(encode(vol))
+        back = decode(blob)
+        data = back.data
+        assert data.dtype == (np.float32 if kind == "scalar" else np.bool_)
+        assert data.flags.f_contiguous and data.flags.writeable
+        assert np.array_equal(data, vol.data)
+        blob[-data.size :] = bytes(data.size)  # the blob can change under it
+        assert np.array_equal(data, vol.data)
+        data[0, 0, 0] = not data[0, 0, 0]
+
     def test_file_round_trip(self, tmp_path, rng):
         v = ScalarVolume(rng.random((5, 4, 3)).astype(np.float32), (1, 1, 2))
         p = tmp_path / "v.mvol"

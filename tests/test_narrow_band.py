@@ -22,7 +22,7 @@ from fvfseg.fvf3d import (
 from fvfseg.metrics import tanimoto
 from fvfseg.volume import BinaryMask, ScalarVolume, bounding_box
 
-from .oracles import edge_map_oracle, evolve_oracle
+from .oracles import edge_map_oracle, evolve_box_oracle, evolve_oracle
 
 UNIT = (1.0, 1.0, 1.0)
 
@@ -102,6 +102,33 @@ def test_box_evolution_matches_full_grid(name):
     assert np.array_equal(zero_level_mask(out).data, ref_phi < 0)
     assert [r["iteration"] for r in log] == [r["iteration"] for r in ref_log]
     assert [r["inside"] for r in log] == [r["inside"] for r in ref_log]
+
+
+def _skewed_case():
+    # advection at three different spacings, from the window the pipeline
+    # starts on, over three segments whose boxes change shape
+    dims, spacing = (40, 36, 32), (0.9375, 1.1, 1.3)
+    candidate = _ball(dims, (19, 17, 15), 8.0, spacing)
+    ctx = make_force_context(_bright(candidate, spacing), BinaryMask(candidate, spacing))
+    start = BinaryMask(_ball(dims, (18, 18, 15), 5.0, spacing), spacing)
+    params = EvolutionParams(max_iters=60, stop_tol=0.0)
+    window = init_window(start, 3.0, params)
+    return signed_distance_init(start, 3.0, window), ctx, params
+
+
+@pytest.mark.parametrize("name", [*sorted(PARITY_CASES), "skewed"])
+def test_evolve_matches_the_step_on_the_stencil_box_bit_for_bit(name):
+    # evolve steps on the update box plus one voxel, in reused buffers, and
+    # takes cos_gamma's gradient apart from the step: the same bits as the
+    # step on the box plus its 2-voxel halo with fresh arrays
+    ls, ctx, params = _skewed_case() if name == "skewed" else PARITY_CASES[name]()
+    log, ref_log = [], []
+    out = evolve(ls, ctx, params, log=log)
+    ref = evolve_box_oracle(ls, ctx, params, log=ref_log)
+    assert out.phi.data.tobytes() == ref.phi.data.tobytes()
+    assert out.window == ref.window and out.iteration == ref.iteration
+    assert repr(log) == repr(ref_log) and log
+    assert (ctx is not None) == all("cos_gamma_mean" in r for r in log)
 
 
 def _voxels(box):

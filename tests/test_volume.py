@@ -197,18 +197,20 @@ class TestSmoothing:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_bitwise_equal_to_three_plain_passes(self, rng, order):
-        # the passes' output memory order must not change a single bit
+        # neither the passes' output memory order nor a float32 input read
+        # without a float64 copy may change a single bit
         from scipy.ndimage import correlate1d
 
         from fvfseg.volume import _gauss_kernel
 
-        data = np.asarray(rng.normal(size=(9, 14, 11)), order=order)
-        ref = data
-        for axis in range(3):
-            ref = correlate1d(ref, _gauss_kernel(1.0), axis=axis, mode="nearest")
-        out = gaussian_smooth(ScalarVolume(data, UNIT), 1.0).data
-        assert np.array_equal(out, ref)
-        assert out.flags.c_contiguous
+        for dtype in (np.float64, np.float32):
+            data = np.asarray(rng.normal(size=(9, 14, 11)), dtype=dtype, order=order)
+            ref = data.astype(np.float64)
+            for axis in range(3):
+                ref = correlate1d(ref, _gauss_kernel(1.0), axis=axis, mode="nearest")
+            out = gaussian_smooth(ScalarVolume(data, UNIT), 1.0).data
+            assert out.dtype == np.float64 and out.flags.c_contiguous
+            assert out.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 def _central_gradient(data, spacing):
