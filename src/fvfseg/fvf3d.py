@@ -63,6 +63,19 @@ dropped before its checkpoint's reinitialization (the force on the read
 box is rebuilt only when the box moves), and a division by a spacing of
 exactly 1.0 is skipped.
 
+A step on a large box runs on several threads (volume.split_planes and
+run_parts).  At the box's first step the update box is cut along x into
+parts; each part's read box is the part grown by one voxel, so by the
+stencil reach above each part is exact on its own planes, and its
+buffers and its cut of the velocity are allocated then, in the calling
+thread.  Each step then has two phases.  First every part computes its
+update from phi on its read box.  Only after all have finished, since a
+read box overlaps the neighbouring parts, each part adds dt times its
+update to its own planes and returns its largest |update| and whether
+its values are finite.  A max is exact in any order, so the step, the
+log and the iteration of a blow-up are the same bits for any number of
+parts; one part is the serial step.
+
 The starting distance field need not cover the grid either.  It can be
 exact only on a window, a box holding the whole region (the distance to a
 region is exact on any such box), with a placeholder larger than the band
@@ -94,6 +107,8 @@ from .volume import (
     grow_box,
     mask_centroid,
     require_same_grid,
+    run_parts,
+    split_planes,
 )
 
 _EPS_DIRECTION = 1e-12
@@ -115,6 +130,12 @@ _HALO = 2
 # a slab and its two halo planes stay in cache, where the two whole-grid
 # arrays of one pass would not.
 _PEAK_SLAB = 8
+
+# The numpy passes over each voxel of a step's read box (_speed and the
+# add) and of the squared-gradient peak: the work volume.split_planes
+# weighs a part by.
+_STEP_PASSES = 64
+_PEAK_PASSES = 12
 
 
 @dataclass
@@ -290,16 +311,23 @@ def _central_gradient(a, spacing):
 
 def _peak_gradient_norm2(data, spacing):
     """The largest value of _gradient_norm2 over the grid, taken _PEAK_SLAB
-    planes of x at a time.  Each slab is differenced with the plane before
-    and after it wherever the grid has one, so its central differences are
-    the whole-grid values, and a max is exact in any order."""
-    n, peak = data.shape[0], 0.0
-    for start in range(0, n, _PEAK_SLAB):
-        stop = min(start + _PEAK_SLAB, n)
-        lo, hi = max(start - 1, 0), min(stop + 1, n)
-        part = _gradient_norm2(data[lo:hi], spacing)
-        peak = max(peak, float(part[start - lo : stop - lo].max()))
-    return peak
+    planes of x at a time, the slabs of each x-part (split_planes) in one
+    task of run_parts.  Each slab is differenced with the plane before and
+    after it wherever the grid has one, so its central differences are the
+    whole-grid values, and a max is exact in any order."""
+    n = data.shape[0]
+
+    def part_peak(planes):
+        first, last = planes
+        peak = 0.0
+        for start in range(first, last, _PEAK_SLAB):
+            stop = min(start + _PEAK_SLAB, last)
+            lo, hi = max(start - 1, 0), min(stop + 1, n)
+            slab = _gradient_norm2(data[lo:hi], spacing)
+            peak = max(peak, float(slab[start - lo : stop - lo].max()))
+        return peak
+
+    return max(run_parts(part_peak, split_planes(0, n, data.size // n * _PEAK_PASSES)))
 
 
 def _relative(box, outer):
@@ -433,8 +461,8 @@ class _Workspace:
     _speed call: the C-ordered copy of phi, its central gradient, the
     update, five scratch arrays (the last a view of ``buf``, the difference
     buffer of the advection, one axis stride longer than the box) and a
-    boolean array.  evolve allocates one at the first step on each box and
-    drops it at the box's checkpoint."""
+    boolean array.  evolve allocates one per x-part of the step at the
+    first step on each box and drops them at the box's checkpoint."""
 
     def __init__(self, shape):
         self.shape = tuple(shape)
@@ -742,47 +770,68 @@ def evolve(
     )
 
     use_advection = ctx is not None and params.beta > 0
-    velocity = None
-    force_box = None
-    work = None  # the step's buffers, from a box's first step to its checkpoint
+    velocity = None  # per x-part, _upwind_parts of the force on its read box
+    force_reads = None
+    parts = None  # the step's x-parts, from a box's first step to its checkpoint
+
+    def part_speed(part):
+        _, read, _, v, work = part
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _speed(phi[read], spacing, params.alpha, v, work)[0]
+
+    def part_add(part_update):
+        (core_p, _, own, _, work), update = part_update
+        with np.errstate(over="ignore", invalid="ignore"):
+            update = update[own]
+            step = np.multiply(update, dt, out=work.scratch[0][own])
+            phi[core_p] += step
+            peak = float(np.abs(update, out=step).max())
+            return peak, bool(np.isfinite(phi[core_p], out=work.flags[own]).all())
 
     prev_inside = int(np.count_nonzero(phi[window] < 0))
     runaway = _RUNAWAY_BANDS * ls.band_halfwidth * max(spacing)
     max_update = 0.0
     done = 0
     while done < params.max_iters:
-        if work is None:
-            read = grow_box(core, (1, 1, 1), dims)
-            step_inner = _relative(core, read)
-            if use_advection and force_box != read:
+        if parts is None:
+            plane = math.prod(s.stop - s.start for s in core[1:]) * _STEP_PASSES
+            cores = [
+                (slice(lo, hi), *core[1:])
+                for lo, hi in split_planes(core[0].start, core[0].stop, plane)
+            ]
+            reads = [grow_box(c, (1, 1, 1), dims) for c in cores]
+            if use_advection and force_reads != reads:
+                read = grow_box(core, (1, 1, 1), dims)
                 force = _force_field(ctx, read)
                 for v in force:
                     v *= params.beta
-                velocity = _upwind_parts(force)
+                velocity = [_upwind_parts([v[_relative(r, read)] for v in force]) for r in reads]
                 del force
-                force_box = read
-            work = _Workspace(tuple(r.stop - r.start for r in read))
+                force_reads = reads
+            parts = [
+                (c, r, _relative(c, r), v, _Workspace(tuple(s.stop - s.start for s in r)))
+                for c, r, v in zip(cores, reads, velocity or [None] * len(cores))
+            ]
         checkpoint = (done + 1) % params.reinit_every == 0 or done + 1 == params.max_iters
         if checkpoint and log is not None and ctx is not None:
             # cos_gamma reads the gradient of the last step's phi on outer
             grad = _central_gradient(phi[outer], spacing)
-        with np.errstate(over="ignore", invalid="ignore"):
-            update = _speed(phi[read], spacing, params.alpha, velocity, work)[0][step_inner]
-            step = np.multiply(update, dt, out=work.scratch[0][step_inner])
-            phi[core] += step
+        # every part reads its neighbours' cores, so no part adds its step
+        # before all have computed theirs
+        added = run_parts(part_add, list(zip(parts, run_parts(part_speed, parts))))
         done += 1
-        max_update = float(np.abs(update, out=step).max()) * dt
+        max_update = float(np.max([peak for peak, _ in added])) * dt
         if (
             not math.isfinite(max_update)
             or max_update > runaway
-            or not np.isfinite(phi[core], out=work.flags[step_inner]).all()
+            or not all(finite for _, finite in added)
         ):
             raise NumericalInstabilityError(ls.iteration + done)
 
         if checkpoint:
             # reinitialization and the next box's force run without the
             # step's buffers, so the peak memory is that of one of the three
-            work = update = step = None
+            parts = None
             field = reinitialize(
                 LevelSetField(
                     ScalarVolume(phi[outer], spacing), ls.iteration + done, ls.band_halfwidth

@@ -94,17 +94,19 @@ def normalize_intensity(vol: ScalarVolume, mask: BinaryMask):
 
     Returns the rescaled volume together with a NormalizationRecord; the
     masked mean of the result is 1 by construction.  Voxels outside the
-    mask are divided as well.
+    mask are divided as well.  The result is float64 in the memory order of
+    the input, made by one division that widens each value as it reads it
+    (widening is exact), and the mean is taken over the widened masked
+    values, so a float32 scan needs no float64 copy.
     """
     require_same_grid(vol, mask, "volume and mask")
     n = mask.count()
     if n == 0:
         raise ValueError("cannot normalize against an empty mask")
-    data = np.asarray(vol.data, dtype=np.float64)
-    m = float(data[mask.data].mean())
+    m = float(vol.data[mask.data].astype(np.float64).mean())
     if not (math.isfinite(m) and m > 0):
         raise ValueError(f"masked mean must be positive to normalize, got {m}")
-    out = ScalarVolume(data / m, vol.spacing)
+    out = ScalarVolume(np.divide(vol.data, m, dtype=np.float64), vol.spacing)
     return out, NormalizationRecord(mean=m, note=f"mean over {n} masked voxels")
 
 

@@ -27,12 +27,29 @@ same way: one flat pass, then the one-sided difference on the faces.
 
 All operations are pure functions: they never mutate their inputs, so they
 are safe to call from worker threads.
+
+Large passes run on every CPU the process may use.  ``split_planes`` cuts
+a range of planes into at most ``WORKERS`` contiguous parts, one per CPU of
+the affinity mask, each holding at least ``PART_WORK`` voxel-passes (its
+voxels times the passes the job makes over each); ``run_parts``
+runs a function on each part, in the calling thread and on one thread
+pool made at first use, each thread taking the parts no other has taken.
+The parts write disjoint planes, and a value never depends on where the
+cuts fall or which thread runs a part, so the bytes are the same for any
+number of parts.  Under that much work numpy's and ndimage's passes are
+too short to pay for handing Python's GIL between threads, so a small job
+is one part and never touches the pool: a level-set step around a 64^3
+lesion or a Gaussian of a 64^3 scan runs serially, a step on a 56^3 box
+or a Gaussian of a 128^3 scan in two parts.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from queue import Empty, SimpleQueue
 
 import numpy as np
 from scipy import ndimage
@@ -40,6 +57,69 @@ from scipy import ndimage
 from .errors import GridMismatchError
 
 Triple = tuple[float, float, float]
+
+# The parts a split may have: the CPUs in this process's affinity mask
+# (``taskset`` limits it), read once.
+WORKERS = len(os.sched_getaffinity(0))
+
+# The least work a part of a split may hold, in voxel-passes.
+PART_WORK = 2**22
+
+_pool: ThreadPoolExecutor | None = None
+
+
+def _forget_pool():
+    # a forked child has none of its parent's threads: it makes its own pool
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def split_planes(start: int, stop: int, plane_work: int):
+    """Planes [start, stop) cut into at most WORKERS contiguous (lo, hi)
+    parts of near-equal size, each of at least PART_WORK voxel-passes when
+    a plane takes ``plane_work`` (its voxels times the passes over each);
+    one part when the range holds too little work."""
+    n = stop - start
+    count = max(1, min(WORKERS, n, n * plane_work // PART_WORK))
+    cuts = [start + n * i // count for i in range(count + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def run_parts(fn, parts):
+    """[fn(part) for part in parts], run by the calling thread and up to
+    len(parts) - 1 threads of the pool.  Each thread takes the next part
+    no other has taken until none is left, so while a pool thread waits
+    for a CPU the caller runs its parts.  Returns once every taken part
+    has finished; if any raised, one of those exceptions is raised then."""
+    if len(parts) == 1:
+        return [fn(parts[0])]
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(max_workers=max(WORKERS - 1, 1), thread_name_prefix="fvfseg")
+    results = [None] * len(parts)
+    untaken = SimpleQueue()
+    for i in range(len(parts)):
+        untaken.put(i)
+
+    def take_parts():
+        while True:
+            try:
+                i = untaken.get_nowait()
+            except Empty:
+                return
+            results[i] = fn(parts[i])
+
+    futures = [_pool.submit(take_parts) for _ in parts[1:]]
+    try:
+        take_parts()
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+    return results
 
 
 def _check_spacing(spacing):
@@ -221,21 +301,40 @@ def _gauss_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _correlate_pass(src, k, axis, order):
+    """correlate1d of ``src`` along ``axis`` (edges replicated) into a new
+    float64 array of memory ``order``, in parts (split_planes) along y for
+    the x pass and along x otherwise, each writing its view of the one
+    output.  Each voxel takes one multiply-add per tap of ``k``."""
+    out = np.empty(src.shape, order=order)
+    cut = 1 if axis == 0 else 0
+    plane_work = src.size // src.shape[cut] * len(k)
+
+    def part(planes):
+        box = (slice(None),) * cut + (slice(*planes),)
+        ndimage.correlate1d(src[box], k, axis=axis, output=out[box], mode="nearest")
+
+    run_parts(part, split_planes(0, src.shape[cut], plane_work))
+    return out
+
+
 def gaussian_smooth(vol: ScalarVolume, sigma: float) -> ScalarVolume:
     """Separable Gaussian blur, kernel cut at 3*sigma and renormalized,
-    edges replicated."""
+    edges replicated.
+
+    Each pass computes its output line by line along its axis, in double
+    precision whatever the input type, so neither the memory order of an
+    output nor a split across threads along another axis changes a value:
+    the first pass writes Fortran order, the others C order (the result is
+    C-ordered), and each is split by _correlate_pass.  A float32 scan goes
+    straight into the first pass: widening to float64 is exact.  Each
+    pass's input is dropped before the next pass allocates its output."""
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     k = _gauss_kernel(sigma)
-    # Each pass computes its output line by line along its axis, in double
-    # precision whatever the input type, so the memory order of an output
-    # changes no value, only the speed: the first pass writes Fortran order,
-    # the others C order (the result is C-ordered).  A float32 scan goes
-    # straight into the first pass: widening to float64 is exact.
     out = vol.data
     for axis, order in enumerate("FCC"):
-        buf = np.empty(out.shape, order=order)
-        out = ndimage.correlate1d(out, k, axis=axis, output=buf, mode="nearest")
+        out = _correlate_pass(out, k, axis, order)
     return ScalarVolume(out, vol.spacing)
 
 

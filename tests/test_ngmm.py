@@ -55,6 +55,23 @@ class TestNormalization:
         out, record = normalize_intensity(vol, mask)
         assert np.allclose(out.data, vol.data / record.mean)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bytes_and_memory_order_of_a_float64_copy_divided(self, dtype, order, rng):
+        # the one-pass division gives the bits of widening the whole scan to
+        # float64 first and dividing that copy, in the input's memory order
+        data = np.asarray(rng.uniform(10.0, 400.0, (9, 7, 5)), dtype=dtype, order=order)
+        mask = rng.random(data.shape) > 0.4
+        wide = np.asarray(data, dtype=np.float64)
+        mean = float(wide[mask].mean())
+        expected = wide / mean
+        out, record = normalize_intensity(ScalarVolume(data, UNIT), BinaryMask(mask, UNIT))
+        assert record.mean == mean
+        assert out.data.dtype == np.float64
+        assert out.data.flags.f_contiguous == (order == "F")
+        assert out.data.flags.c_contiguous == (order == "C")
+        assert out.data.tobytes("A") == expected.tobytes("A")
+
     def test_empty_mask_rejected(self):
         vol = ScalarVolume(np.ones((4, 4, 4)), UNIT)
         mask = BinaryMask(np.zeros((4, 4, 4), dtype=bool), UNIT)
