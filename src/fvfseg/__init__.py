@@ -8,7 +8,6 @@ force.  See the module docstrings for the individual pieces; the
 """
 
 from .brainmap import (
-    GbbmParams,
     ProbabilisticAtlas,
     build_gbbm,
     cc_to_cm,

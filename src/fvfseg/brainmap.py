@@ -18,6 +18,10 @@ The mapping is deliberately discontinuous at CC = 0: zero correlation maps
 to 0, while any infinitesimally positive correlation maps to nearly 1.
 Scaling CM by omega (0..255 by default) yields the abnormality volume used
 for candidate extraction.
+
+The intensities come in as the vector the mixture was fitted to: the
+normalized brain voxels in the brain mask's memory order
+(``ngmm.normalize_intensity``); no scan grid is read here.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ngmm import TissueMixtureModel, gaussian_pdf
-from .volume import BinaryMask, ScalarVolume, require_same_grid
+from .volume import BinaryMask, ScalarVolume, mask_index, require_same_grid
 
 BAYES_DENOMINATOR_FLOOR = 1e-300
 CC_VARIANCE_FLOOR = 1e-12
@@ -81,15 +85,6 @@ class ProbabilisticAtlas:
         return np.stack([self.prob_csf.data, self.prob_gm.data, self.prob_wm.data]).astype(
             np.float64
         )
-
-
-@dataclass
-class GbbmParams:
-    omega: float = 255.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
 
 
 def _triples(values, what: str) -> np.ndarray:
@@ -179,42 +174,42 @@ def cc_to_cm(cc):
 
 
 def build_gbbm(
-    patient: ScalarVolume,
+    values: np.ndarray,
     atlas: ProbabilisticAtlas,
     model: TissueMixtureModel,
-    params: GbbmParams | None = None,
+    omega: float = 255.0,
     diagnostics: dict | None = None,
 ) -> ScalarVolume:
     """Whole-volume abnormality map: omega * CM at brain voxels, 0 elsewhere.
 
-    ``patient`` must already be normalized and registered onto the atlas
-    grid.  The map is the composition spatial_prior -> posterior_triple ->
-    pearson_cc -> cc_to_cm, run on the brain voxels only, gathered in
-    chunks of GBBM_CHUNK_VOXELS so the temporaries stay a fraction of the
-    grid; every voxel's value is the same as from one pass over the whole
-    volume.  Optional ``diagnostics`` (a dict) receives counts of
-    degenerate brain voxels.
+    ``values`` holds the normalized intensity of each brain voxel of the
+    atlas, as ``ngmm.normalize_intensity`` returns it for a scan registered
+    onto the atlas grid; a vector of another length is rejected.  The map
+    is the composition spatial_prior -> posterior_triple -> pearson_cc ->
+    cc_to_cm, run on chunks of GBBM_CHUNK_VOXELS brain voxels so the
+    temporaries stay a fraction of the grid; every voxel's value is the
+    same as from one pass over the whole volume.  Optional ``diagnostics``
+    (a dict) receives counts of degenerate brain voxels.
     """
-    params = params or GbbmParams()
-    require_same_grid(patient, atlas.template, "patient and atlas")
-
-    # Flat indices in the brain mask's memory order (Fortran for arrays read
-    # from MVOL), so the gathers below stay views of contiguous inputs.
-    brain = atlas.brain_mask.data
-    order = "F" if brain.flags.f_contiguous else "C"
-    voxels = np.flatnonzero(brain.ravel(order))
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be positive and finite, got {omega}")
+    voxels, order = mask_index(atlas.brain_mask)
+    x = np.asarray(values, dtype=np.float64)
+    if x.shape != voxels.shape:
+        raise ValueError(f"need {voxels.size} brain-voxel values, got shape {x.shape}")
+    # views when the maps are laid out like the mask, as an atlas read from MVOL is
     maps = [p.data.ravel(order) for p in (atlas.prob_csf, atlas.prob_gm, atlas.prob_wm)]
-    x = patient.data.ravel(order)
-    out = np.zeros(patient.dims, order=order)
+    out = np.zeros(atlas.dims, order=order)
     flat_out = out.ravel(order)
     counts = {"degenerate_bayes": 0, "degenerate_cc": 0}
     for start in range(0, voxels.size, GBBM_CHUNK_VOXELS):
-        chunk = voxels[start : start + GBBM_CHUNK_VOXELS]
+        stop = start + GBBM_CHUNK_VOXELS
+        chunk = voxels[start:stop]
         masks = None if diagnostics is None else {}
         prior = spatial_prior(np.stack([m[chunk] for m in maps]).astype(np.float64))
-        posterior = posterior_triple(model, prior, x[chunk], masks)
+        posterior = posterior_triple(model, prior, x[start:stop], masks)
         cc = pearson_cc(posterior, prior, masks)
-        flat_out[chunk] = params.omega * cc_to_cm(cc)
+        flat_out[chunk] = omega * cc_to_cm(cc)
         if masks is not None:
             for key in counts:
                 counts[key] += int(masks[key].sum())
@@ -222,4 +217,4 @@ def build_gbbm(
     if diagnostics is not None:
         diagnostics["degenerate_bayes_voxels"] = counts["degenerate_bayes"]
         diagnostics["degenerate_cc_voxels"] = counts["degenerate_cc"]
-    return ScalarVolume(out, patient.spacing)
+    return ScalarVolume(out, atlas.spacing)

@@ -58,8 +58,6 @@ def _add_common(sub, *flags, input_help="input MVOL file"):
                          help="directory with template/prob_*/brain_mask MVOLs")
     if "output" in flags:
         sub.add_argument("--output-dir", dest="output_dir", required=True)
-    if "seed" in flags:
-        sub.add_argument("--seed", type=int, default=None)
 
 
 def cmd_phantom(args) -> int:
@@ -71,12 +69,9 @@ def cmd_phantom(args) -> int:
         offset=args.offset,
         seed=args.tumor_seed,
     )
-    atlas = phantom.synth_atlas(dims, seed=args.seed if args.seed is not None else 0)
+    atlas = phantom.synth_atlas(dims, seed=args.seed)
     patient, truth = phantom.synth_patient(atlas, tumor)
-    phantom.save_phantom_case(
-        args.output_dir, atlas, patient, truth, tumor,
-        atlas_seed=args.seed if args.seed is not None else 0,
-    )
+    phantom.save_phantom_case(args.output_dir, atlas, patient, truth, tumor, atlas_seed=args.seed)
     print(f"phantom written to {args.output_dir} (tumor voxels: {truth.count()})")
     return EXIT_OK
 
@@ -100,8 +95,8 @@ def cmd_fit(args) -> int:
 def cmd_gbbm(args) -> int:
     config = _config_from_args(args)
     atlas = phantom.load_atlas_dir(config.atlas_dir)
-    normalized, _, model = pipeline.fit_stage(pipeline.read_scalar(config.input), atlas, config)
-    pipeline.gbbm_stage(normalized, atlas, model, config)
+    values, _, model = pipeline.fit_stage(pipeline.read_scalar(config.input), atlas, config)
+    pipeline.gbbm_stage(values, atlas, model, config)
     path = os.path.join(config.output_dir, pipeline.GBBM_FILE)
     print(f"abnormality map written to {path}")
     return EXIT_OK
@@ -165,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("phantom", help="generate a synthetic case (atlas + patient + truth)")
-    _add_common(p, "output", "seed")
+    _add_common(p, "output")
+    p.add_argument("--seed", type=int, default=0, help="atlas noise seed (default 0)")
     p.add_argument("--dims", default="64", help="N or NX,NY,NZ (default 64)")
     p.add_argument("--shape", default="sphere", choices=("sphere", "ellipsoid", "blob"))
     p.add_argument("--radii", default="8", help="comma-separated radii (world units)")
@@ -176,15 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_phantom)
 
     p = subs.add_parser("fit", help="fit the three-tissue mixture to a scan")
-    _add_common(p, "config", "input", "atlas", "output", "seed",
-                input_help="patient scalar MVOL")
+    _add_common(p, "config", "input", "atlas", "output", input_help="patient scalar MVOL")
     p.add_argument("--max-iters", dest="em_max_iters", type=int, default=None,
                    help="EM iteration cap")
     p.set_defaults(func=cmd_fit)
 
     p = subs.add_parser("gbbm", help="compute the abnormality map")
-    _add_common(p, "config", "input", "atlas", "output", "seed",
-                input_help="patient scalar MVOL")
+    _add_common(p, "config", "input", "atlas", "output", input_help="patient scalar MVOL")
     p.add_argument("--model", default=None, help="serialized model (skips fitting)")
     p.add_argument("--omega", type=float, default=None)
     p.set_defaults(func=cmd_gbbm)
@@ -212,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = subs.add_parser("pipeline", help="run every stage end to end")
-    _add_common(p, "config", "input", "atlas", "output", "seed")
+    _add_common(p, "config", "input", "atlas", "output")
     p.add_argument("--model", default=None)
     p.add_argument("--ground-truth", dest="ground_truth", default=None)
     p.add_argument("--psi", type=float, default=None)

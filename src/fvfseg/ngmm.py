@@ -2,11 +2,13 @@
 
 A scan is first normalized by its mean intensity over the brain mask, which
 maps the (scanner-dependent) raw range onto a common scale where tissue
-modes from different acquisitions line up.  A K-component univariate
-Gaussian mixture is then fitted to the normalized masked intensities with
-EM.  For K = 3 the components are labelled CSF/GM/WM in ascending order of
-mean, matching the usual T1 ordering: fluid darkest, white matter
-brightest.
+modes from different acquisitions line up.  Only brain voxels are read,
+and their normalized values form one vector that both the fit and the
+abnormality map (``brainmap.build_gbbm``) read, so nothing here may sort
+or write it in place (``np.quantile`` works on a copy).  A K-component
+univariate Gaussian mixture is then fitted to that vector with EM.  For
+K = 3 the components are labelled CSF/GM/WM in ascending order of mean,
+matching the usual T1 ordering: fluid darkest, white matter brightest.
 
 EM runs on a weighted histogram of the samples (grouped-data EM,
 McLachlan & Jones 1988): the samples are binned once into ``EM_BINS``
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .volume import BinaryMask, ScalarVolume, require_same_grid
+from .volume import BinaryMask, ScalarVolume, mask_index, require_same_grid
 
 VARIANCE_FLOOR = 1e-6
 # EM's histogram: bins over the widened central span of the samples, each
@@ -89,25 +91,25 @@ class TissueMixtureModel:
         return ("CSF", "GM", "WM") if self.n_components == 3 else None
 
 
-def normalize_intensity(vol: ScalarVolume, mask: BinaryMask):
-    """Divide a volume by its mean over ``mask``.
+def normalize_intensity(scan: ScalarVolume, mask: BinaryMask):
+    """The scan's values at the voxels of ``mask``, in the mask's memory
+    order (``volume.mask_index``), widened to float64 (exact) and divided by
+    their mean, together with a NormalizationRecord.
 
-    Returns the rescaled volume together with a NormalizationRecord; the
-    masked mean of the result is 1 by construction.  Voxels outside the
-    mask are divided as well.  The result is float64 in the memory order of
-    the input, made by one division that widens each value as it reads it
-    (widening is exact), and the mean is taken over the widened masked
-    values, so a float32 scan needs no float64 copy.
+    Every array made is as long as the mask's voxel count.  The mean is
+    summed in the mask's memory order, so for a float64 scan in Fortran
+    order it can differ in its last bit from a sum in C order.
     """
-    require_same_grid(vol, mask, "volume and mask")
-    n = mask.count()
-    if n == 0:
+    require_same_grid(scan, mask, "scan and mask")
+    index, order = mask_index(mask)
+    if index.size == 0:
         raise ValueError("cannot normalize against an empty mask")
-    m = float(vol.data[mask.data].astype(np.float64).mean())
+    values = scan.data.ravel(order)[index].astype(np.float64, copy=False)
+    m = float(values.mean())
     if not (math.isfinite(m) and m > 0):
         raise ValueError(f"masked mean must be positive to normalize, got {m}")
-    out = ScalarVolume(np.divide(vol.data, m, dtype=np.float64), vol.spacing)
-    return out, NormalizationRecord(mean=m, note=f"mean over {n} masked voxels")
+    values /= m
+    return values, NormalizationRecord(mean=m, note=f"mean over {index.size} masked voxels")
 
 
 def gaussian_pdf(x, mean: float, std: float):
@@ -119,19 +121,16 @@ def gaussian_pdf(x, mean: float, std: float):
     return float(out) if np.isscalar(x) else out
 
 
-def sample_masked_intensities(
-    vol: ScalarVolume, mask: BinaryMask, max_samples: int = 2_000_000, seed: int = 0
-) -> np.ndarray:
-    """Masked voxel values, uniformly subsampled to at most ``max_samples``."""
-    require_same_grid(vol, mask, "volume and mask")
+def sample_masked_intensities(values: np.ndarray, max_samples: int = 2_000_000) -> np.ndarray:
+    """``values`` itself when it holds at most ``max_samples`` values, else
+    a uniform subsample of that size drawn with seed 0, in the order of
+    ``values``."""
     if max_samples < 1:
         raise ValueError("max_samples must be >= 1")
-    values = np.asarray(vol.data, dtype=np.float64)[mask.data]
-    if values.size > max_samples:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(values.size, size=max_samples, replace=False)
-        values = values[np.sort(idx)]
-    return values
+    if values.size <= max_samples:
+        return values
+    idx = np.random.default_rng(0).choice(values.size, size=max_samples, replace=False)
+    return values[np.sort(idx)]
 
 
 def _log_weighted_densities(x, weights, means, stds, out):

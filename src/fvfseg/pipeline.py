@@ -33,7 +33,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import fvf3d
-from .brainmap import GbbmParams, ProbabilisticAtlas, build_gbbm
+from .brainmap import ProbabilisticAtlas, build_gbbm
 from .candidate import CandidateParams, CandidateRegion, extract_candidate
 from .errors import NoCandidateError
 from .metrics import tanimoto
@@ -70,7 +70,6 @@ class PipelineConfig:
     em_tol: float = 1e-6
     em_max_iters: int = 500
     max_samples: int = 2_000_000
-    seed: int = 0
     # abnormality map + candidate
     omega: float = 255.0
     psi: float | None = None  # None -> 0.6 * omega
@@ -190,34 +189,33 @@ def _artifact(config: PipelineConfig, name: str) -> str:
 
 
 def fit_stage(patient: ScalarVolume, atlas: ProbabilisticAtlas, config: PipelineConfig):
-    """Normalize the patient over the brain mask, then fit the mixture, or
-    load it from ``config.model`` when that is set.
+    """Normalize the patient's brain voxels, then fit the mixture to them,
+    or load it from ``config.model`` when that is set.
 
-    Writes model.txt when ``config.output_dir`` is set.  Returns the
-    normalized volume, its NormalizationRecord and the model.
+    Writes model.txt when ``config.output_dir`` is set.  Returns the vector
+    of normalized brain-voxel values, which the fit leaves as it was and
+    gbbm_stage reads, its NormalizationRecord and the model.
     """
-    require_same_grid(patient, atlas.template, "patient and atlas")
-    normalized, record = normalize_intensity(patient, atlas.brain_mask)
+    values, record = normalize_intensity(patient, atlas.brain_mask)
     if config.model is None:
-        samples = sample_masked_intensities(
-            normalized, atlas.brain_mask, max_samples=config.max_samples, seed=config.seed
-        )
+        samples = sample_masked_intensities(values, max_samples=config.max_samples)
         model = fit_em(samples, k=3, tol=config.em_tol, max_iters=config.em_max_iters)
     else:
         model = load_model(config.model)
     if config.output_dir is not None:
         save_model(model, _artifact(config, MODEL_FILE))
-    return normalized, record, model
+    return values, record, model
 
 
 def gbbm_stage(
-    normalized: ScalarVolume,
+    values: np.ndarray,
     atlas: ProbabilisticAtlas,
     model: TissueMixtureModel,
     config: PipelineConfig,
 ) -> ScalarVolume:
-    """Abnormality map of the normalized patient; writes gbbm.mvol."""
-    gbbm = build_gbbm(normalized, atlas, model, GbbmParams(omega=config.omega))
+    """Abnormality map of the normalized brain-voxel values that fit_stage
+    returns; writes gbbm.mvol."""
+    gbbm = build_gbbm(values, atlas, model, omega=config.omega)
     write_volume(gbbm, _artifact(config, GBBM_FILE))
     return gbbm
 
@@ -315,11 +313,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if truth is not None:
         require_same_grid(truth, patient, "ground truth and patient")
 
-    normalized, _, model = fit_stage(patient, atlas, config)
+    values, _, model = fit_stage(patient, atlas, config)
     em = {}
     if model.loglik_trace is not None:
         em = {"em_iterations": len(model.loglik_trace), "em_converged": model.converged}
-    gbbm = gbbm_stage(normalized, atlas, model, config)
+    gbbm = gbbm_stage(values, atlas, model, config)
     try:
         region = candidate_stage(gbbm, atlas, config)
     except NoCandidateError as err:

@@ -181,6 +181,16 @@ def require_same_grid(a, b, what: str = "volumes"):
         )
 
 
+def mask_index(mask: BinaryMask) -> tuple[np.ndarray, str]:
+    """The flat indices of the voxels of ``mask`` in its memory order, and
+    that order ("F" for a Fortran-ordered mask, as read from MVOL, else
+    "C"): the one order in which the package reads a mask's voxels.
+    ``a.ravel(order)[index]`` gathers them from an array on the grid, which
+    the ravel copies unless it is laid out like the mask."""
+    order = "F" if mask.data.flags.f_contiguous else "C"
+    return np.flatnonzero(mask.data.ravel(order)), order
+
+
 def world_coordinates(dims, spacing):
     """Three (nx, ny, nz) arrays holding the world x/y/z of every voxel."""
     axes = [np.arange(n, dtype=np.float64) * s for n, s in zip(dims, spacing)]

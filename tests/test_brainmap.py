@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from fvfseg import brainmap
 from fvfseg.brainmap import (
-    GbbmParams,
     ProbabilisticAtlas,
     build_gbbm,
     cc_to_cm,
@@ -18,7 +18,7 @@ from fvfseg.brainmap import (
 )
 from fvfseg.errors import GridMismatchError
 from fvfseg.ngmm import TissueMixtureModel
-from fvfseg.volume import BinaryMask, ScalarVolume
+from fvfseg.volume import BinaryMask, ScalarVolume, mask_index
 
 from .oracles import (
     mp_cc_to_cm,
@@ -33,6 +33,12 @@ UNIT = (1.0, 1.0, 1.0)
 MODEL = TissueMixtureModel(
     weights=(0.2, 0.5, 0.3), means=(0.6, 1.0, 1.3), stds=(0.08, 0.10, 0.12)
 )
+
+
+def _brain_values(data, atlas):
+    """The brain voxels of a volume on the atlas grid, as build_gbbm reads them."""
+    index, order = mask_index(atlas.brain_mask)
+    return np.asarray(data).ravel(order)[index]
 
 
 def _random_atlas(rng, dims=(5, 5, 5)):
@@ -221,13 +227,17 @@ class TestConflictMapping:
 
 
 class TestGbbmParams:
+    """omega, the map's one parameter, is an argument of build_gbbm."""
+
     def test_default_omega(self):
-        assert GbbmParams().omega == 255.0
+        assert inspect.signature(build_gbbm).parameters["omega"].default == 255.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
-    def test_rejects_bad_omega(self, bad):
-        with pytest.raises(ValueError):
-            GbbmParams(omega=bad)
+    def test_rejects_bad_omega(self, bad, rng):
+        atlas = _random_atlas(rng)
+        values = _brain_values(np.ones(atlas.dims), atlas)
+        with pytest.raises(ValueError, match="omega"):
+            build_gbbm(values, atlas, MODEL, omega=bad)
 
 
 class TestBuildGbbm:
@@ -236,8 +246,8 @@ class TestBuildGbbm:
         composition of the 50-digit reference formulas."""
         atlas = _random_atlas(rng, dims=(4, 5, 3))
         patient = ScalarVolume(rng.uniform(0.3, 1.8, atlas.dims), UNIT)
-        got = build_gbbm(patient, atlas, MODEL)
-        omega = GbbmParams().omega
+        got = build_gbbm(_brain_values(patient.data, atlas), atlas, MODEL)
+        omega = 255.0
         for i in range(atlas.dims[0]):
             for j in range(atlas.dims[1]):
                 for k in range(atlas.dims[2]):
@@ -255,21 +265,19 @@ class TestBuildGbbm:
 
     def test_zero_outside_brain(self, rng):
         atlas = _random_atlas(rng)
-        patient = ScalarVolume(rng.uniform(0.3, 1.8, atlas.dims), UNIT)
-        out = build_gbbm(patient, atlas, MODEL)
+        out = build_gbbm(_brain_values(rng.uniform(0.3, 1.8, atlas.dims), atlas), atlas, MODEL)
         assert (out.data[~atlas.brain_mask.data] == 0.0).all()
 
     def test_omega_scales_linearly(self, rng):
         atlas = _random_atlas(rng)
-        patient = ScalarVolume(rng.uniform(0.3, 1.8, atlas.dims), UNIT)
-        a = build_gbbm(patient, atlas, MODEL, GbbmParams(omega=1.0))
-        b = build_gbbm(patient, atlas, MODEL, GbbmParams(omega=100.0))
+        values = _brain_values(rng.uniform(0.3, 1.8, atlas.dims), atlas)
+        a = build_gbbm(values, atlas, MODEL, omega=1.0)
+        b = build_gbbm(values, atlas, MODEL, omega=100.0)
         assert np.allclose(b.data, 100.0 * a.data, rtol=1e-12)
 
     def test_value_range(self, rng):
         atlas = _random_atlas(rng)
-        patient = ScalarVolume(rng.uniform(0.3, 1.8, atlas.dims), UNIT)
-        out = build_gbbm(patient, atlas, MODEL)
+        out = build_gbbm(_brain_values(rng.uniform(0.3, 1.8, atlas.dims), atlas), atlas, MODEL)
         assert out.data.min() >= 0.0
         assert out.data.max() <= 255.0
 
@@ -278,7 +286,7 @@ class TestBuildGbbm:
         data = rng.uniform(0.3, 1.8, atlas.dims)
         data[2, 2, 2] = 1e6  # underflows every likelihood
         diag = {}
-        build_gbbm(ScalarVolume(data, UNIT), atlas, MODEL, diagnostics=diag)
+        build_gbbm(_brain_values(data, atlas), atlas, MODEL, diagnostics=diag)
         assert diag["degenerate_bayes_voxels"] >= 1
         assert diag["degenerate_cc_voxels"] >= 0
 
@@ -290,7 +298,6 @@ class TestBuildGbbm:
             p.data[3, :, 5:30] = 0.0  # uninformative prior: degenerate CC
         data = rng.uniform(0.3, 1.8, atlas.dims)
         data[1:4, 2, ::3] = 1e6  # every likelihood underflows: degenerate Bayes
-        patient = ScalarVolume(data, UNIT)
 
         masks = {}
         prior = spatial_prior(atlas.probability_stack())
@@ -312,7 +319,8 @@ class TestBuildGbbm:
             fields = ("template", "prob_csf", "prob_gm", "prob_wm", "brain_mask")
             ordered = ProbabilisticAtlas(*(laid(getattr(atlas, f)) for f in fields))
             diag = {}
-            got = build_gbbm(laid(patient), ordered, MODEL, diagnostics=diag)
+            values = _brain_values(np.asarray(data, order=order), ordered)
+            got = build_gbbm(values, ordered, MODEL, diagnostics=diag)
             assert np.array_equal(got.data, expected)
             assert diag == counts
             # degenerate voxels of each kind lie on both sides of chunk boundaries
@@ -323,12 +331,12 @@ class TestBuildGbbm:
 
     def test_peak_memory_bounded_by_chunks(self, rng):
         atlas = _random_atlas(rng, dims=(48, 48, 128))
-        patient = ScalarVolume(rng.uniform(0.3, 1.8, atlas.dims), UNIT)
-        grid_bytes = patient.data.size * 8
+        values = _brain_values(rng.uniform(0.3, 1.8, atlas.dims), atlas)
+        grid_bytes = atlas.template.data.size * 8
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            build_gbbm(patient, atlas, MODEL, diagnostics={})
+            build_gbbm(values, atlas, MODEL, diagnostics={})
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -338,13 +346,22 @@ class TestBuildGbbm:
 
     def test_rejects_wrong_model_k(self, rng):
         atlas = _random_atlas(rng)
-        patient = ScalarVolume(np.ones(atlas.dims), UNIT)
         two = TissueMixtureModel((0.5, 0.5), (0.0, 1.0), (0.1, 0.1))
         with pytest.raises(ValueError, match="3-component"):
-            build_gbbm(patient, atlas, two)
+            build_gbbm(_brain_values(np.ones(atlas.dims), atlas), atlas, two)
 
     def test_rejects_grid_mismatch(self, rng):
+        # the brain voxels of a scan on another grid: a vector of another length
         atlas = _random_atlas(rng)
-        patient = ScalarVolume(np.ones((6, 6, 6)), UNIT)
-        with pytest.raises(GridMismatchError):
-            build_gbbm(patient, atlas, MODEL)
+        other = _random_atlas(rng, dims=(6, 6, 6))
+        with pytest.raises(ValueError, match="brain-voxel values"):
+            build_gbbm(_brain_values(np.ones(other.dims), other), atlas, MODEL)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_rejects_a_vector_of_the_wrong_length(self, delta, rng):
+        atlas = _random_atlas(rng)
+        values = np.ones(atlas.brain_mask.count() + delta)
+        with pytest.raises(ValueError, match="brain-voxel values"):
+            build_gbbm(values, atlas, MODEL)
+        with pytest.raises(ValueError, match="brain-voxel values"):
+            build_gbbm(values.reshape(1, -1), atlas, MODEL)

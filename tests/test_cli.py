@@ -439,6 +439,52 @@ class TestEvaluateCommand:
         assert "spacing 1 1 1_0" in capsys.readouterr().err
 
 
+class TestSeedFlag:
+    """``--seed`` exists only on ``phantom``, as the atlas noise seed; the
+    fit's subsample has no seed to set."""
+
+    def test_seed_config_key_exit_one(self, case_dir, tmp_path, capsys):
+        config = tmp_path / "seed.cfg"
+        config.write_text("seed = 1\n")
+        code = main(
+            [
+                "fit",
+                "--config", str(config),
+                "--input", str(case_dir / PATIENT_FILE),
+                "--atlas-dir", str(case_dir),
+                "--output-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_GENERIC
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "gbbm", "pipeline"])
+    def test_seed_flag_is_a_usage_error(self, command, case_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    command,
+                    "--input", str(case_dir / PATIENT_FILE),
+                    "--atlas-dir", str(case_dir),
+                    "--output-dir", str(tmp_path / "out"),
+                    "--seed", "1",
+                ]
+            )
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_phantom_seed_is_the_atlas_noise_seed(self, tmp_path, capsys):
+        out = tmp_path / "case"
+        assert main(["phantom", "--output-dir", str(out), "--dims", "32", "--radii", "4",
+                     "--seed", "3"]) == EXIT_OK
+        assert "atlas_seed=3" in (out / MANIFEST_FILE).read_text().splitlines()
+        with pytest.raises(SystemExit) as exc:
+            main(["phantom", "--help"])
+        assert exc.value.code == 0
+        assert "atlas noise seed (default 0)" in " ".join(capsys.readouterr().out.split())
+
+
 class TestUsageErrors:
     def test_missing_required_flag_is_systemexit_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -111,9 +111,8 @@ class TestSynthAtlas:
         assert sorted(np.unique(labels)) == [0, 1, 2]
 
     def test_template_mixture_is_fittable(self, atlas):
-        normalized, _ = normalize_intensity(atlas.template, atlas.brain_mask)
-        samples = sample_masked_intensities(normalized, atlas.brain_mask)
-        model = fit_em(samples, k=3)
+        values, _ = normalize_intensity(atlas.template, atlas.brain_mask)
+        model = fit_em(sample_masked_intensities(values), k=3)
         raw_means, _, _ = tissue_statistics(atlas)
         scale = atlas.template.data[atlas.brain_mask.data].mean()
         assert np.allclose(model.means, raw_means / scale, atol=0.05)
@@ -186,10 +185,9 @@ class TestSynthPatient:
         the seat mean agrees with the prior better than noisy tissue does)."""
         control = TumorSpec(shape="sphere", radii=(8.0,), offset=0.0, seed=1)
         patient, truth = synth_patient(atlas, control)
-        normalized, _ = normalize_intensity(patient, atlas.brain_mask)
-        samples = sample_masked_intensities(normalized, atlas.brain_mask)
-        model = fit_em(samples, k=3)
-        gbbm = build_gbbm(normalized, atlas, model)
+        values, _ = normalize_intensity(patient, atlas.brain_mask)
+        model = fit_em(sample_masked_intensities(values), k=3)
+        gbbm = build_gbbm(values, atlas, model)
         brain = atlas.brain_mask.data
         lesion_mean = gbbm.data[truth.data].mean()
         healthy_mean = gbbm.data[brain & ~truth.data].mean()
