@@ -114,6 +114,10 @@ from .volume import (
 _EPS_DIRECTION = 1e-12
 _EPS_CURVATURE = 1e-12
 
+# Half-width of the narrow band, in voxels of the coarsest axis: the
+# default of LevelSetField, signed_distance_init and init_window.
+BAND_HALFWIDTH = 6.0
+
 # A single step that moves phi by more than this many band widths cannot be
 # a physical front motion; treat it as divergence without waiting for the
 # values to overflow into inf.
@@ -147,7 +151,7 @@ class LevelSetField:
 
     phi: ScalarVolume
     iteration: int = 0
-    band_halfwidth: float = 6.0
+    band_halfwidth: float = BAND_HALFWIDTH
     window: tuple | None = None
 
     def __post_init__(self):
@@ -239,7 +243,7 @@ def _contains(outer, inner) -> bool:
 
 
 def signed_distance_init(
-    mask: BinaryMask, band_halfwidth: float = 6.0, window=None
+    mask: BinaryMask, band_halfwidth: float = BAND_HALFWIDTH, window=None
 ) -> LevelSetField:
     """Signed Euclidean distance to the mask boundary, negative inside.
 
@@ -267,7 +271,9 @@ def signed_distance_init(
 
 
 def init_window(
-    mask: BinaryMask, band_halfwidth: float = 6.0, params: EvolutionParams | None = None
+    mask: BinaryMask,
+    band_halfwidth: float = BAND_HALFWIDTH,
+    params: EvolutionParams | None = None,
 ):
     """The window for signed_distance_init that holds evolve's first update
     box: the mask's bounding box grown by the band, the travel margin of

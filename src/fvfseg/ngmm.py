@@ -349,8 +349,10 @@ def model_from_text(text: str) -> TissueMixtureModel:
             continue
         if "=" not in line:
             raise ValueError(f"bad model line {line!r}, expected key=value")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in entries:
+            raise ValueError(f"duplicate model key {key!r}")
+        entries[key] = value
     if "K" not in entries:
         raise ValueError("model text is missing the K entry")
     k = int(entries.pop("K"))

@@ -1,6 +1,11 @@
 """End-to-end orchestration: fit -> abnormality map -> candidate -> level set.
 
-Everything an invocation needs lives in a PipelineConfig; a flat
+Everything an invocation needs lives in a PipelineConfig: five paths and
+the seven settings a caller tunes (em_max_iters, max_samples, omega, psi,
+alpha, beta, max_iters).  Every other method parameter is the default of
+the layer that owns it (fit_em, CandidateParams, EvolutionParams,
+make_force_context, fvf3d.BAND_HALFWIDTH).  The config checks its settings
+when it is built, before any stage writes an artifact.  A flat
 ``key = value`` text file (comments with #, unknown keys rejected) can
 populate it and command-line flags override file values.  The run writes
 its artifacts into output_dir:
@@ -25,6 +30,7 @@ kept out of report.txt so the file stays deterministic.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -67,47 +73,31 @@ class PipelineConfig:
     output_dir: str | None = None
     ground_truth: str | None = None
     # mixture fit
-    em_tol: float = 1e-6
     em_max_iters: int = 500
     max_samples: int = 2_000_000
     # abnormality map + candidate
     omega: float = 255.0
     psi: float | None = None  # None -> 0.6 * omega
-    strip_depth: int = 2
-    erode_iters: int = 2
-    dilate_iters: int = 2
-    connectivity: int = 26
     # level set
     alpha: float = 0.2
     beta: float = 1.0
-    dt: float | None = None
     max_iters: int = 300
-    reinit_every: int = 20
-    stop_tol: float = 1e-3
-    band_halfwidth: float = 6.0
-    edge_sigma: float = 1.0
+
+    def __post_init__(self):
+        # reject bad settings before any stage writes an artifact
+        if not (self.omega > 0 and math.isfinite(self.omega)):
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        self.candidate_params()
+        self.evolution_params()
 
     def resolved_psi(self) -> float:
         return 0.6 * self.omega if self.psi is None else self.psi
 
     def candidate_params(self) -> CandidateParams:
-        return CandidateParams(
-            psi=self.resolved_psi(),
-            strip_depth=self.strip_depth,
-            erode_iters=self.erode_iters,
-            dilate_iters=self.dilate_iters,
-            connectivity=self.connectivity,
-        )
+        return CandidateParams(psi=self.resolved_psi())
 
     def evolution_params(self) -> fvf3d.EvolutionParams:
-        return fvf3d.EvolutionParams(
-            alpha=self.alpha,
-            beta=self.beta,
-            dt=self.dt,
-            max_iters=self.max_iters,
-            reinit_every=self.reinit_every,
-            stop_tol=self.stop_tol,
-        )
+        return fvf3d.EvolutionParams(alpha=self.alpha, beta=self.beta, max_iters=self.max_iters)
 
 
 def _field_kind(hint) -> type:
@@ -199,7 +189,7 @@ def fit_stage(patient: ScalarVolume, atlas: ProbabilisticAtlas, config: Pipeline
     values, record = normalize_intensity(patient, atlas.brain_mask)
     if config.model is None:
         samples = sample_masked_intensities(values, max_samples=config.max_samples)
-        model = fit_em(samples, k=3, tol=config.em_tol, max_iters=config.em_max_iters)
+        model = fit_em(samples, k=3, max_iters=config.em_max_iters)
     else:
         model = load_model(config.model)
     if config.output_dir is not None:
@@ -253,9 +243,9 @@ def segment_stage(patient: ScalarVolume, region: CandidateRegion, config: Pipeli
     """
     params = config.evolution_params()
     mask = region.mask
-    ctx = fvf3d.make_force_context(patient, mask, sigma=config.edge_sigma, center=region.centroid)
-    window = fvf3d.init_window(mask, config.band_halfwidth, params)
-    ls = fvf3d.signed_distance_init(mask, config.band_halfwidth, window)
+    ctx = fvf3d.make_force_context(patient, mask, center=region.centroid)
+    window = fvf3d.init_window(mask, params=params)
+    ls = fvf3d.signed_distance_init(mask, window=window)
     log: list = []
     final = fvf3d.evolve(ls, ctx, params, log=log)
     atomic_write_text(_artifact(config, EVOLUTION_LOG_FILE), _evolution_log_text(log))

@@ -1,9 +1,10 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from fvfseg import pipeline
+from fvfseg import fvf3d, pipeline
 from fvfseg.cli import (
     EXIT_GENERIC,
     EXIT_INSTABILITY,
@@ -239,9 +240,74 @@ class TestPipelineCommand:
         }
         assert "status=no-candidate" in (out / pipeline.REPORT_FILE).read_text()
 
-    def test_unstable_dt_from_config_exit_four(self, case_dir, tmp_path, capsys):
-        config = tmp_path / "run.cfg"
-        config.write_text("# deliberately past the stability bound\ndt = 2.5\n")
+    def test_unstable_dt_from_config_exit_four(self, case_dir, tmp_path, monkeypatch, capsys):
+        # every run resolves dt to a step deliberately past the stability bound
+        monkeypatch.setattr(fvf3d.EvolutionParams, "resolve_dt", lambda self, spacing: 2.5)
+        code = main(
+            [
+                "pipeline",
+                "--input", str(case_dir / PATIENT_FILE),
+                "--atlas-dir", str(case_dir),
+                "--output-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_INSTABILITY
+        assert "iteration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--alpha", "-1", "alpha"),
+            ("--beta", "-1", "beta"),
+            ("--max-iters", "0", "max_iters"),
+            ("--psi", "-1", "psi"),
+            ("--omega", "0", "omega"),
+        ],
+    )
+    def test_bad_setting_exit_one_before_any_write(
+        self, flag, value, name, case_dir, pipeline_out, tmp_path, capsys
+    ):
+        """A rejected setting leaves an earlier run's artifacts as they were:
+        no file is rewritten, not even with the same bytes."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+
+        def files():
+            return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+
+        before = files()
+        code = main(
+            [
+                "pipeline",
+                "--input", str(case_dir / PATIENT_FILE),
+                "--atlas-dir", str(case_dir),
+                "--output-dir", str(out),
+                flag, value,
+            ]
+        )
+        assert code == EXIT_GENERIC
+        assert name in capsys.readouterr().err
+        assert files() == before
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "em_tol",
+            "strip_depth",
+            "erode_iters",
+            "dilate_iters",
+            "connectivity",
+            "dt",
+            "reinit_every",
+            "stop_tol",
+            "band_halfwidth",
+            "edge_sigma",
+        ],
+    )
+    def test_fixed_parameter_config_key_exit_one(self, key, case_dir, tmp_path, capsys):
+        """Method parameters the pipeline fixes are not config keys."""
+        config = tmp_path / "fixed.cfg"
+        config.write_text(f"psi = 153\n{key} = 1\n")
         code = main(
             [
                 "pipeline",
@@ -251,8 +317,9 @@ class TestPipelineCommand:
                 "--output-dir", str(tmp_path / "out"),
             ]
         )
-        assert code == EXIT_INSTABILITY
-        assert "iteration" in capsys.readouterr().err
+        assert code == EXIT_GENERIC
+        assert f"{config}:2: unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_exit_one(self, case_dir, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

@@ -394,3 +394,10 @@ class TestModelText:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
             model_from_text("K=1\nweight_0 1\nmean_0=0\nstd_0=1\n")
+
+    @pytest.mark.parametrize("line", ["mean_0=9", "K=1"])
+    def test_duplicate_key_rejected(self, line):
+        text = f"K=1\nweight_0=1\nmean_0=0.5\nstd_0=1\n{line}\n"
+        key = line.split("=")[0]
+        with pytest.raises(ValueError, match=f"duplicate model key '{key}'"):
+            model_from_text(text)

@@ -1,5 +1,6 @@
-"""PipelineConfig and run_pipeline: defaults written twice, on the config
-and on the functions and parameter types it feeds, must agree; the EM fit
+"""PipelineConfig and run_pipeline: the settings the config keeps agree
+with the defaults of the functions and parameter types it feeds, and the
+narrow band's half-width has one default, fvf3d.BAND_HALFWIDTH; the EM fit
 leaves every artifact past the abnormality map unchanged against the
 reference fit; the fit and the map read one vector of normalized brain
 voxels, which the fit leaves intact."""
@@ -51,13 +52,9 @@ class TestDefaultsAgree:
         assert PipelineConfig().candidate_params() == CandidateParams()
 
     def test_band_halfwidth(self):
-        band = PipelineConfig().band_halfwidth
-        assert band == 6.0
+        assert fvf3d.BAND_HALFWIDTH == 6.0
         for fn in (fvf3d.LevelSetField, fvf3d.signed_distance_init, fvf3d.init_window):
-            assert _default(fn, "band_halfwidth") == band, fn.__name__
-
-    def test_edge_sigma(self):
-        assert PipelineConfig().edge_sigma == _default(fvf3d.make_force_context, "sigma")
+            assert _default(fn, "band_halfwidth") == fvf3d.BAND_HALFWIDTH, fn.__name__
 
 
 def _sphere_case(path):
@@ -85,7 +82,8 @@ def test_reference_em_model_changes_only_the_gbbm_within_tolerance(tmp_path):
     atlas = phantom.load_atlas_dir(config.atlas_dir)
     values, _ = normalize_intensity(read_scalar(config.input), atlas.brain_mask)
     samples = sample_masked_intensities(values, max_samples=config.max_samples)
-    ref = fit_em_oracle(samples, k=3, tol=config.em_tol, max_iters=config.em_max_iters)
+    tol = _default(fit_em, "tol")
+    ref = fit_em_oracle(samples, k=3, tol=tol, max_iters=config.em_max_iters)
     model_path = tmp_path / "reference_model.txt"
     save_model(TissueMixtureModel(ref.weights, ref.means, ref.stds), model_path)
     reference = replace(config, model=str(model_path), output_dir=str(tmp_path / "reference"))

@@ -1,17 +1,21 @@
-"""README's "Library use" block runs as written against a phantom case."""
+"""README's "Library use" block runs as written against a phantom case, and
+its table of config keys lists exactly the keys the config parser takes."""
 
 import os
 import re
 
-from fvfseg import phantom
+from fvfseg import phantom, pipeline
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
-def _library_block() -> str:
+def _readme() -> str:
     with open(README, encoding="utf-8") as fh:
-        text = fh.read()
-    section = text.split("\n## Library use\n", 1)[1]
+        return fh.read()
+
+
+def _library_block() -> str:
+    section = _readme().split("\n## Library use\n", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
@@ -24,3 +28,13 @@ def test_library_use_block_runs(tmp_path, monkeypatch, capsys):
     exec(compile(_library_block(), README, "exec"), {"__name__": "readme"})
     tm = float(capsys.readouterr().out.strip().splitlines()[-1])
     assert tm > 0.85
+
+
+def test_config_key_table_names_every_key():
+    """The CLI section's key table: one row per PipelineConfig field, so a
+    new setting fails here until README documents it."""
+    section = _readme().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    table = re.search(r"^\| key .*?\n\n", section, re.M | re.S).group(0)
+    keys = re.findall(r"^\| `(\w+)` +\|", table, re.M)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == pipeline.CONFIG_KEYS
