@@ -22,6 +22,13 @@ for candidate extraction.
 The intensities come in as the vector the mixture was fitted to: the
 normalized brain voxels in the brain mask's memory order
 (``ngmm.normalize_intensity``); no scan grid is read here.
+
+Each formula is written once, as an in-place step on (3, n) rows of n
+voxels.  The public functions validate their inputs, copy them and run
+the step; ``build_gbbm`` checks its inputs once and runs the steps on
+per-part chunk buffers, cutting the brain voxels into contiguous parts
+that ``volume.run_parts`` runs on the CPUs.  The map has the bits of the
+public chain on the whole volume.
 """
 
 from __future__ import annotations
@@ -31,16 +38,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ngmm import TissueMixtureModel, gaussian_pdf
-from .volume import BinaryMask, ScalarVolume, mask_index, require_same_grid
+from .ngmm import TissueMixtureModel, _gaussian_pdf_into
+from .volume import (
+    BinaryMask,
+    ScalarVolume,
+    mask_index,
+    require_same_grid,
+    run_parts,
+    split_planes,
+)
 
 BAYES_DENOMINATOR_FLOOR = 1e-300
 CC_VARIANCE_FLOOR = 1e-12
 
-# build_gbbm works on chunks of this many brain voxels: its chain holds about
-# 18 float64 temporaries per voxel, so the 750k brain voxels of a 128^3 head
-# at once would take ~110 MB on top of the inputs, while a chunk takes ~2 MB.
+# build_gbbm works on chunks of this many brain voxels: its kernel holds 10
+# float64 and 2 bool buffers per voxel, so the 750k brain voxels of a 128^3
+# head at once would take ~62 MB on top of the inputs, while a chunk's
+# buffers take 1.3 MB, allocated once per part.
 GBBM_CHUNK_VOXELS = 1 << 14
+# the numpy passes build_gbbm's kernel makes over a chunk, which split_planes
+# weighs against PART_WORK: a 128^3 head's 750k brain voxels run in two
+# parts, a 64^3 head's 94k in one
+GBBM_PASSES = 76
+
+_MAP_NAMES = ("prob_csf", "prob_gm", "prob_wm")
+# ProbabilisticAtlas sums its maps over chunks of this many voxels: a
+# float64 chunk of 512 KiB stays in cache between the two additions
+_SUM_CHUNK_VOXELS = 1 << 16
 
 
 @dataclass
@@ -58,19 +82,26 @@ class ProbabilisticAtlas:
     _PROB_TOL = 1e-6
 
     def __post_init__(self):
-        for name in ("prob_csf", "prob_gm", "prob_wm"):
+        for name in _MAP_NAMES:
             require_same_grid(self.template, getattr(self, name), f"template and {name}")
         require_same_grid(self.template, self.brain_mask, "template and brain mask")
-        # in the maps' memory order (Fortran when read from MVOL), so that
-        # each sum is one contiguous pass
-        total = np.zeros_like(self.prob_csf.data, dtype=np.float64)
-        for name in ("prob_csf", "prob_gm", "prob_wm"):
-            p = getattr(self, name).data
+        maps = [getattr(self, name).data for name in _MAP_NAMES]
+        for name, p in zip(_MAP_NAMES, maps):
             if p.min() < -self._PROB_TOL or p.max() > 1 + self._PROB_TOL:
                 raise ValueError(f"{name} has values outside [0, 1]")
-            total += p
-        if total.max() > 1 + self._PROB_TOL:
-            raise ValueError("tissue probabilities sum to more than 1 somewhere")
+        # The float64 sum csf + gm + wm, a chunk of voxels at a time in the
+        # maps' memory order (Fortran when read from MVOL): each voxel's sum
+        # is the same wherever the chunks are cut.
+        order = "F" if maps[0].flags.f_contiguous else "C"
+        csf, gm, wm = (p.ravel(order) for p in maps)
+        total = np.empty(min(csf.size, _SUM_CHUNK_VOXELS))
+        for start in range(0, csf.size, _SUM_CHUNK_VOXELS):
+            part = slice(start, start + _SUM_CHUNK_VOXELS)
+            t = total[: csf[part].size]
+            np.add(csf[part], gm[part], out=t, dtype=np.float64)
+            t += wm[part]
+            if t.max() > 1 + self._PROB_TOL:
+                raise ValueError("tissue probabilities sum to more than 1 somewhere")
 
     @property
     def dims(self):
@@ -94,6 +125,101 @@ def _triples(values, what: str) -> np.ndarray:
     return arr
 
 
+def _rows(arr: np.ndarray) -> np.ndarray:
+    """A (3, n) float64 copy of a (3, ...) stack, for the in-place steps."""
+    return np.array(arr, dtype=np.float64, order="C").reshape(3, -1)
+
+
+def _shaped(flat: np.ndarray, shape):
+    """``flat`` in ``shape``; a numpy scalar when ``shape`` is ()."""
+    return flat.reshape(shape)[()]
+
+
+# The in-place steps of the map, each on (3, n) rows of n voxels with (n,)
+# scratch, in the operation order of the whole-array formulas they replace
+# (a sum over the three rows is (r0 + r1) + r2, as numpy reduces a stack's
+# leading axis).  The public functions validate, copy and call them;
+# build_gbbm calls them on its chunk buffers.  A repair under a mask runs
+# only when the mask holds a voxel.
+
+
+def _prior_rows(xi, total, blank):
+    """Divide each column of ``xi`` by its sum, or set it to 1/3 where the
+    sum is not positive."""
+    np.add(xi[0], xi[1], out=total)
+    total += xi[2]
+    np.less_equal(total, 0.0, out=blank)
+    repair = blank.any()
+    if repair:
+        np.copyto(total, 1.0, where=blank)
+    xi /= total
+    if repair:
+        np.copyto(xi, 1.0 / 3.0, where=blank)
+
+
+def _posterior_rows(model, prior, x, post, denom, degenerate, scratch):
+    """``post`` = the Bayes update of ``prior`` by the likelihoods of ``x``,
+    or ``prior`` itself where the denominator is below the floor, which
+    ``degenerate`` marks."""
+    for row, p, mean, std in zip(post, prior, model.means, model.stds):
+        _gaussian_pdf_into(x, mean, std, row, scratch)
+        row *= p
+    np.add(post[0], post[1], out=denom)
+    denom += post[2]
+    np.less(denom, BAYES_DENOMINATOR_FLOOR, out=degenerate)
+    repair = degenerate.any()
+    if repair:
+        np.copyto(denom, 1.0, where=degenerate)
+    post /= denom
+    if repair:
+        np.copyto(post, prior, where=degenerate)
+
+
+def _centre_rows(a, mean):
+    np.add(a[0], a[1], out=mean)
+    mean += a[2]
+    mean /= 3.0
+    a -= mean
+
+
+def _mean_product(a, b, out, scratch):
+    """The mean over the rows of a * b, into ``out``."""
+    np.multiply(a[0], b[0], out=out)
+    for ra, rb in zip(a[1:], b[1:]):
+        np.multiply(ra, rb, out=scratch)
+        out += scratch
+    out /= 3.0
+
+
+def _pearson_rows(a, b, cc, var_a, var_b, undefined, scratch):
+    """``cc`` = the Pearson correlation of the columns of ``a`` and ``b``,
+    clipped to [-1, 1], and 0.0 where either variance is below the floor,
+    which ``undefined`` marks.  Centres ``a`` and ``b`` in place."""
+    _centre_rows(a, scratch)
+    _centre_rows(b, scratch)
+    _mean_product(a, a, var_a, scratch)
+    _mean_product(b, b, var_b, scratch)
+    _mean_product(a, b, cc, scratch)
+    np.less(var_a, CC_VARIANCE_FLOOR, out=undefined)
+    undefined |= var_b < CC_VARIANCE_FLOOR
+    var_a *= var_b
+    repair = undefined.any()
+    if repair:
+        np.copyto(var_a, 1.0, where=undefined)
+        np.copyto(cc, 0.0, where=undefined)
+    np.sqrt(var_a, out=var_a)
+    cc /= var_a
+    np.clip(cc, -1.0, 1.0, out=cc)
+
+
+def _cm_rows(cc, positive):
+    """The conflict mapping of ``cc``, in place: 1 - CC where CC > 0 (as
+    1 + -CC, the same bits), -CC elsewhere."""
+    np.greater(cc, 0.0, out=positive)
+    np.negative(cc, out=cc)
+    np.add(cc, 1.0, out=cc, where=positive)
+
+
 def spatial_prior(xi) -> np.ndarray:
     """Normalized tissue prior from raw atlas probabilities.
 
@@ -103,8 +229,10 @@ def spatial_prior(xi) -> np.ndarray:
     read zero get the uninformative prior (1/3, 1/3, 1/3).
     """
     xi = _triples(xi, "spatial_prior")
-    s = xi.sum(axis=0)
-    return np.divide(xi, s, out=np.full_like(xi, 1.0 / 3.0), where=s > 0.0)
+    rows = _rows(xi)
+    n = rows.shape[1]
+    _prior_rows(rows, np.empty(n), np.empty(n, dtype=bool))
+    return rows.reshape(xi.shape)
 
 
 def posterior_triple(
@@ -129,14 +257,16 @@ def posterior_triple(
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("intensity must be finite")
-    post = p * np.stack([gaussian_pdf(x, m, s) for m, s in zip(model.means, model.stds)])
-    denom = post.sum(axis=0)
-    degenerate = denom < BAYES_DENOMINATOR_FLOOR
-    np.divide(post, denom, out=post, where=~degenerate)
-    np.copyto(post, p, where=degenerate)
+    shape = p.shape[1:]
+    rows = _rows(p)
+    x = np.broadcast_to(x, shape).reshape(-1)
+    n = rows.shape[1]
+    post = np.empty_like(rows)
+    degenerate = np.empty(n, dtype=bool)
+    _posterior_rows(model, rows, x, post, np.empty(n), degenerate, np.empty(n))
     if diagnostics is not None:
-        diagnostics["degenerate_bayes"] = degenerate
-    return post
+        diagnostics["degenerate_bayes"] = degenerate.reshape(shape)
+    return post.reshape(p.shape)
 
 
 def pearson_cc(a, b, diagnostics: dict | None = None):
@@ -152,17 +282,13 @@ def pearson_cc(a, b, diagnostics: dict | None = None):
         raise ValueError(f"pearson_cc inputs differ in shape: {a.shape} vs {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("pearson_cc inputs must be finite")
-    ac = a - a.mean(axis=0)
-    bc = b - b.mean(axis=0)
-    var_a = (ac * ac).sum(axis=0) / 3.0
-    var_b = (bc * bc).sum(axis=0) / 3.0
-    cov = (ac * bc).sum(axis=0) / 3.0
-    defined = (var_a >= CC_VARIANCE_FLOOR) & (var_b >= CC_VARIANCE_FLOOR)
-    denom = np.sqrt(var_a * var_b, where=defined, out=np.ones_like(var_a))
-    cc = np.divide(cov, denom, out=np.zeros_like(cov), where=defined)
+    ra, rb = _rows(a), _rows(b)
+    n = ra.shape[1]
+    cc, undefined = np.empty(n), np.empty(n, dtype=bool)
+    _pearson_rows(ra, rb, cc, np.empty(n), np.empty(n), undefined, np.empty(n))
     if diagnostics is not None:
-        diagnostics["degenerate_cc"] = ~defined
-    return np.clip(cc, -1.0, 1.0)
+        diagnostics["degenerate_cc"] = undefined.reshape(a.shape[1:])
+    return _shaped(cc, a.shape[1:])
 
 
 def cc_to_cm(cc):
@@ -170,7 +296,40 @@ def cc_to_cm(cc):
     cc = np.asarray(cc, dtype=np.float64)
     if not (np.abs(cc) <= 1.0).all():
         raise ValueError("CC must lie in [-1, 1]")
-    return np.where(cc > 0.0, 1.0 - cc, -cc)
+    cm = np.array(cc, order="C").reshape(-1)
+    _cm_rows(cm, np.empty(cm.size, dtype=bool))
+    return _shaped(cm, cc.shape)
+
+
+class _ChunkBuffers:
+    """The buffers build_gbbm's kernel runs a chunk of n voxels in."""
+
+    def __init__(self, n: int):
+        self.prior = np.empty((3, n))
+        self.post = np.empty((3, n))
+        self.scalars = np.empty((4, n))
+        self.flags = np.empty((2, n), dtype=bool)
+
+    def run(self, maps, voxels, x, model, omega) -> tuple[np.ndarray, int, int]:
+        """The map's values omega * CM at the brain voxels ``voxels``, whose
+        intensities are ``x``, with their degenerate Bayes and CC counts.
+        The values are a view of these buffers."""
+        n = voxels.size
+        prior, post = self.prior[:, :n], self.post[:, :n]
+        u, v, w, cc = self.scalars[:, :n]  # u, v, w: scratch
+        flag, positive = self.flags[:, :n]
+        for row, m in zip(prior, maps):
+            row[:] = m[voxels]
+        _prior_rows(prior, u, flag)
+        if prior.min() < 0:  # an atlas value within the tolerance below 0
+            raise ValueError("prior must hold nonnegative finite values")
+        _posterior_rows(model, prior, x, post, u, flag, v)
+        bayes = int(np.count_nonzero(flag))
+        _pearson_rows(post, prior, cc, u, v, flag, w)
+        cc_count = int(np.count_nonzero(flag))
+        _cm_rows(cc, positive)
+        cc *= omega
+        return cc, bayes, cc_count
 
 
 def build_gbbm(
@@ -186,10 +345,15 @@ def build_gbbm(
     atlas, as ``ngmm.normalize_intensity`` returns it for a scan registered
     onto the atlas grid; a vector of another length is rejected.  The map
     is the composition spatial_prior -> posterior_triple -> pearson_cc ->
-    cc_to_cm, run on chunks of GBBM_CHUNK_VOXELS brain voxels so the
-    temporaries stay a fraction of the grid; every voxel's value is the
-    same as from one pass over the whole volume.  Optional ``diagnostics``
-    (a dict) receives counts of degenerate brain voxels.
+    cc_to_cm, run by their in-place steps on chunks of GBBM_CHUNK_VOXELS
+    brain voxels, so the temporaries stay a fraction of the grid; every
+    voxel's value is the same as from one pass over the whole volume.  The
+    brain voxels are cut into contiguous parts (``volume.split_planes``,
+    at GBBM_PASSES passes per voxel), each with its own chunk buffers,
+    which ``volume.run_parts`` runs on the CPUs.  The values and the model
+    are checked once here; each chunk checks its prior, since an atlas
+    value a hair below 0 passes the atlas's check.  Optional
+    ``diagnostics`` (a dict) receives counts of degenerate brain voxels.
     """
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be positive and finite, got {omega}")
@@ -197,24 +361,32 @@ def build_gbbm(
     x = np.asarray(values, dtype=np.float64)
     if x.shape != voxels.shape:
         raise ValueError(f"need {voxels.size} brain-voxel values, got shape {x.shape}")
+    if model.n_components != 3:
+        raise ValueError(f"posterior needs a 3-component model, got K={model.n_components}")
+    if not np.isfinite(x).all():
+        raise ValueError("intensity must be finite")
     # views when the maps are laid out like the mask, as an atlas read from MVOL is
     maps = [p.data.ravel(order) for p in (atlas.prob_csf, atlas.prob_gm, atlas.prob_wm)]
     out = np.zeros(atlas.dims, order=order)
     flat_out = out.ravel(order)
-    counts = {"degenerate_bayes": 0, "degenerate_cc": 0}
-    for start in range(0, voxels.size, GBBM_CHUNK_VOXELS):
-        stop = start + GBBM_CHUNK_VOXELS
-        chunk = voxels[start:stop]
-        masks = None if diagnostics is None else {}
-        prior = spatial_prior(np.stack([m[chunk] for m in maps]).astype(np.float64))
-        posterior = posterior_triple(model, prior, x[start:stop], masks)
-        cc = pearson_cc(posterior, prior, masks)
-        flat_out[chunk] = omega * cc_to_cm(cc)
-        if masks is not None:
-            for key in counts:
-                counts[key] += int(masks[key].sum())
 
+    def part(job):
+        (lo, hi), buffers = job
+        counts = [0, 0]
+        for start in range(lo, hi, GBBM_CHUNK_VOXELS):
+            chunk = slice(start, min(start + GBBM_CHUNK_VOXELS, hi))
+            index = voxels[chunk]
+            cm, bayes, cc = buffers.run(maps, index, x[chunk], model, omega)
+            flat_out[index] = cm
+            counts[0] += bayes
+            counts[1] += cc
+        return counts
+
+    parts = split_planes(0, voxels.size, GBBM_PASSES)
+    size = min(GBBM_CHUNK_VOXELS, max(hi - lo for lo, hi in parts))
+    jobs = [(p, _ChunkBuffers(size)) for p in parts]  # allocated in this thread
+    counts = run_parts(part, jobs)
     if diagnostics is not None:
-        diagnostics["degenerate_bayes_voxels"] = counts["degenerate_bayes"]
-        diagnostics["degenerate_cc_voxels"] = counts["degenerate_cc"]
+        diagnostics["degenerate_bayes_voxels"] = sum(c[0] for c in counts)
+        diagnostics["degenerate_cc_voxels"] = sum(c[1] for c in counts)
     return ScalarVolume(out, atlas.spacing)

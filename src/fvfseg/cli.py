@@ -188,6 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
                 input_help="abnormality map MVOL (gbbm.mvol from the gbbm stage),"
                            " NOT the patient scan")
     p.add_argument("--psi", type=float, default=None)
+    p.add_argument("--omega", type=float, default=None,
+                   help="the map's omega, which sets the default psi (0.6 * omega)")
     p.set_defaults(func=cmd_candidate)
 
     p = subs.add_parser("segment", help="refine a candidate mask with the level set")

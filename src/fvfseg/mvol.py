@@ -15,6 +15,13 @@ payload:
 per voxel holding 0 or 1.  Payload voxels are laid out x-fastest (x, then y,
 then z).  Writes are atomic: the file appears under its final name only
 after the full payload has been written.
+
+``decode`` parses bytes in memory.  ``read_volume`` parses the header from
+the file's first ``_HEAD_BLOCK`` bytes with the same parser, checks the
+payload's size against the file's before it allocates anything, and reads
+the payload straight into the volume's Fortran-ordered array, so a read
+holds one payload-sized buffer.  Either way the payload is then checked:
+finite floats, or mask bytes of 0 and 1, which the mask views as bool.
 """
 
 from __future__ import annotations
@@ -30,6 +37,10 @@ from .errors import MvolFormatError
 from .volume import BinaryMask, ScalarVolume
 
 _MAGIC = "MVOL1"
+# the numpy type of each payload dtype: little-endian either way
+_PAYLOAD_TYPES = {"scalar32": "<f4", "mask8": np.uint8}
+# read_volume parses the header from a first read of this many bytes
+_HEAD_BLOCK = 4096
 # The number syntax of header values.  Python's int() and float() also take
 # digit-group underscores ("1_0" is 10), and float() takes "inf" and "nan";
 # the format does not.  Exponents stay legal: spacings are written ".17g".
@@ -104,13 +115,14 @@ def _header_field(line: str, key: str, n_values: int, kind=str) -> list:
     return [kind(v) for v in parts[1:]]
 
 
-def decode(blob: bytes):
-    """Parse .mvol bytes into a ScalarVolume or BinaryMask."""
-    end = blob.find(b"\n\n")
+def _parse_header(head: bytes):
+    """(dims, spacing, dtype, payload offset) of the .mvol bytes ``head``,
+    which must hold the header's closing blank line."""
+    end = head.find(b"\n\n")
     if end < 0:
         raise MvolFormatError("missing blank line after header")
     try:
-        lines = blob[:end].decode("ascii").split("\n")
+        lines = head[:end].decode("ascii").split("\n")
     except UnicodeDecodeError as exc:
         raise MvolFormatError("header is not ASCII") from exc
     if len(lines) != 5:
@@ -127,29 +139,43 @@ def decode(blob: bytes):
     (encoding,) = _header_field(lines[4], "encoding", 1)
     if encoding != "raw-le":
         raise MvolFormatError(f"unsupported encoding {encoding!r}")
-    payload = blob[end + 2 :]
+    if dtype not in _PAYLOAD_TYPES:
+        raise MvolFormatError(f"unsupported dtype {dtype!r}")
+    return dims, spacing, dtype, end + 2
+
+
+def _payload_array(dims, dtype: str, size: int) -> np.ndarray:
+    """An empty flat array for the payload of a ``dtype`` volume of
+    ``dims``, once the payload's ``size`` in bytes is checked against it."""
     n_vox = dims[0] * dims[1] * dims[2]
+    item = np.dtype(_PAYLOAD_TYPES[dtype])
+    if size != n_vox * item.itemsize:
+        raise MvolFormatError(
+            f"payload holds {size} bytes, {dtype} volume of dims {dims} needs {n_vox * item.itemsize}"
+        )
+    return np.empty(n_vox, dtype=item)
+
+
+def _volume(flat: np.ndarray, dims, spacing, dtype: str):
+    """The volume of the checked payload ``flat``, which it takes over:
+    a float32 ScalarVolume, or a BinaryMask viewing the 0/1 bytes as bool."""
+    data = flat.reshape(dims, order="F")
     if dtype == "scalar32":
-        expected = 4 * n_vox
-        if len(payload) != expected:
-            raise MvolFormatError(
-                f"payload holds {len(payload)} bytes, scalar32 volume of dims {dims} needs {expected}"
-            )
-        data = np.frombuffer(payload, dtype="<f4").copy().reshape(dims, order="F")
         try:
             return ScalarVolume(data, spacing)
         except ValueError as exc:  # dims and spacing hold, so only its finiteness check
             raise MvolFormatError("scalar payload contains non-finite values") from exc
-    if dtype == "mask8":
-        if len(payload) != n_vox:
-            raise MvolFormatError(
-                f"payload holds {len(payload)} bytes, mask8 volume of dims {dims} needs {n_vox}"
-            )
-        flat = np.frombuffer(payload, dtype=np.uint8)
-        if flat.max() > 1:
-            raise MvolFormatError("mask payload contains bytes other than 0/1")
-        return BinaryMask(flat.reshape(dims, order="F").astype(bool), spacing)
-    raise MvolFormatError(f"unsupported dtype {dtype!r}")
+    if flat.max() > 1:
+        raise MvolFormatError("mask payload contains bytes other than 0/1")
+    return BinaryMask(data.view(np.bool_), spacing)
+
+
+def decode(blob: bytes):
+    """Parse .mvol bytes into a ScalarVolume or BinaryMask."""
+    dims, spacing, dtype, start = _parse_header(blob)
+    flat = _payload_array(dims, dtype, len(blob) - start)
+    flat[:] = np.frombuffer(blob, dtype=flat.dtype, count=flat.size, offset=start)
+    return _volume(flat, dims, spacing, dtype)
 
 
 def write_volume(vol, path) -> None:
@@ -157,5 +183,20 @@ def write_volume(vol, path) -> None:
 
 
 def read_volume(path):
+    """Read an .mvol file into a ScalarVolume or BinaryMask.
+
+    The header is parsed from the first ``_HEAD_BLOCK`` bytes and the
+    payload's size checked against the file's before the payload is read
+    straight into the volume's array: one payload-sized buffer.  A file
+    whose header does not end within that block is read whole and decoded,
+    with decode's errors."""
     with open(path, "rb") as fh:
-        return decode(fh.read())
+        head = fh.read(_HEAD_BLOCK)
+        if b"\n\n" not in head:
+            return decode(head + fh.read())
+        dims, spacing, dtype, start = _parse_header(head)
+        flat = _payload_array(dims, dtype, os.fstat(fh.fileno()).st_size - start)
+        fh.seek(start)
+        if fh.readinto(flat) != flat.nbytes or fh.read(1):
+            raise MvolFormatError(f"{os.fspath(path)} changed size while it was read")
+    return _volume(flat, dims, spacing, dtype)

@@ -5,7 +5,7 @@ maps the (scanner-dependent) raw range onto a common scale where tissue
 modes from different acquisitions line up.  Only brain voxels are read,
 and their normalized values form one vector that both the fit and the
 abnormality map (``brainmap.build_gbbm``) read, so nothing here may sort
-or write it in place (``np.quantile`` works on a copy).  A K-component
+or write it in place.  A K-component
 univariate Gaussian mixture is then fitted to that vector with EM.  For
 K = 3 the components are labelled CSF/GM/WM in ascending order of mean,
 matching the usual T1 ordering: fluid darkest, white matter brightest.
@@ -15,7 +15,11 @@ McLachlan & Jones 1988): the samples are binned once into ``EM_BINS``
 bins with exact fixed-point moments, in chunks of ``EM_CHUNK_SAMPLES``,
 and every iteration costs O(bins), not O(samples).  Each bin stands in at
 the exact mean of its samples, and its scatter enters the variances, so
-the fit matches per-sample EM to a tolerance set by the bin width.
+the fit matches per-sample EM to a tolerance set by the bin width.  The
+quantiles that place the bins and start the means are np.quantile's,
+read by exact selection (``_quantiles``): a chunked count over
+``_SELECT_BINS`` bins finds the few bins that hold the wanted ranks, and
+only their samples are copied and partitioned.
 """
 
 from __future__ import annotations
@@ -39,6 +43,11 @@ EM_CHUNK_SAMPLES = 16384
 # the bins span the samples' _TAIL_QUANTILE and 1 - _TAIL_QUANTILE
 # quantiles, widened by a quarter of that span on each side
 _TAIL_QUANTILE = 0.0005
+# fit_em's initial quantiles are read by selection: the samples are counted
+# into this many bins over [min, max], and only the bins that hold a wanted
+# rank are gathered and partitioned
+_SELECT_BINS = 4096
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 _STD_FLOOR = math.sqrt(VARIANCE_FLOOR)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -96,7 +105,9 @@ def normalize_intensity(scan: ScalarVolume, mask: BinaryMask):
     order (``volume.mask_index``), widened to float64 (exact) and divided by
     their mean, together with a NormalizationRecord.
 
-    Every array made is as long as the mask's voxel count.  The mean is
+    The values are gathered and widened into the vector a chunk of
+    EM_CHUNK_SAMPLES at a time, so the vector and the mask's index are the
+    only arrays as long as the mask's voxel count.  The mean is
     summed in the mask's memory order, so for a float64 scan in Fortran
     order it can differ in its last bit from a sum in C order.
     """
@@ -104,7 +115,11 @@ def normalize_intensity(scan: ScalarVolume, mask: BinaryMask):
     index, order = mask_index(mask)
     if index.size == 0:
         raise ValueError("cannot normalize against an empty mask")
-    values = scan.data.ravel(order)[index].astype(np.float64, copy=False)
+    flat = scan.data.ravel(order)
+    values = np.empty(index.size)
+    for start in range(0, index.size, EM_CHUNK_SAMPLES):
+        part = slice(start, start + EM_CHUNK_SAMPLES)
+        values[part] = flat[index[part]]
     m = float(values.mean())
     if not (math.isfinite(m) and m > 0):
         raise ValueError(f"masked mean must be positive to normalize, got {m}")
@@ -116,9 +131,21 @@ def gaussian_pdf(x, mean: float, std: float):
     """Normal density; accepts a scalar or an array for ``x``."""
     if not (std > 0 and math.isfinite(std)):
         raise ValueError(f"std must be positive and finite, got {std}")
-    z = (np.asarray(x, dtype=np.float64) - mean) / std
-    out = np.exp(-0.5 * z * z) / (std * math.sqrt(2.0 * math.pi))
+    z = np.asarray(x, dtype=np.float64)
+    out = _gaussian_pdf_into(z, mean, std, np.empty_like(z), np.empty_like(z))
     return float(out) if np.isscalar(x) else out
+
+
+def _gaussian_pdf_into(x, mean: float, std: float, out, z):
+    """N(x; mean, std) into ``out`` as exp(-0.5 * z * z) / (std * sqrt(2 pi))
+    with z = (x - mean) / std, held in the scratch ``z``; returns ``out``."""
+    np.subtract(x, mean, out=z)
+    z /= std
+    np.multiply(z, -0.5, out=out)
+    out *= z
+    np.exp(out, out=out)
+    out /= std * math.sqrt(2.0 * math.pi)
+    return out
 
 
 def sample_masked_intensities(values: np.ndarray, max_samples: int = 2_000_000) -> np.ndarray:
@@ -162,6 +189,80 @@ def _log_normalize(terms, peak, log_z):
     np.log(log_z, out=log_z)
     log_z += peak
     return log_z
+
+
+def _select_bins(xc, lo, scale):
+    """The selection bin of each sample of ``xc``: floor((x/2 - lo/2) * scale),
+    at most _SELECT_BINS - 1.  Halving keeps the difference finite, and every
+    step is monotone in x, so the bins hold the samples in sorted order."""
+    t = np.multiply(xc, 0.5)
+    t -= 0.5 * lo
+    t *= scale
+    np.minimum(t, _SELECT_BINS - 1, out=t)
+    return t.astype(np.intp)
+
+
+def _order_statistics(x, ranks):
+    """The values at the 0-based ``ranks`` (sorted, distinct) of the finite
+    samples ``x`` in ascending order, without sorting or copying ``x``.
+
+    One pass in chunks of EM_CHUNK_SAMPLES counts the samples per bin
+    (``_select_bins``); the cumulative counts give the bin and the rank
+    inside it of each wanted rank.  A second pass gathers the samples of
+    those bins, in bin order, and one partition of them places each wanted
+    rank.  The gathered samples are a few bins' worth, not the vector."""
+    lo, hi = float(x.min()), float(x.max())
+    half_span = 0.5 * hi - 0.5 * lo
+    # a span too small for _SELECT_BINS / span to be finite gets the largest
+    # finite scale: (x/2 - lo/2) * scale then still stays below the bin count
+    scale = _SELECT_BINS / max(half_span, _SELECT_BINS / _FLOAT_MAX) if half_span > 0 else 0.0
+    count = np.zeros(_SELECT_BINS, dtype=np.int64)
+    for start in range(0, x.size, EM_CHUNK_SAMPLES):
+        count += np.bincount(
+            _select_bins(x[start : start + EM_CHUNK_SAMPLES], lo, scale), minlength=_SELECT_BINS
+        )
+    below = np.cumsum(count) - count  # samples in the lower bins
+    bins = np.searchsorted(below, ranks, side="right") - 1
+    wanted = np.zeros(_SELECT_BINS, dtype=bool)
+    wanted[bins] = True
+    picked = []
+    for start in range(0, x.size, EM_CHUNK_SAMPLES):
+        xc = x[start : start + EM_CHUNK_SAMPLES]
+        picked.append(xc[wanted[_select_bins(xc, lo, scale)]])
+    gathered = np.concatenate(picked)
+    # the gathered samples below bin b are those of the wanted bins below it
+    kept = np.where(wanted, count, 0)
+    kth = np.cumsum(kept)[bins] - kept[bins] + (ranks - below[bins])
+    gathered.partition(kth)
+    return gathered[kth]
+
+
+def _quantiles(x, q):
+    """``np.quantile(x, q)`` for finite 1-d ``x`` and ``q`` in [0, 1], bit
+    for bit: numpy's linear method (virtual index (n - 1) * q, its two
+    neighbouring ranks, clipped to the last, and its interpolation), with
+    the ranks' values read by ``_order_statistics`` instead of a
+    partitioned copy of ``x``.  One exception: where tied 0.0 and -0.0
+    samples hold a rank, either zero may be read, as in np.quantile, whose
+    pick depends on its partition's internal order."""
+    n = x.size
+    virtual = (n - 1) * q
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    last = virtual >= n - 1
+    prev[last] = -1
+    nxt[last] = -1
+    prev = prev.astype(np.intp)
+    nxt = nxt.astype(np.intp)
+    ranks = np.unique(np.concatenate((prev, nxt)) % n)
+    values = _order_statistics(x, ranks)
+    a = values[np.searchsorted(ranks, prev % n)]
+    b = values[np.searchsorted(ranks, nxt % n)]
+    gamma = virtual - prev
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
 
 
 def _bin_moments(x, lo, hi):
@@ -277,7 +378,7 @@ def fit_em(
         raise ValueError("k and max_iters must be >= 1 and tol > 0")
 
     qs = (2.0 * np.arange(k) + 1.0) / (2.0 * k)
-    q = np.quantile(x, np.concatenate(([_TAIL_QUANTILE, 1.0 - _TAIL_QUANTILE], qs)))
+    q = _quantiles(x, np.concatenate(([_TAIL_QUANTILE, 1.0 - _TAIL_QUANTILE], qs)))
     margin = 0.25 * (q[1] - q[0])
     points, counts, scatter = _binned_samples(x, q[0] - margin, q[1] + margin)
 

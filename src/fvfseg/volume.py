@@ -142,7 +142,9 @@ class ScalarVolume:
             raise ValueError(f"volume data must be 3-d and non-empty, got shape {self.data.shape}")
         if self.data.dtype not in (np.float32, np.float64):
             self.data = self.data.astype(np.float64)
-        if not np.isfinite(self.data).all():
+        # min and max are NaN if any value is, and infinite if any value is:
+        # the check allocates no grid-sized temporary
+        if not (math.isfinite(self.data.min()) and math.isfinite(self.data.max())):
             raise ValueError("volume data contains non-finite values")
         self.spacing = _check_spacing(self.spacing)
 

@@ -1,13 +1,15 @@
 import inspect
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fvfseg import brainmap
+from fvfseg import brainmap, volume
 from fvfseg.brainmap import (
     ProbabilisticAtlas,
     build_gbbm,
@@ -106,6 +108,75 @@ class TestAtlasValidation:
             prob_wm=ScalarVolume(third, UNIT),
             brain_mask=BinaryMask(np.ones(dims, dtype=bool), UNIT),
         )
+
+
+def _atlas_of(csf, gm, wm):
+    """An atlas of three probability maps on their grid, all of it brain."""
+    dims = csf.shape
+    return ProbabilisticAtlas(
+        template=ScalarVolume(np.ones(dims), UNIT),
+        prob_csf=ScalarVolume(csf, UNIT),
+        prob_gm=ScalarVolume(gm, UNIT),
+        prob_wm=ScalarVolume(wm, UNIT),
+        brain_mask=BinaryMask(np.ones(dims, dtype=bool), UNIT),
+    )
+
+
+class TestAtlasCheckInChunks:
+    """The unit-interval and unit-sum checks, the sum taken a chunk of
+    _SUM_CHUNK_VOXELS voxels at a time in the maps' memory order."""
+
+    # more than one chunk: the last holds 68921 - 65536 voxels
+    DIMS = (41, 41, 41)
+
+    def _maps(self, order):
+        base = np.full(self.DIMS, 0.3)
+        return [np.array(base, order=order) for _ in range(3)]
+
+    @pytest.mark.parametrize("order", "CF")
+    def test_values_at_the_tolerance_are_accepted(self, order):
+        csf, gm, wm = self._maps(order)
+        csf[0, 0, 0] = -1e-6
+        gm[-1, -1, -1] = 1 + 1e-6
+        wm[-1, -1, -1] = csf[-1, -1, -1] = 0.0
+        _atlas_of(csf, gm, wm)
+
+    @pytest.mark.parametrize("order", "CF")
+    @pytest.mark.parametrize("where", ["last", "boundary-before", "boundary-after"])
+    def test_a_sum_above_one_in_one_chunk_is_rejected(self, order, where):
+        assert np.prod(self.DIMS) > brainmap._SUM_CHUNK_VOXELS
+        csf, gm, wm = self._maps(order)
+        flat = {
+            "last": np.prod(self.DIMS) - 1,
+            "boundary-before": brainmap._SUM_CHUNK_VOXELS - 1,
+            "boundary-after": brainmap._SUM_CHUNK_VOXELS,
+        }[where]
+        # the flat index in the maps' memory order
+        voxel = np.unravel_index(flat, self.DIMS, order=order)
+        wm[voxel] = 0.4 + 2e-6
+        with pytest.raises(ValueError, match="sum to more than 1"):
+            _atlas_of(csf, gm, wm)
+        wm[voxel] = 0.4
+        _atlas_of(csf, gm, wm)
+
+    def test_mixed_memory_orders_sum_the_same_voxels(self):
+        csf, gm, wm = self._maps("C")
+        gm = np.asfortranarray(gm)
+        wm[5, 6, 7] = 0.4 + 2e-6
+        with pytest.raises(ValueError, match="sum to more than 1"):
+            _atlas_of(csf, gm, wm)
+
+    def test_the_first_faulty_map_is_named(self):
+        csf, gm, wm = self._maps("F")
+        gm[1, 2, 3] = -0.01
+        wm[3, 2, 1] = 1.5
+        with pytest.raises(ValueError, match="prob_gm has values outside"):
+            _atlas_of(csf, gm, wm)
+        # a range fault comes before a sum fault wherever they sit
+        gm[1, 2, 3] = 0.3
+        csf[0, 0, 0] = 0.9
+        with pytest.raises(ValueError, match="prob_wm has values outside"):
+            _atlas_of(csf, gm, wm)
 
 
 class TestSpatialPrior:
@@ -365,3 +436,119 @@ class TestBuildGbbm:
             build_gbbm(values, atlas, MODEL)
         with pytest.raises(ValueError, match="brain-voxel values"):
             build_gbbm(values.reshape(1, -1), atlas, MODEL)
+
+
+class TestGbbmSplit:
+    """build_gbbm's brain voxels cut into contiguous parts run on threads:
+    the bytes and counts of the one-part run, whatever the cuts."""
+
+    DIMS = (6, 5, 37)
+
+    def _case(self, rng, monkeypatch):
+        """An atlas and values with degenerate Bayes and CC voxels in every
+        part and on both sides of every cut, for 2, 3 and 5 parts of
+        chunks of 7 voxels."""
+        monkeypatch.setattr(brainmap, "GBBM_CHUNK_VOXELS", 7)
+        atlas = _random_atlas(rng, dims=self.DIMS)
+        index, order = mask_index(atlas.brain_mask)
+        n = index.size
+        cuts = {0, n - 1}
+        for workers in (2, 3, 5):
+            for lo, hi in self._parts(monkeypatch, workers, n):
+                cuts |= {lo, hi - 1}
+        bayes = sorted(cuts | set(range(0, n, 9)))
+        cc = sorted({c + 1 for c in cuts if c + 1 < n} | {c - 1 for c in cuts if c > 0}
+                    | set(range(4, n, 11)))
+        for m in (atlas.prob_csf, atlas.prob_gm, atlas.prob_wm):
+            m.data.ravel(order)[index[cc]] = 0.25  # uninformative prior: degenerate CC
+        values = _brain_values(rng.uniform(0.3, 1.8, atlas.dims), atlas)
+        values[bayes] = 1e6  # every likelihood underflows: degenerate Bayes
+        return atlas, values
+
+    @staticmethod
+    def _parts(monkeypatch, workers, n):
+        with monkeypatch.context() as patch:
+            patch.setattr(volume, "WORKERS", workers)
+            patch.setattr(volume, "PART_WORK", 1)
+            return volume.split_planes(0, n, brainmap.GBBM_PASSES)
+
+    @staticmethod
+    def _spy_parts(monkeypatch):
+        calls = []
+
+        def spy(fn, parts):
+            calls.append([p for p, _ in parts])
+            return volume.run_parts(fn, parts)
+
+        monkeypatch.setattr(brainmap, "run_parts", spy)
+        return calls
+
+    def _run(self, atlas, values):
+        diag = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = build_gbbm(values, atlas, MODEL, diagnostics=diag)
+        return out.data.tobytes(), diag
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_parts_give_the_bytes_and_counts_of_one_part(self, workers, rng, monkeypatch):
+        atlas, values = self._case(rng, monkeypatch)
+        calls = self._spy_parts(monkeypatch)
+        monkeypatch.setattr(volume, "WORKERS", 1)
+        serial, serial_diag = self._run(atlas, values)
+        assert serial_diag["degenerate_bayes_voxels"] > 0
+        assert serial_diag["degenerate_cc_voxels"] > 0
+        monkeypatch.setattr(volume, "WORKERS", workers)
+        monkeypatch.setattr(volume, "PART_WORK", 1)
+        split, split_diag = self._run(atlas, values)
+        assert [len(c) for c in calls] == [1, workers]
+        assert split == serial
+        assert split_diag == serial_diag
+
+    def test_parts_lose_no_voxel_under_fast_thread_switches(self, rng, monkeypatch):
+        # more parts than CPUs and the interpreter lock handed over every
+        # microsecond: a part writing another's voxels, or a count summed
+        # before its part finished, changes the result
+        atlas, values = self._case(rng, monkeypatch)
+        monkeypatch.setattr(volume, "WORKERS", 1)
+        serial = self._run(atlas, values)
+        monkeypatch.setattr(volume, "WORKERS", 7)
+        monkeypatch.setattr(volume, "PART_WORK", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert self._run(atlas, values) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_negative_atlas_value_in_the_last_part_raises(self, rng, monkeypatch):
+        atlas = _random_atlas(rng, dims=self.DIMS)
+        index, order = mask_index(atlas.brain_mask)
+        # within the atlas's tolerance below 0, so the atlas accepts it
+        atlas.prob_csf.data.ravel(order)[index[-1]] = -5e-7
+        values = _brain_values(rng.uniform(0.3, 1.8, atlas.dims), atlas)
+        calls = self._spy_parts(monkeypatch)
+        monkeypatch.setattr(volume, "WORKERS", 3)
+        monkeypatch.setattr(volume, "PART_WORK", 1)
+        with pytest.raises(ValueError, match="prior must hold nonnegative finite values"):
+            build_gbbm(values, atlas, MODEL)
+        assert [len(c) for c in calls] == [3]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_values_raise_before_any_part_runs(self, bad, rng, monkeypatch):
+        atlas = _random_atlas(rng, dims=self.DIMS)
+        values = _brain_values(rng.uniform(0.3, 1.8, atlas.dims), atlas)
+        values[-1] = bad
+        calls = self._spy_parts(monkeypatch)
+        monkeypatch.setattr(volume, "WORKERS", 3)
+        monkeypatch.setattr(volume, "PART_WORK", 1)
+        with pytest.raises(ValueError, match="intensity must be finite"):
+            build_gbbm(values, atlas, MODEL)
+        assert calls == []
+
+    def test_a_128_cubed_head_splits_and_a_64_cubed_head_does_not(self, monkeypatch):
+        # the brain-voxel counts of the phantom heads at 128^3 and 64^3
+        monkeypatch.setattr(volume, "WORKERS", 2)
+        assert len(volume.split_planes(0, 748_296, brainmap.GBBM_PASSES)) == 2
+        assert len(volume.split_planes(0, 93_656, brainmap.GBBM_PASSES)) == 1

@@ -394,6 +394,25 @@ class TestStagedCommands:
         ):
             assert (out / fname).read_bytes() == (pipeline_out / fname).read_bytes(), fname
 
+    def test_stage_chain_composes_with_omega(self, case_dir, tmp_path):
+        """candidate --omega resolves psi as pipeline --omega does (0.6 *
+        omega), so fit -> gbbm --omega -> candidate --omega leaves the
+        candidate of pipeline --omega."""
+        patient = str(case_dir / PATIENT_FILE)
+        omega = ["--omega", "100"]
+        one_shot = tmp_path / "one-shot"
+        common = ["--input", patient, "--atlas-dir", str(case_dir)]
+        assert main(["pipeline", "--output-dir", str(one_shot)] + common + omega) == EXIT_OK
+        out = tmp_path / "staged"
+        common = ["--atlas-dir", str(case_dir), "--output-dir", str(out)]
+        assert main(["fit", "--input", patient] + common) == EXIT_OK
+        model = ["--model", str(out / pipeline.MODEL_FILE)]
+        assert main(["gbbm", "--input", patient] + model + common + omega) == EXIT_OK
+        gbbm = str(out / pipeline.GBBM_FILE)
+        assert main(["candidate", "--input", gbbm] + common + omega) == EXIT_OK
+        for name in (pipeline.GBBM_FILE, pipeline.CANDIDATE_FILE, pipeline.CANDIDATE_REPORT_FILE):
+            assert (out / name).read_bytes() == (one_shot / name).read_bytes(), name
+
     def test_fixed_model_pipeline_reproduces_fitted_run(
         self, case_dir, pipeline_out, tmp_path
     ):

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fvfseg import phantom
 from fvfseg.errors import MvolFormatError
-from fvfseg.mvol import atomic_write_text, decode, encode, read_volume, write_volume
+from fvfseg.mvol import _HEAD_BLOCK, atomic_write_text, decode, encode, read_volume, write_volume
 from fvfseg.volume import BinaryMask, ScalarVolume
 
 
@@ -88,6 +90,71 @@ class TestRoundTrip:
         assert read_volume(p).spacing == tuple(float(x) for x in s)
 
 
+class TestReadVolume:
+    """read_volume reads the payload straight into the volume's array."""
+
+    def test_matches_decode_on_every_file_of_a_case(self, tmp_path):
+        atlas = phantom.synth_atlas((40, 36, 32), seed=2, spacing=(1.0, 0.5, 2.0))
+        tumor = phantom.TumorSpec(radii=(5.0,))
+        patient, truth = phantom.synth_patient(atlas, tumor)
+        phantom.save_phantom_case(str(tmp_path), atlas, patient, truth, tumor, atlas_seed=2)
+        files = sorted(tmp_path.glob("*.mvol"))
+        assert len(files) == 7
+        for path in files:
+            read, decoded = read_volume(path), decode(path.read_bytes())
+            assert type(read) is type(decoded)
+            assert read.data.dtype == decoded.data.dtype
+            assert read.data.flags.f_contiguous and read.data.flags.writeable
+            assert read.spacing == decoded.spacing
+            assert read.data.tobytes(order="A") == decoded.data.tobytes(order="A")
+
+    def test_mask_is_a_bool_array_over_the_read_bytes(self, tmp_path, rng):
+        m = BinaryMask(rng.random((6, 5, 4)) < 0.5, (1, 1, 1))
+        write_volume(m, tmp_path / "m.mvol")
+        back = read_volume(tmp_path / "m.mvol")
+        assert back.data.dtype == np.bool_ and back.data.base is not None
+        assert np.array_equal(back.data, m.data)
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_a_file_that_changes_size_under_the_read_is_rejected(
+        self, change, tmp_path, monkeypatch
+    ):
+        # the size read_volume checked is not what the read then finds
+        path = tmp_path / "v.mvol"
+        path.write_bytes(_valid_blob())
+        size = path.stat().st_size
+        with open(path, "r+b") as fh:
+            fh.truncate(size + change)
+        real_fstat = os.fstat
+
+        def stale_fstat(fd):
+            return os.stat_result((*real_fstat(fd)[:6], size, *real_fstat(fd)[7:]))
+
+        monkeypatch.setattr(os, "fstat", stale_fstat)
+        with pytest.raises(MvolFormatError, match="changed size while it was read"):
+            read_volume(path)
+
+    @pytest.mark.parametrize("kind", ["scalar", "mask"])
+    def test_peak_memory_is_one_payload(self, kind, tmp_path, rng):
+        raw = rng.random((64, 64, 64))
+        vol = (
+            ScalarVolume(raw.astype(np.float32), (1, 1, 1))
+            if kind == "scalar"
+            else BinaryMask(raw < 0.5, (1, 1, 1))
+        )
+        path = tmp_path / "v.mvol"
+        write_volume(vol, path)
+        tracemalloc.start()
+        try:
+            back = read_volume(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the array and the header block; reading the file whole and
+        # slicing its payload held three arrays' worth
+        assert peak <= 1.25 * back.data.nbytes, f"peak {peak / back.data.nbytes:.2f} arrays"
+
+
 class TestEncodeErrors:
     def test_float64_overflow_rejected(self):
         v = ScalarVolume(np.full((2, 2, 2), 1e300), (1, 1, 1))
@@ -103,20 +170,60 @@ def _valid_blob():
     return encode(ScalarVolume(np.zeros((2, 3, 4), dtype=np.float32), (1, 1, 1)))
 
 
+def _rejected(blob, tmp_path, match=None) -> str:
+    """The MvolFormatError message of ``blob``, which decode and read_volume
+    of a file holding it must both raise, with the same message."""
+    with pytest.raises(MvolFormatError, match=match) as from_bytes:
+        decode(blob)
+    path = tmp_path / "bad.mvol"
+    path.write_bytes(blob)
+    with pytest.raises(MvolFormatError) as from_file:
+        read_volume(path)
+    assert str(from_file.value) == str(from_bytes.value)
+    return str(from_bytes.value)
+
+
 class TestDecodeErrors:
-    def test_bad_magic(self):
+    """Every malformed file raises the same error through read_volume as
+    its bytes through decode."""
+
+    def test_bad_magic(self, tmp_path):
         blob = _valid_blob().replace(b"MVOL1", b"MVOL9", 1)
-        with pytest.raises(MvolFormatError, match="magic"):
-            decode(blob)
+        _rejected(blob, tmp_path, match="magic")
 
-    def test_missing_blank_line(self):
+    def test_missing_blank_line(self, tmp_path):
         blob = _valid_blob().replace(b"\n\n", b"\n", 1)
-        with pytest.raises(MvolFormatError):
-            decode(blob)
+        _rejected(blob, tmp_path, match="blank line")
 
-    def test_non_ascii_header(self):
-        with pytest.raises(MvolFormatError):
-            decode("MVÖL1\nx\ny\nz\nw\n\n".encode("utf-8"))
+    def test_non_ascii_header(self, tmp_path):
+        _rejected("MVÖL1\nx\ny\nz\nw\n\n".encode("utf-8"), tmp_path, match="ASCII")
+
+    def test_non_ascii_byte_in_a_valid_header(self, tmp_path):
+        blob = _valid_blob().replace(b"raw-le", b"raw-l\xe9", 1)
+        _rejected(blob, tmp_path, match="ASCII")
+
+    def test_one_trailing_byte(self, tmp_path):
+        _rejected(_valid_blob() + b"\x00", tmp_path, match="payload holds 97 bytes")
+
+    @pytest.mark.parametrize(
+        "end", [_HEAD_BLOCK - 2, _HEAD_BLOCK - 1, _HEAD_BLOCK, 3 * _HEAD_BLOCK]
+    )
+    def test_header_ending_near_or_past_the_first_read(self, end, tmp_path):
+        # trailing blanks on a header line are legal: pad the header so its
+        # blank line starts at byte ``end``, inside the first read block,
+        # across its end or past it (then the file is read whole)
+        blob = _valid_blob()
+        pad = end - blob.index(b"\n\n")
+        blob = blob.replace(b"spacing 1 1 1", b"spacing 1 1 1" + b" " * pad, 1)
+        assert blob.index(b"\n\n") == end
+        path = tmp_path / "long.mvol"
+        path.write_bytes(blob)
+        back = read_volume(path)
+        assert back.data.tobytes() == decode(blob).data.tobytes()
+        assert back.spacing == (1.0, 1.0, 1.0)
+        _rejected(blob.replace(b"MVOL1", b"MVOL9", 1), tmp_path, match="magic")
+        _rejected(blob[:-1], tmp_path, match="payload")
+        _rejected(blob.replace(b"\n\n", b"\n", 1), tmp_path, match="blank line")
 
     @pytest.mark.parametrize(
         "bad",
@@ -130,10 +237,9 @@ class TestDecodeErrors:
             b"dims 2 3 0_4",
         ],
     )
-    def test_bad_dims_line(self, bad):
+    def test_bad_dims_line(self, bad, tmp_path):
         blob = _valid_blob().replace(b"dims 2 3 4", bad, 1)
-        with pytest.raises(MvolFormatError):
-            decode(blob)
+        _rejected(blob, tmp_path, match="dims")
 
     @pytest.mark.parametrize(
         "bad",
@@ -145,48 +251,53 @@ class TestDecodeErrors:
             b"spacing 1 1 1_0",
         ],
     )
-    def test_bad_spacing_line(self, bad):
+    def test_bad_spacing_line(self, bad, tmp_path):
         blob = _valid_blob().replace(b"spacing 1 1 1", bad, 1)
-        with pytest.raises(MvolFormatError):
-            decode(blob)
+        _rejected(blob, tmp_path, match="spacing")
 
     def test_spacing_exponents_accepted(self):
         blob = _valid_blob().replace(b"spacing 1 1 1", b"spacing 1e0 +2.5E-1 .5e+1", 1)
         assert decode(blob).spacing == (1.0, 0.25, 5.0)
 
-    def test_unknown_dtype(self):
+    def test_unknown_dtype(self, tmp_path):
         blob = _valid_blob().replace(b"dtype scalar32", b"dtype scalar64", 1)
-        with pytest.raises(MvolFormatError, match="dtype"):
-            decode(blob)
+        _rejected(blob, tmp_path, match="dtype")
 
-    def test_unknown_encoding(self):
+    def test_unknown_encoding(self, tmp_path):
         blob = _valid_blob().replace(b"encoding raw-le", b"encoding raw-be", 1)
-        with pytest.raises(MvolFormatError, match="encoding"):
-            decode(blob)
+        _rejected(blob, tmp_path, match="encoding")
 
-    def test_truncated_payload(self):
-        with pytest.raises(MvolFormatError, match="payload"):
-            decode(_valid_blob()[:-4])
+    def test_truncated_payload(self, tmp_path):
+        _rejected(_valid_blob()[:-4], tmp_path, match="payload")
 
-    def test_oversized_payload(self):
-        with pytest.raises(MvolFormatError, match="payload"):
-            decode(_valid_blob() + b"\x00\x00\x00\x00")
+    def test_oversized_payload(self, tmp_path):
+        _rejected(_valid_blob() + b"\x00\x00\x00\x00", tmp_path, match="payload")
 
-    def test_nonfinite_scalar_payload_rejected(self):
+    def test_nonfinite_scalar_payload_rejected(self, tmp_path):
         blob = _valid_blob()
         header, payload = blob.split(b"\n\n", 1)
         arr = np.frombuffer(payload, dtype="<f4").copy()
         arr[0] = np.nan
-        with pytest.raises(MvolFormatError, match="non-finite"):
-            decode(header + b"\n\n" + arr.tobytes())
+        _rejected(header + b"\n\n" + arr.tobytes(), tmp_path, match="non-finite")
 
-    def test_mask_bytes_other_than_binary_rejected(self):
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_scalar_payload_rejected(self, bad, tmp_path):
+        blob = _valid_blob()
+        header, payload = blob.split(b"\n\n", 1)
+        arr = np.frombuffer(payload, dtype="<f4").copy()
+        arr[-1] = bad
+        _rejected(header + b"\n\n" + arr.tobytes(), tmp_path, match="non-finite")
+
+    def test_mask_bytes_other_than_binary_rejected(self, tmp_path):
         m = BinaryMask(np.ones((2, 2, 2), dtype=bool), (1, 1, 1))
         blob = encode(m)
         header, payload = blob.split(b"\n\n", 1)
-        bad = bytes([2]) + payload[1:]
-        with pytest.raises(MvolFormatError, match="0/1"):
-            decode(header + b"\n\n" + bad)
+        bad = payload[:-1] + bytes([2])
+        _rejected(header + b"\n\n" + bad, tmp_path, match="0/1")
+
+    def test_mask_payload_of_the_wrong_size(self, tmp_path):
+        m = BinaryMask(np.ones((2, 2, 2), dtype=bool), (1, 1, 1))
+        _rejected(encode(m)[:-1], tmp_path, match="mask8 volume")
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

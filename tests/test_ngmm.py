@@ -13,6 +13,7 @@ from fvfseg.ngmm import (
     _binned_samples,
     _log_normalize,
     _log_weighted_densities,
+    _quantiles,
     fit_em,
     gaussian_pdf,
     load_model,
@@ -333,6 +334,71 @@ class TestBinning:
             assert np.array_equal(a, b)
         assert np.array_equal(np.sort(forward[3]), np.sort(backward[3]))
         assert forward[0].sum() + forward[3].size == x.size
+
+
+# the quantiles fit_em reads at k = 3: the two tails, then the init means
+FIT_QUANTILES = np.array([0.0005, 0.9995, 1 / 6, 1 / 2, 5 / 6])
+
+
+@st.composite
+def quantile_samples(draw):
+    """Finite vectors of 3 to more than two chunks' length: values drawn
+    from a small pool (ties, all equal, signed zeros, subnormals and the
+    largest floats), scaled over hundreds of decades, or the mixture."""
+    n = draw(st.one_of(st.integers(3, 40), st.integers(3, 2 * EM_CHUNK_SAMPLES + 500)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["pool", "decades", "mixture"]))
+    if kind == "pool":
+        pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6))
+        return rng.choice(np.array(pool), n)
+    if kind == "decades":
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    return _draw_mixture(rng, n)
+
+
+def _same_quantiles(x):
+    """_quantiles gives np.quantile's bytes.  Among tied 0.0 and -0.0
+    samples, which zero sits at a rank depends on the partition's internal
+    order in np.quantile too, so the sign of a zero is not compared (adding
+    0.0 turns -0.0 into 0.0 and leaves every other value as it is)."""
+    got, want = _quantiles(x, FIT_QUANTILES), np.quantile(x, FIT_QUANTILES)
+    return (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+class TestExactQuantiles:
+    @given(quantile_samples())
+    def test_bytes_of_numpys_quantile(self, x):
+        assert _same_quantiles(x)
+
+    def test_signed_zero_ties_give_equal_values(self, rng):
+        x = rng.choice(np.array([0.0, -0.0, 1.0]), 3 * EM_CHUNK_SAMPLES)
+        assert np.array_equal(_quantiles(x, FIT_QUANTILES), np.quantile(x, FIT_QUANTILES))
+        assert _same_quantiles(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.full(EM_CHUNK_SAMPLES + 7, 0.7),
+            np.array([-1.7976931348623157e308, 0.0, 1.7976931348623157e308]),
+            np.array([0.0, 5e-324, 1e-323, 5e-324]),
+            np.repeat([1.0, 2.0, 3.0], EM_CHUNK_SAMPLES),
+        ],
+        ids=["all-equal", "widest-span", "subnormal-span", "three-values"],
+    )
+    def test_edge_vectors(self, x):
+        assert _quantiles(x, FIT_QUANTILES).tobytes() == np.quantile(x, FIT_QUANTILES).tobytes()
+
+    def test_reads_the_vector_without_writing_or_copying_it(self, rng):
+        x = _draw_mixture(rng, 200_000)
+        before = x.copy()
+        tracemalloc.start()
+        try:
+            _quantiles(x, FIT_QUANTILES)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(x, before)
+        assert peak <= 0.25 * x.nbytes, f"peak {peak / x.nbytes:.2f} sample buffers"
 
 
 class TestSampling:
