@@ -42,28 +42,15 @@ from fvfseg.errors import NoCandidateError  # noqa: E402
 from fvfseg.mvol import read_volume  # noqa: E402
 from fvfseg.ngmm import load_model  # noqa: E402
 from fvfseg.pipeline import (  # noqa: E402
-    CANDIDATE_FILE,
-    CANDIDATE_REPORT_FILE,
+    ARTIFACTS,
     EVOLUTION_LOG_FILE,
-    GBBM_FILE,
     MODEL_FILE,
     REPORT_FILE,
-    SEGMENTATION_FILE,
     PipelineConfig,
     run_pipeline,
 )
 from fvfseg.volume import ScalarVolume  # noqa: E402
 from perfbench.workloads import WORKLOADS, build_cases  # noqa: E402
-
-ARTIFACTS = (
-    MODEL_FILE,
-    GBBM_FILE,
-    CANDIDATE_FILE,
-    CANDIDATE_REPORT_FILE,
-    SEGMENTATION_FILE,
-    EVOLUTION_LOG_FILE,
-    REPORT_FILE,
-)
 
 
 def digest_workload(workload, seed, held_out, root):

@@ -13,23 +13,31 @@ payload:
 
 ``scalar32`` stores one IEEE-754 32-bit float per voxel, ``mask8`` one byte
 per voxel holding 0 or 1.  Payload voxels are laid out x-fastest (x, then y,
-then z).  Writes are atomic: the file appears under its final name only
-after the full payload has been written.
+then z).
 
-``decode`` parses bytes in memory.  ``read_volume`` parses the header from
-the file's first ``_HEAD_BLOCK`` bytes with the same parser, checks the
-payload's size against the file's before it allocates anything, and reads
-the payload straight into the volume's Fortran-ordered array, so a read
-holds one payload-sized buffer.  Either way the payload is then checked:
-finite floats, or mask bytes of 0 and 1, which the mask views as bool.
+There is one reader and one writer.  ``read_volume`` and ``decode`` (for
+bytes in memory) both read the header line by line up to its blank line,
+whatever its length, check the payload's size against the stream's before
+they allocate anything, and read the payload straight into the volume's
+Fortran-ordered array, so a read holds one payload-sized buffer.  The
+payload is then checked: finite floats, or mask bytes of 0 and 1, which
+the mask views as bool.  ``write_volume`` and ``encode`` (to bytes) both
+take the header and the payload as one flat x-fastest array, a view of
+the volume's data when it is already float32 (or a mask) in Fortran
+order, else its one converted copy.
+
+Writes are atomic against a crashing process: the file appears under its
+final name, with the mode ``open`` would give it, only after the full
+payload has been written to a temp file beside it.  They are not fsynced,
+so a power loss is not covered.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import re
-import tempfile
 
 import numpy as np
 
@@ -39,8 +47,6 @@ from .volume import BinaryMask, ScalarVolume
 _MAGIC = "MVOL1"
 # the numpy type of each payload dtype: little-endian either way
 _PAYLOAD_TYPES = {"scalar32": "<f4", "mask8": np.uint8}
-# read_volume parses the header from a first read of this many bytes
-_HEAD_BLOCK = 4096
 # The number syntax of header values.  Python's int() and float() also take
 # digit-group underscores ("1_0" is 10), and float() takes "inf" and "nan";
 # the format does not.  Exponents stay legal: spacings are written ".17g".
@@ -50,14 +56,22 @@ _PLAIN_NUMBER = {
 }
 
 
-def atomic_write_bytes(path, blob: bytes) -> None:
-    """Write ``blob`` to ``path`` via a same-directory temp file + rename."""
+def _atomic_write(path, pieces) -> None:
+    """Write the byte buffers ``pieces`` in turn to ``path`` via a
+    same-directory temp file + rename.
+
+    The temp file is created with mode 0o666 less the umask, as
+    ``open(path, "wb")`` would create ``path``, and the rename keeps it.
+    Nothing is fsynced: a crashing process never leaves a partial file
+    under ``path``, but a power loss may.
+    """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(6).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            for piece in pieces:
+                fh.write(piece)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -68,25 +82,28 @@ def atomic_write_bytes(path, blob: bytes) -> None:
 
 
 def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    _atomic_write(path, (text.encode("utf-8"),))
 
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def encode(vol) -> bytes:
-    """Serialize a ScalarVolume or BinaryMask to .mvol bytes."""
+def _serialize(vol) -> tuple[bytes, np.ndarray]:
+    """The header bytes of ``vol`` and its payload as one flat x-fastest
+    array: a view of the data when its layout and type already match, else
+    its one converted copy.  Checked before anything is written."""
     if isinstance(vol, BinaryMask):
         dtype = "mask8"
-        payload = vol.data.astype(np.uint8).ravel(order="F").tobytes()
+        payload = vol.data.view(np.uint8)
     elif isinstance(vol, ScalarVolume):
         dtype = "scalar32"
         with np.errstate(over="ignore"):
-            cast = vol.data.astype("<f4")
-        if not np.isfinite(cast).all():
+            payload = vol.data.astype("<f4", order="F", copy=False)
+        # min and max are infinite if any cast value overflowed, with no
+        # grid-sized temporary
+        if not (math.isfinite(payload.min()) and math.isfinite(payload.max())):
             raise ValueError("volume has values not representable as finite float32")
-        payload = cast.ravel(order="F").tobytes()
     else:
         raise TypeError(f"cannot encode {type(vol).__name__}")
     nx, ny, nz = vol.dims
@@ -99,7 +116,12 @@ def encode(vol) -> bytes:
         f"encoding raw-le\n"
         f"\n"
     )
-    return header.encode("ascii") + payload
+    return header.encode("ascii"), payload.ravel(order="F")
+
+
+def encode(vol) -> bytes:
+    """Serialize a ScalarVolume or BinaryMask to .mvol bytes."""
+    return b"".join(_serialize(vol))
 
 
 def _header_field(line: str, key: str, n_values: int, kind=str) -> list:
@@ -170,33 +192,36 @@ def _volume(flat: np.ndarray, dims, spacing, dtype: str):
     return BinaryMask(data.view(np.bool_), spacing)
 
 
+def _read(fh, size: int):
+    """The volume in the binary stream ``fh`` of ``size`` bytes.
+
+    The header is read line by line up to its closing blank line, or to
+    the end of the stream when it has none, and parsed; the payload's size
+    is checked against ``size`` before the payload is read straight into
+    the volume's array: one payload-sized buffer."""
+    lines = []
+    for line in iter(fh.readline, b""):
+        lines.append(line)
+        if line == b"\n" and len(lines) > 1:
+            break
+    dims, spacing, dtype, start = _parse_header(b"".join(lines))
+    flat = _payload_array(dims, dtype, size - start)
+    if fh.readinto(flat) != flat.nbytes or fh.read(1):
+        raise MvolFormatError(f"{fh.name} changed size while it was read")
+    return _volume(flat, dims, spacing, dtype)
+
+
 def decode(blob: bytes):
     """Parse .mvol bytes into a ScalarVolume or BinaryMask."""
-    dims, spacing, dtype, start = _parse_header(blob)
-    flat = _payload_array(dims, dtype, len(blob) - start)
-    flat[:] = np.frombuffer(blob, dtype=flat.dtype, count=flat.size, offset=start)
-    return _volume(flat, dims, spacing, dtype)
+    return _read(io.BytesIO(blob), len(blob))
 
 
 def write_volume(vol, path) -> None:
-    atomic_write_bytes(path, encode(vol))
+    """Write a ScalarVolume or BinaryMask to ``path`` atomically."""
+    _atomic_write(path, _serialize(vol))
 
 
 def read_volume(path):
-    """Read an .mvol file into a ScalarVolume or BinaryMask.
-
-    The header is parsed from the first ``_HEAD_BLOCK`` bytes and the
-    payload's size checked against the file's before the payload is read
-    straight into the volume's array: one payload-sized buffer.  A file
-    whose header does not end within that block is read whole and decoded,
-    with decode's errors."""
+    """Read an .mvol file into a ScalarVolume or BinaryMask."""
     with open(path, "rb") as fh:
-        head = fh.read(_HEAD_BLOCK)
-        if b"\n\n" not in head:
-            return decode(head + fh.read())
-        dims, spacing, dtype, start = _parse_header(head)
-        flat = _payload_array(dims, dtype, os.fstat(fh.fileno()).st_size - start)
-        fh.seek(start)
-        if fh.readinto(flat) != flat.nbytes or fh.read(1):
-            raise MvolFormatError(f"{os.fspath(path)} changed size while it was read")
-    return _volume(flat, dims, spacing, dtype)
+        return _read(fh, os.fstat(fh.fileno()).st_size)

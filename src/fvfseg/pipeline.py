@@ -21,10 +21,13 @@ its artifacts into output_dir:
     report.txt            key=value summary (tm=, iterations=, ...)
 
 All files go through atomic writes, so a crashed run never leaves a
-truncated artifact under a final name.  Results are a pure function of
-the config: reruns produce byte-identical artifacts.  Wall time is
-returned in the report dict (and printed by the CLI) but deliberately
-kept out of report.txt so the file stays deterministic.
+truncated artifact under a final name; the writes are not fsynced, so a
+power loss is not covered.  A stage that fails with no candidate or with
+a numerically unstable level set removes every later artifact and
+report.txt left in output_dir by an earlier run.  Results are a pure
+function of the config: reruns produce byte-identical artifacts.  Wall
+time is returned in the report dict (and printed by the CLI) but
+deliberately kept out of report.txt so the file stays deterministic.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 from . import fvf3d
 from .brainmap import ProbabilisticAtlas, build_gbbm
 from .candidate import CandidateParams, CandidateRegion, extract_candidate
-from .errors import NoCandidateError
+from .errors import NoCandidateError, NumericalInstabilityError
 from .metrics import tanimoto
 from .mvol import atomic_write_text, read_volume, write_volume
 from .ngmm import (
@@ -62,6 +65,16 @@ CANDIDATE_REPORT_FILE = "candidate_report.txt"
 SEGMENTATION_FILE = "segmentation.mvol"
 EVOLUTION_LOG_FILE = "evolution.log"
 REPORT_FILE = "report.txt"
+# every artifact, in the order of the stages that write them
+ARTIFACTS = (
+    MODEL_FILE,
+    GBBM_FILE,
+    CANDIDATE_FILE,
+    CANDIDATE_REPORT_FILE,
+    SEGMENTATION_FILE,
+    EVOLUTION_LOG_FILE,
+    REPORT_FILE,
+)
 
 
 @dataclass
@@ -174,6 +187,15 @@ def _artifact(config: PipelineConfig, name: str) -> str:
     return os.path.join(config.output_dir, name)
 
 
+def _remove_artifacts_after(config: PipelineConfig, name: str) -> None:
+    """Remove the artifacts after ``name`` in ARTIFACTS, report.txt
+    included, that an earlier run left in ``config.output_dir``, so they
+    cannot be mistaken for the output of a run that failed before them."""
+    for later in ARTIFACTS[ARTIFACTS.index(name) + 1 :]:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(config.output_dir, later))
+
+
 # Every stage below writes its own artifacts into config.output_dir, so the
 # CLI subcommands and run_pipeline produce the same files by construction.
 
@@ -216,16 +238,14 @@ def candidate_stage(
     """Candidate region of an abnormality map; writes candidate.mvol and
     candidate_report.txt.
 
-    On NoCandidateError the candidate and segmentation artifacts of an
-    earlier run into the same directory are removed before the error
+    On NoCandidateError the candidate, segmentation and report artifacts
+    of an earlier run into the same directory are removed before the error
     propagates, so they cannot be mistaken for this run's output.
     """
     try:
         region = extract_candidate(gbbm, atlas.brain_mask, config.candidate_params())
     except NoCandidateError:
-        for name in (CANDIDATE_FILE, CANDIDATE_REPORT_FILE, EVOLUTION_LOG_FILE, SEGMENTATION_FILE):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(config.output_dir, name))
+        _remove_artifacts_after(config, GBBM_FILE)
         raise
     write_volume(region.mask, _artifact(config, CANDIDATE_FILE))
     atomic_write_text(_artifact(config, CANDIDATE_REPORT_FILE), _candidate_report_text(region))
@@ -239,7 +259,10 @@ def segment_stage(patient: ScalarVolume, region: CandidateRegion, config: Pipeli
 
     The distance field is computed on the window around the mask that
     holds evolve's first box, which evolve widens if the front needs more.
-    Returns the final LevelSetField and its zero-level mask.
+    Returns the final LevelSetField and its zero-level mask.  On
+    NumericalInstabilityError the segmentation and report artifacts of an
+    earlier run into the same directory are removed before the error
+    propagates.
     """
     params = config.evolution_params()
     mask = region.mask
@@ -247,7 +270,11 @@ def segment_stage(patient: ScalarVolume, region: CandidateRegion, config: Pipeli
     window = fvf3d.init_window(mask, params=params)
     ls = fvf3d.signed_distance_init(mask, window=window)
     log: list = []
-    final = fvf3d.evolve(ls, ctx, params, log=log)
+    try:
+        final = fvf3d.evolve(ls, ctx, params, log=log)
+    except NumericalInstabilityError:
+        _remove_artifacts_after(config, CANDIDATE_REPORT_FILE)
+        raise
     atomic_write_text(_artifact(config, EVOLUTION_LOG_FILE), _evolution_log_text(log))
     seg = fvf3d.zero_level_mask(final)
     write_volume(seg, _artifact(config, SEGMENTATION_FILE))

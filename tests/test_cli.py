@@ -254,6 +254,30 @@ class TestPipelineCommand:
         assert code == EXIT_INSTABILITY
         assert "iteration" in capsys.readouterr().err
 
+    def test_unstable_rerun_clears_later_artifacts(
+        self, case_dir, pipeline_out, tmp_path, monkeypatch
+    ):
+        """A rerun that fails in the level set must not leave the ok run's
+        segmentation, evolution log and report next to its new candidate."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        monkeypatch.setattr(fvf3d.EvolutionParams, "resolve_dt", lambda self, spacing: 2.5)
+        code = main(
+            [
+                "pipeline",
+                "--input", str(case_dir / PATIENT_FILE),
+                "--atlas-dir", str(case_dir),
+                "--output-dir", str(out),
+            ]
+        )
+        assert code == EXIT_INSTABILITY
+        assert {p.name for p in out.iterdir()} == {
+            pipeline.MODEL_FILE,
+            pipeline.GBBM_FILE,
+            pipeline.CANDIDATE_FILE,
+            pipeline.CANDIDATE_REPORT_FILE,
+        }
+
     @pytest.mark.parametrize(
         "flag, value, name",
         [
@@ -444,6 +468,31 @@ class TestStagedCommands:
         capped = (out / pipeline.MODEL_FILE).read_text()
         assert capped != (pipeline_out / pipeline.MODEL_FILE).read_text()
         assert capsys.readouterr().out.splitlines()[-1] == "em_iterations=1 (hit --max-iters)"
+
+    def test_no_candidate_stage_clears_the_earlier_report(
+        self, case_dir, pipeline_out, tmp_path
+    ):
+        """The candidate stage on a control's map, run into the directory of
+        an ok run, leaves neither that run's candidate nor its ok report."""
+        control, control_out = tmp_path / "control", tmp_path / "control_out"
+        assert (
+            main(
+                ["phantom", "--output-dir", str(control), "--dims", DIMS_FLAG,
+                 "--offset", "0", "--tumor-seed", "3"]
+            )
+            == EXIT_OK
+        )
+        common = ["--atlas-dir", str(control)]
+        gbbm = ["gbbm", "--input", str(control / PATIENT_FILE), "--output-dir", str(control_out)]
+        assert main(gbbm + common) == EXIT_OK
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        code = main(
+            ["candidate", "--input", str(control_out / pipeline.GBBM_FILE),
+             "--output-dir", str(out)] + common
+        )
+        assert code == EXIT_NO_CANDIDATE
+        assert {p.name for p in out.iterdir()} == {pipeline.MODEL_FILE, pipeline.GBBM_FILE}
 
     def test_candidate_reports_voxel_count(self, case_dir, pipeline_out, tmp_path, capsys):
         capsys.readouterr()

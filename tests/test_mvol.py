@@ -1,3 +1,4 @@
+import hashlib
 import os
 import tracemalloc
 
@@ -9,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from fvfseg import phantom
 from fvfseg.errors import MvolFormatError
-from fvfseg.mvol import _HEAD_BLOCK, atomic_write_text, decode, encode, read_volume, write_volume
+from fvfseg.mvol import atomic_write_text, decode, encode, read_volume, write_volume
 from fvfseg.volume import BinaryMask, ScalarVolume
 
 
@@ -155,6 +156,105 @@ class TestReadVolume:
         assert peak <= 1.25 * back.data.nbytes, f"peak {peak / back.data.nbytes:.2f} arrays"
 
 
+# fixed volumes and the sha256 of their files: every byte on disk is part
+# of the format, whatever path the writer takes to produce it
+_PINNED_SPACING = (0.1, 1 / 3, 1.6)
+_PINNED_GRID = np.arange(6 * 5 * 4).reshape((6, 5, 4))
+_PINNED = {
+    "float64_c": (
+        ScalarVolume((_PINNED_GRID * 37 % 101 - 50) / 7.0, _PINNED_SPACING),
+        "707eace0651394f6fe45912b3ad0ed762f606585f6810d1336391f958846897d",
+    ),
+    "float32_f": (
+        ScalarVolume(
+            np.asfortranarray(((_PINNED_GRID * 13 % 29) / 3.0).astype(np.float32)),
+            _PINNED_SPACING,
+        ),
+        "fbc12099848e4453ce159f6d84d7245bcd976985f79e3d4d898fff0d9ac3c8df",
+    ),
+    "mask_odd": (
+        BinaryMask(np.arange(3 * 5 * 7).reshape((3, 5, 7)) * 7 % 11 < 5, _PINNED_SPACING),
+        "38517d199fc935f4b0e6b04be1f0a7ba8eda879b76738a70e6318cc20fc1b3d6",
+    ),
+}
+
+
+class TestWriteVolume:
+    """write_volume streams the header and one payload array to the file."""
+
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_bytes_are_pinned(self, name, tmp_path):
+        vol, digest = _PINNED[name]
+        path = tmp_path / "v.mvol"
+        write_volume(vol, path)
+        blob = path.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
+        assert encode(vol) == blob
+
+    @pytest.mark.parametrize(
+        "kind, order", [("float64", "C"), ("float64", "F"), ("mask", "C")]
+    )
+    def test_peak_memory_is_one_payload(self, kind, order, tmp_path, rng):
+        raw = rng.random((64, 64, 64))
+        if kind == "mask":
+            vol, payload = BinaryMask(raw < 0.5, (1, 1, 1)), raw.size
+        else:
+            vol, payload = ScalarVolume(np.asarray(raw, order=order), (1, 1, 1)), 4 * raw.size
+        path = tmp_path / "v.mvol"
+        tracemalloc.start()
+        try:
+            write_volume(vol, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the one converted payload and the header
+        assert peak <= 1.25 * payload, f"peak {peak / payload:.2f} payloads"
+        assert read_volume(path).data.tobytes(order="F") == vol.data.astype(
+            "<f4" if kind != "mask" else bool
+        ).tobytes(order="F")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ScalarVolume(np.full((2, 2, 2), 1e300), (1, 1, 1)),
+            np.zeros((2, 2, 2), dtype=np.float32),
+        ],
+        ids=["float64_overflow", "not_a_volume"],
+    )
+    def test_failed_write_keeps_the_earlier_file(self, bad, tmp_path, monkeypatch):
+        path = tmp_path / "v.mvol"
+        write_volume(ScalarVolume(np.ones((2, 2, 2), dtype=np.float32), (1, 1, 1)), path)
+        before = path.read_bytes()
+
+        def no_temp_file(*args, **kwargs):
+            raise AssertionError("temp file created before the volume was checked")
+
+        monkeypatch.setattr(os, "open", no_temp_file)
+        with pytest.raises((ValueError, TypeError)):
+            write_volume(bad, path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["v.mvol"]
+        assert path.read_bytes() == before
+
+
+class TestFileMode:
+    """Written files get the mode open(path, "wb") would give them."""
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+    )
+    def test_mode_follows_the_umask(self, umask, mode, tmp_path):
+        vol = ScalarVolume(np.zeros((2, 2, 2), dtype=np.float32), (1, 1, 1))
+        old = os.umask(umask)
+        try:
+            write_volume(vol, tmp_path / "v.mvol")
+            atomic_write_text(tmp_path / "t.txt", "hello\n")
+        finally:
+            os.umask(old)
+        for name in ("v.mvol", "t.txt"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
+
+
 class TestEncodeErrors:
     def test_float64_overflow_rejected(self):
         v = ScalarVolume(np.full((2, 2, 2), 1e300), (1, 1, 1))
@@ -205,13 +305,12 @@ class TestDecodeErrors:
     def test_one_trailing_byte(self, tmp_path):
         _rejected(_valid_blob() + b"\x00", tmp_path, match="payload holds 97 bytes")
 
-    @pytest.mark.parametrize(
-        "end", [_HEAD_BLOCK - 2, _HEAD_BLOCK - 1, _HEAD_BLOCK, 3 * _HEAD_BLOCK]
-    )
+    @pytest.mark.parametrize("end", [4094, 4095, 4096, 12288])
     def test_header_ending_near_or_past_the_first_read(self, end, tmp_path):
         # trailing blanks on a header line are legal: pad the header so its
-        # blank line starts at byte ``end``, inside the first read block,
-        # across its end or past it (then the file is read whole)
+        # blank line starts at byte ``end``, inside a 4 KiB block, across its
+        # end or past it, where a reader of a fixed-size head block would
+        # have to fall back to another path
         blob = _valid_blob()
         pad = end - blob.index(b"\n\n")
         blob = blob.replace(b"spacing 1 1 1", b"spacing 1 1 1" + b" " * pad, 1)
