@@ -3,23 +3,27 @@
 
 Builds each named workload's cases with the benchmark's own generator
 (perfbench/workloads.py), runs each through run_pipeline and prints one
-``workload case file sha256`` line per artifact.  Two checkouts produce
-the same artifacts exactly when the outputs of this script diff clean.
+``workload case file sha256`` line per file: first the case's set-up
+inputs (the five atlas volumes, patient.mvol, tumor_truth.mvol,
+manifest.txt and, for a refit workload, prefit_model.txt), then its
+pipeline artifacts.  Two checkouts produce the same inputs and artifacts
+exactly when the outputs of this script diff clean.
 
 ``--keep DIR`` builds and runs the cases under DIR/<workload> instead of a
 temporary directory and leaves them there (outputs in
-DIR/<workload>/out/<case>).  ``--compare A B`` reads two such kept trees
-and prints one ``workload case file verdict`` line per artifact, where the
-verdict is ``same`` for identical bytes; otherwise, for a scalar .mvol,
-the largest absolute difference and the number of voxels on different
-sides of the default psi; for a mask .mvol, the number of differing
-voxels; for model.txt, the largest relative parameter change; for
-evolution.log, field by field over the checkpoints both logs hold,
-whether ``iter``, ``inside`` and ``changed`` are equal and the largest
-absolute difference of ``max_update`` and ``cos_gamma_mean`` (and the two
-checkpoint counts when they differ); for other files, ``differs``.  A
-last line ``N of M same`` sums up, and the exit status is 0 only when
-every artifact is the same, so the comparison can serve as a gate.
+DIR/<workload>/out/<case>, inputs in DIR/<workload>/<case>).
+``--compare A B`` reads two such kept trees and prints one ``workload case
+file verdict`` line per input and per artifact, where the verdict is ``same``
+for identical bytes; otherwise, for a scalar .mvol, the largest absolute
+difference and the number of voxels on different sides of the default psi;
+for a mask .mvol, the number of differing voxels; for model.txt and
+prefit_model.txt, the largest relative parameter change; for
+evolution.log, field by field over the checkpoints both logs hold, whether
+``iter``, ``inside`` and ``changed`` are equal and the largest absolute
+difference of ``max_update`` and ``cos_gamma_mean`` (and the two
+checkpoint counts when they differ); for other files, ``differs``. A last
+line ``N of M same`` sums up, and the exit status is 0 only when every
+input and artifact is the same, so the comparison can serve as a gate.
 
 Usage, from the root of a checkout:
     python3 scripts/artifact_digests.py lesion64 control128 refit128 --seed 1 [--held-out]
@@ -41,6 +45,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 from fvfseg.errors import NoCandidateError  # noqa: E402
 from fvfseg.mvol import read_volume  # noqa: E402
 from fvfseg.ngmm import load_model  # noqa: E402
+from fvfseg.phantom import ATLAS_FILES, MANIFEST_FILE, PATIENT_FILE, TRUTH_FILE  # noqa: E402
 from fvfseg.pipeline import (  # noqa: E402
     ARTIFACTS,
     EVOLUTION_LOG_FILE,
@@ -50,7 +55,24 @@ from fvfseg.pipeline import (  # noqa: E402
     run_pipeline,
 )
 from fvfseg.volume import ScalarVolume  # noqa: E402
+from perfbench.workloads import MODEL_FILE as PREFIT_MODEL_FILE  # noqa: E402
 from perfbench.workloads import WORKLOADS, build_cases  # noqa: E402
+
+# The set-up inputs of a case, which build_cases writes to ROOT/<case>
+# beside its outputs in ROOT/out/<case>.
+INPUTS = (*ATLAS_FILES.values(), PATIENT_FILE, TRUTH_FILE, MANIFEST_FILE, PREFIT_MODEL_FILE)
+
+
+def _input_dir(out_dir):
+    """The input directory of the case whose outputs are in ``out_dir``."""
+    return os.path.join(os.path.dirname(os.path.dirname(out_dir)), os.path.basename(out_dir))
+
+
+def _files(out_dir):
+    """(directory, name) of each input, then of each artifact, of a case."""
+    return [(_input_dir(out_dir), name) for name in INPUTS] + [
+        (out_dir, name) for name in ARTIFACTS
+    ]
 
 
 def digest_workload(workload, seed, held_out, root):
@@ -61,9 +83,8 @@ def digest_workload(workload, seed, held_out, root):
             run_pipeline(PipelineConfig(**case.config))
         except NoCandidateError:
             pass  # report.txt still records the outcome
-        out_dir = case.config["output_dir"]
-        for name in ARTIFACTS:
-            path = os.path.join(out_dir, name)
+        for folder, name in _files(case.config["output_dir"]):
+            path = os.path.join(folder, name)
             if os.path.exists(path):
                 with open(path, "rb") as fh:
                     digest = hashlib.sha256(fh.read()).hexdigest()
@@ -125,7 +146,7 @@ def compare_artifact(path_a, path_b, psi) -> str | None:
         if fa.read() == fb.read():
             return "same"
     name = os.path.basename(path_a)
-    if name == MODEL_FILE:
+    if name in (MODEL_FILE, PREFIT_MODEL_FILE):
         return _model_change(path_a, path_b)
     if name == EVOLUTION_LOG_FILE:
         return _log_change(path_a, path_b)
@@ -144,15 +165,15 @@ def _case_dirs(tree):
 
 
 def compare_trees(tree_a, tree_b) -> bool:
-    """Print a verdict per artifact and the summary; True when every
-    artifact (at least one) is the same."""
+    """Print a verdict per input and per artifact and the summary; True
+    when every one of them (at least one) is the same."""
     psi = PipelineConfig().resolved_psi()  # the workloads run at the default
     same = total = 0
     for rel in sorted(set(_case_dirs(tree_a)) | set(_case_dirs(tree_b))):
         parts = rel.split(os.sep)
-        for name in ARTIFACTS:
+        for folder, name in _files(rel):
             verdict = compare_artifact(
-                os.path.join(tree_a, rel, name), os.path.join(tree_b, rel, name), psi
+                os.path.join(tree_a, folder, name), os.path.join(tree_b, folder, name), psi
             )
             if verdict is not None:
                 print(parts[0], parts[-1], name, verdict, flush=True)

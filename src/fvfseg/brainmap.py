@@ -111,12 +111,6 @@ class ProbabilisticAtlas:
     def spacing(self):
         return self.template.spacing
 
-    def probability_stack(self) -> np.ndarray:
-        """(3, nx, ny, nz) array in CSF, GM, WM order."""
-        return np.stack([self.prob_csf.data, self.prob_gm.data, self.prob_wm.data]).astype(
-            np.float64
-        )
-
 
 def _triples(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
@@ -224,9 +218,9 @@ def spatial_prior(xi) -> np.ndarray:
     """Normalized tissue prior from raw atlas probabilities.
 
     ``xi`` holds (CSF, GM, WM) along a leading axis of length 3: a (3,)
-    vector for one voxel, or a (3, ...) stack such as
-    ProbabilisticAtlas.probability_stack().  Voxels where all three maps
-    read zero get the uninformative prior (1/3, 1/3, 1/3).
+    vector for one voxel, or a (3, ...) stack of an atlas's three maps.
+    Voxels where all three maps read zero get the uninformative prior
+    (1/3, 1/3, 1/3).
     """
     xi = _triples(xi, "spatial_prior")
     rows = _rows(xi)

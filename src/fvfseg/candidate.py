@@ -109,7 +109,7 @@ def extract_candidate(
         blob = BinaryMask(blob.data & stripped.data[box], blob.spacing)
     counts.append(blob.count())
 
-    full = np.zeros(dims, dtype=bool)
+    full = np.zeros(dims, dtype=bool, order="F")  # written x-fastest, as MVOL stores it
     full[box] = blob.data
     return CandidateRegion(
         mask=BinaryMask(full, mask.spacing),

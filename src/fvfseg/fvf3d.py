@@ -109,6 +109,8 @@ from .volume import (
     require_same_grid,
     run_parts,
     split_planes,
+    whole_box,
+    world_offsets,
 )
 
 _EPS_DIRECTION = 1e-12
@@ -266,7 +268,7 @@ def signed_distance_init(
             raise ValueError(f"window {window} does not hold the whole region")
         far = math.hypot(*(n * s for n, s in zip(dims, spacing)))
         phi = np.full(dims, far + band_halfwidth * max(spacing))
-    _fill_distance(phi, m, spacing, window or _whole(dims))
+    _fill_distance(phi, m, spacing, window or whole_box(dims))
     return LevelSetField(ScalarVolume(phi, spacing), 0, band_halfwidth, window)
 
 
@@ -388,19 +390,10 @@ def zero_level_mask(ls: LevelSetField) -> BinaryMask:
     return BinaryMask(ls.phi.data < 0.0, ls.phi.spacing)
 
 
-def _whole(dims):
-    return tuple(slice(0, n) for n in dims)
-
-
 def _radial(ctx: ForceContext, box):
     """The components of B - A at every voxel B of ``box`` (broadcastable
     per-axis arrays), and its length."""
-    dx, dy, dz = (
-        (np.arange(sl.start, sl.stop, dtype=np.float64) * s - c).reshape(shape)
-        for sl, s, c, shape in zip(
-            box, ctx.smoothed.spacing, ctx.center, ((-1, 1, 1), (1, -1, 1), (1, 1, -1))
-        )
-    )
+    dx, dy, dz = world_offsets(box, ctx.smoothed.spacing, ctx.center)
     return dx, dy, dz, np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
@@ -684,7 +677,7 @@ def _update_box(phi, width, pads, window):
     part = phi[window]
     band = bounding_box((part >= -width) & (part <= width))
     if band is None:
-        core = _whole(dims)
+        core = whole_box(dims)
     else:
         band = tuple(slice(b.start + w.start, b.stop + w.start) for b, w in zip(band, window))
         core = grow_box(band, pads, dims)
@@ -764,7 +757,7 @@ def evolve(
 
     dt = params.resolve_dt(spacing)
     phi = np.array(ls.phi.data, dtype=np.float64)
-    window = ls.window or _whole(dims)
+    window = ls.window or whole_box(dims)
     # Outside the window phi holds a placeholder larger than the band, so
     # the inside voxels, then and now, all lie in the window.
     start_inside = np.zeros(dims, dtype=bool)

@@ -27,6 +27,12 @@ uniform floor, never one-hot: a degenerate prior forces the posterior to
 reproduce it exactly, which would make any lesion invisible to the
 correlation score.
 
+Positions come from ``volume.world_offsets``: per-axis offsets from the
+grid centre ((n - 1) / 2 * spacing per axis) or from the lesion centre,
+broadcast over the grid, so the shell radius and the lesion test are the
+only grid-sized geometry.  Voxels are assigned their tissue by the argmax
+of the three probability maps, compared map against map.
+
 All randomness flows from explicit seeds; equal seeds give bit-identical
 volumes.
 """
@@ -41,7 +47,7 @@ import numpy as np
 
 from .brainmap import ProbabilisticAtlas
 from .mvol import atomic_write_text, read_volume, write_volume
-from .volume import BinaryMask, ScalarVolume, gaussian_smooth, morphology, world_coordinates
+from .volume import BinaryMask, ScalarVolume, gaussian_smooth, morphology, whole_box, world_offsets
 
 # Shell radii as fractions of min(dims).
 _VENTRICLE_FRAC = 0.205
@@ -108,16 +114,13 @@ class TumorSpec:
             )
 
 
-def _radius_field(dims, spacing):
-    cx = (dims[0] - 1) / 2.0 * spacing[0]
-    cy = (dims[1] - 1) / 2.0 * spacing[1]
-    cz = (dims[2] - 1) / 2.0 * spacing[2]
-    wx, wy, wz = world_coordinates(dims, spacing)
-    return np.sqrt((wx - cx) ** 2 + (wy - cy) ** 2 + (wz - cz) ** 2), (cx, cy, cz)
+def _grid_center(dims, spacing):
+    return tuple((n - 1) / 2.0 * s for n, s in zip(dims, spacing))
 
 
 def _shell_masks(dims, spacing):
-    r, _ = _radius_field(dims, spacing)
+    dx, dy, dz = world_offsets(whole_box(dims), spacing, _grid_center(dims, spacing))
+    r = np.sqrt(dx**2 + dy**2 + dz**2)
     scale = min(d * s for d, s in zip(dims, spacing))
     vent = r < _VENTRICLE_FRAC * scale
     wm = (r >= _VENTRICLE_FRAC * scale) & (r < _WM_FRAC * scale)
@@ -128,12 +131,11 @@ def _shell_masks(dims, spacing):
 
 
 def _soft_prior(indicator, brain, spacing):
-    sm = gaussian_smooth(
-        ScalarVolume(indicator.astype(np.float64), spacing), _PRIOR_SMOOTH_SIGMA
-    ).data
-    soft = (1.0 - 3.0 * _PRIOR_FLOOR) * sm + _PRIOR_FLOOR
+    soft = gaussian_smooth(ScalarVolume(indicator, spacing), _PRIOR_SMOOTH_SIGMA).data
+    soft *= 1.0 - 3.0 * _PRIOR_FLOOR
+    soft += _PRIOR_FLOOR
     soft[~brain] = 0.0
-    return np.clip(soft, 0.0, 1.0)
+    return np.clip(soft, 0.0, 1.0, out=soft)
 
 
 def synth_atlas(dims, seed: int = 0, spacing=(1.0, 1.0, 1.0)) -> ProbabilisticAtlas:
@@ -145,14 +147,9 @@ def synth_atlas(dims, seed: int = 0, spacing=(1.0, 1.0, 1.0)) -> ProbabilisticAt
     spacing = tuple(float(s) for s in spacing)
 
     (csf, gm, wm), brain = _shell_masks(dims, spacing)
-    mean_map = np.zeros(dims)
-    std_map = np.zeros(dims)
+    template = np.random.default_rng(seed).standard_normal(dims)
     for tissue_mask, mu, sd in zip((csf, gm, wm), _TISSUE_MEANS, _TISSUE_STDS):
-        mean_map[tissue_mask] = mu
-        std_map[tissue_mask] = sd
-
-    rng = np.random.default_rng(seed)
-    template = mean_map + std_map * rng.standard_normal(dims)
+        template[tissue_mask] = mu + sd * template[tissue_mask]
     template[~brain] = 0.0
 
     return ProbabilisticAtlas(
@@ -166,15 +163,17 @@ def synth_atlas(dims, seed: int = 0, spacing=(1.0, 1.0, 1.0)) -> ProbabilisticAt
 
 def tissue_statistics(atlas: ProbabilisticAtlas):
     """Per-tissue (mean, std) of the template, tissues assigned by the
-    argmax of the probability maps.  Works for any atlas, not just the
-    synthetic one.
+    argmax of the probability maps (CSF 0, GM 1, WM 2; a tie goes to the
+    first).  Works for any atlas, not just the synthetic one.
 
     The statistics are computed over each tissue region eroded by one
     voxel: argmax assignment is unreliable within a voxel of a tissue
     interface, and a thin misassigned rim is enough to inflate the stds
     well past the true within-tissue spread.
     """
-    labels = np.argmax(atlas.probability_stack(), axis=0)
+    csf, gm, wm = atlas.prob_csf.data, atlas.prob_gm.data, atlas.prob_wm.data
+    labels = (gm > csf).astype(np.intp)
+    labels[wm > np.maximum(csf, gm)] = 2
     brain = atlas.brain_mask.data
     means = np.empty(3)
     stds = np.empty(3)
@@ -192,10 +191,8 @@ def tissue_statistics(atlas: ProbabilisticAtlas):
 
 
 def _tumor_mask(tumor: TumorSpec, dims, spacing, blob_rng):
-    r, grid_center = _radius_field(dims, spacing)
-    center = tumor.center if tumor.center is not None else grid_center
-    wx, wy, wz = world_coordinates(dims, spacing)
-    dx, dy, dz = wx - center[0], wy - center[1], wz - center[2]
+    center = tumor.center if tumor.center is not None else _grid_center(dims, spacing)
+    dx, dy, dz = world_offsets(whole_box(dims), spacing, center)
     if tumor.shape == "sphere":
         mask = dx * dx + dy * dy + dz * dz < tumor.radii[0] ** 2
     elif tumor.shape == "ellipsoid":
@@ -225,9 +222,9 @@ def synth_patient(atlas: ProbabilisticAtlas, tumor: TumorSpec):
     root = np.random.SeedSequence(tumor.seed)
     noise_rng, blob_rng = (np.random.default_rng(s) for s in root.spawn(2))
 
-    mean_map = np.where(brain, means[labels], 0.0)
-    std_map = np.where(brain, stds[labels], 0.0)
-    patient = mean_map + std_map * noise_rng.standard_normal(dims)
+    patient = noise_rng.standard_normal(dims)
+    patient *= stds[labels]
+    patient += means[labels]
     patient[~brain] = 0.0
 
     mask, center = _tumor_mask(tumor, dims, spacing, blob_rng)
@@ -253,15 +250,8 @@ def synth_patient(atlas: ProbabilisticAtlas, tumor: TumorSpec):
 
 def save_atlas_dir(atlas: ProbabilisticAtlas, path: str) -> None:
     os.makedirs(path, exist_ok=True)
-    vols = {
-        "template": atlas.template,
-        "prob_csf": atlas.prob_csf,
-        "prob_gm": atlas.prob_gm,
-        "prob_wm": atlas.prob_wm,
-        "brain_mask": atlas.brain_mask,
-    }
     for key, fname in ATLAS_FILES.items():
-        write_volume(vols[key], os.path.join(path, fname))
+        write_volume(getattr(atlas, key), os.path.join(path, fname))
 
 
 def load_atlas_dir(path: str) -> ProbabilisticAtlas:
@@ -277,13 +267,7 @@ def load_atlas_dir(path: str) -> ProbabilisticAtlas:
     for key in ("template", "prob_csf", "prob_gm", "prob_wm"):
         if isinstance(vols[key], BinaryMask):
             raise ValueError(f"{ATLAS_FILES[key]} must be a scalar volume")
-    return ProbabilisticAtlas(
-        template=vols["template"],
-        prob_csf=vols["prob_csf"],
-        prob_gm=vols["prob_gm"],
-        prob_wm=vols["prob_wm"],
-        brain_mask=mask,
-    )
+    return ProbabilisticAtlas(**vols)
 
 
 def _fmt(v) -> str:

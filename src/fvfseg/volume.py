@@ -5,7 +5,9 @@ Conventions used throughout the package:
 * a volume is an ``(nx, ny, nz)`` array indexed ``[x, y, z]``; the linear
   (serialized) order is x-fastest, i.e. ``data.ravel(order="F")``
 * ``spacing`` is the voxel pitch in millimetres per axis
-* the world position of voxel ``(i, j, k)`` is ``(i*sx, j*sy, k*sz)``
+* the world position of voxel ``(i, j, k)`` is ``(i*sx, j*sy, k*sz)``;
+  ``world_offsets`` gives it per axis, less a centre, as arrays that
+  broadcast over a box, so no caller builds a grid of coordinates
 * binary morphology uses the discrete Chebyshev ball of the given radius
   (a ``(2r+1)^3`` cube, so the 26-neighbourhood at radius 1) and treats
   everything outside the grid as background
@@ -193,10 +195,20 @@ def mask_index(mask: BinaryMask) -> tuple[np.ndarray, str]:
     return np.flatnonzero(mask.data.ravel(order)), order
 
 
-def world_coordinates(dims, spacing):
-    """Three (nx, ny, nz) arrays holding the world x/y/z of every voxel."""
-    axes = [np.arange(n, dtype=np.float64) * s for n, s in zip(dims, spacing)]
-    return np.meshgrid(*axes, indexing="ij")
+def whole_box(dims):
+    """The box of slices covering a whole grid of ``dims``."""
+    return tuple(slice(0, n) for n in dims)
+
+
+def world_offsets(box, spacing, center):
+    """The world offsets x - cx, y - cy and z - cz of the voxels of ``box``
+    (slices with start and stop) from the world point ``center``, as
+    (n, 1, 1), (1, n, 1) and (1, 1, n) arrays that broadcast to the box:
+    index * spacing - center per axis, with no grid-sized array."""
+    return tuple(
+        (np.arange(sl.start, sl.stop, dtype=np.float64) * s - c).reshape(shape)
+        for sl, s, c, shape in zip(box, spacing, center, ((-1, 1, 1), (1, -1, 1), (1, 1, -1)))
+    )
 
 
 # PLANES[a] holds the index tuples of planes 0, 1, -2 and -1 along axis a of

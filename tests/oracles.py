@@ -472,13 +472,13 @@ def evolve_box_oracle(ls, ctx, params, log=None):
     the returned field are evolve's."""
     from fvfseg import fvf3d
     from fvfseg.errors import NumericalInstabilityError
-    from fvfseg.volume import ScalarVolume
+    from fvfseg.volume import ScalarVolume, whole_box
 
     spacing = ls.phi.spacing
     dims = ls.phi.dims
     dt = params.resolve_dt(spacing)
     phi = np.array(ls.phi.data, dtype=np.float64)
-    window = ls.window or fvf3d._whole(dims)
+    window = ls.window or whole_box(dims)
     start_inside = np.zeros(dims, dtype=bool)
     start_inside[window] = ls.phi.data[window] < 0
     width = max(spacing) * ls.band_halfwidth

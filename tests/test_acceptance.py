@@ -135,7 +135,7 @@ def test_formula_oracles_match_high_precision():
         prob_wm=ScalarVolume(raw[2], UNIT),
         brain_mask=BinaryMask(np.ones(dims, dtype=bool), UNIT),
     )
-    prior = spatial_prior(atlas.probability_stack())
+    prior = spatial_prior(np.stack([atlas.prob_csf.data, atlas.prob_gm.data, atlas.prob_wm.data]))
     for i in range(10):
         for j in range(10):
             for k in range(10):

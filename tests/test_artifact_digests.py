@@ -17,6 +17,7 @@ from fvfseg.pipeline import (
     MODEL_FILE,
     REPORT_FILE,
 )
+from fvfseg.phantom import ATLAS_FILES, MANIFEST_FILE, PATIENT_FILE, TRUTH_FILE
 from fvfseg.volume import BinaryMask, ScalarVolume
 
 UNIT = (1.0, 1.0, 1.0)
@@ -126,6 +127,52 @@ def test_compare_of_identical_trees_exits_zero(digests, tmp_path, capsys):
     (tmp_path / "e2").mkdir()
     assert digests.main(["--compare", str(tmp_path / "e1"), str(tmp_path / "e2")]) == 1
     assert capsys.readouterr().out.splitlines() == ["0 of 0 same"]
+
+
+def _write_inputs(case_dir, template, truth, manifest, prefit=None):
+    """The set-up inputs of a case; ``prefit`` is (file name, model)."""
+    os.makedirs(case_dir)
+    for name in (*ATLAS_FILES.values(), PATIENT_FILE):
+        write_volume(ScalarVolume(template, UNIT), os.path.join(case_dir, name))
+    write_volume(BinaryMask(truth, UNIT), os.path.join(case_dir, TRUTH_FILE))
+    atomic_write_text(os.path.join(case_dir, MANIFEST_FILE), manifest)
+    if prefit is not None:
+        save_model(prefit[1], os.path.join(case_dir, prefit[0]))
+
+
+def test_compare_reports_each_input_before_the_artifacts(digests, tmp_path, capsys):
+    model = TissueMixtureModel((0.2, 0.5, 0.3), (0.6, 1.0, 1.25), (0.08, 0.1, 0.12))
+    moved = TissueMixtureModel((0.2, 0.5, 0.3), (0.6 * (1 - 3e-5), 1.0, 1.25), (0.08, 0.1, 0.12))
+    prefit = digests.PREFIT_MODEL_FILE
+    template = np.linspace(0.0, 1.0, 27, dtype=np.float32).reshape(3, 3, 3)
+    truth = template > 0.5
+    a, b = tmp_path / "a", tmp_path / "b"
+    for tree in (a, b):
+        _write_case(tree / "wl" / "out" / "case", model, template, truth, "status=ok\n")
+        _write_case(tree / "wl" / "out" / "ctl", model, template, truth, "status=ok\n")
+        _write_inputs(tree / "wl" / "ctl", template, truth, "offset=0\n")
+    _write_inputs(a / "wl" / "case", template, truth, "offset=4\n", (prefit, model))
+    _write_inputs(b / "wl" / "case", template, ~truth, "offset=3\n", (prefit, moved))
+    (b / "wl" / "ctl" / PATIENT_FILE).unlink()
+
+    assert digests.main(["--compare", str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    atlas = [f"{name} same" for name in ATLAS_FILES.values()]
+    outputs = [f"{name} same" for name in (MODEL_FILE, GBBM_FILE, CANDIDATE_FILE, REPORT_FILE)]
+    assert lines == [
+        *(f"wl case {verdict}" for verdict in atlas),
+        "wl case patient.mvol same",
+        "wl case tumor_truth.mvol voxels_differ=27",
+        "wl case manifest.txt differs",
+        "wl case prefit_model.txt max_rel_change=3e-05",
+        *(f"wl case {verdict}" for verdict in outputs),
+        *(f"wl ctl {verdict}" for verdict in atlas),
+        "wl ctl patient.mvol only in A",
+        "wl ctl tumor_truth.mvol same",
+        "wl ctl manifest.txt same",
+        *(f"wl ctl {verdict}" for verdict in outputs),
+        "21 of 25 same",
+    ]
 
 
 def test_compare_rejects_workloads(digests):

@@ -204,7 +204,7 @@ class TestSpatialPrior:
             prob_wm=zero,
             brain_mask=BinaryMask(np.ones(dims, dtype=bool), UNIT),
         )
-        prior = spatial_prior(atlas.probability_stack())
+        prior = spatial_prior(np.stack([atlas.prob_csf.data, atlas.prob_gm.data, atlas.prob_wm.data]))
         assert tuple(prior[:, 1, 1, 1]) == (1 / 3, 1 / 3, 1 / 3)
 
 
@@ -371,7 +371,7 @@ class TestBuildGbbm:
         data[1:4, 2, ::3] = 1e6  # every likelihood underflows: degenerate Bayes
 
         masks = {}
-        prior = spatial_prior(atlas.probability_stack())
+        prior = spatial_prior(np.stack([atlas.prob_csf.data, atlas.prob_gm.data, atlas.prob_wm.data]))
         cc = pearson_cc(posterior_triple(MODEL, prior, data, masks), prior, masks)
         brain = atlas.brain_mask.data
         expected = np.where(brain, 255.0 * cc_to_cm(cc), 0.0)

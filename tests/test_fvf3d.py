@@ -14,7 +14,6 @@ from fvfseg.fvf3d import (
     _force_field,
     _gradient_norm2,
     _peak_gradient_norm2,
-    _whole,
     evolve,
     make_force_context,
     reinitialize,
@@ -22,7 +21,7 @@ from fvfseg.fvf3d import (
     zero_level_mask,
 )
 from fvfseg.metrics import tanimoto
-from fvfseg.volume import BinaryMask, ScalarVolume, gaussian_smooth, mask_centroid
+from fvfseg.volume import BinaryMask, ScalarVolume, gaussian_smooth, mask_centroid, whole_box
 
 from .oracles import _force_ref, edge_map_oracle
 
@@ -128,7 +127,7 @@ def _cos_gamma(normal, gamma):
     band = np.zeros(dims, dtype=bool)
     band[b] = True
     px, py, pz = (np.full(dims, float(c)) for c in normal)
-    return _cos_gamma_stats(px, py, pz, ctx, band, _whole(dims))
+    return _cos_gamma_stats(px, py, pz, ctx, band, whole_box(dims))
 
 
 class TestDirectionalCosine:
@@ -152,7 +151,7 @@ def _edge_map(vol, sigma=1.0):
     """The edge map f and its gradient on the whole grid, as the force
     builds them on a box."""
     ctx = make_force_context(vol, _cube_mask(vol.dims, 1, 3), sigma=sigma)
-    return _edge_on_box(ctx.smoothed, ctx.peak, _whole(vol.dims))
+    return _edge_on_box(ctx.smoothed, ctx.peak, whole_box(vol.dims))
 
 
 class TestEdgeMap:
@@ -255,7 +254,7 @@ class TestExternalForce:
 
     @staticmethod
     def _force_at(ctx, voxel):
-        field = _force_field(ctx, _whole(ctx.smoothed.dims))
+        field = _force_field(ctx, whole_box(ctx.smoothed.dims))
         return np.array([f[voxel] for f in field])
 
     def test_unit_magnitude(self):

@@ -11,7 +11,6 @@ from scipy import ndimage
 from fvfseg.fvf3d import (
     EvolutionParams,
     _update_box,
-    _whole,
     evolve,
     init_window,
     make_force_context,
@@ -20,7 +19,7 @@ from fvfseg.fvf3d import (
     zero_level_mask,
 )
 from fvfseg.metrics import tanimoto
-from fvfseg.volume import BinaryMask, ScalarVolume, bounding_box
+from fvfseg.volume import BinaryMask, ScalarVolume, bounding_box, whole_box
 
 from .oracles import edge_map_oracle, evolve_box_oracle, evolve_oracle
 
@@ -174,7 +173,7 @@ def test_window_widens_as_the_front_travels():
     band = 2.0
     window = init_window(start, band, params)
     ls = signed_distance_init(start, band, window)
-    _, outer, _ = _update_box(ls.phi.data, band, params.travel_pads(UNIT, dims), _whole(dims))
+    _, outer, _ = _update_box(ls.phi.data, band, params.travel_pads(UNIT, dims), whole_box(dims))
     assert _inside(window, outer) and _voxels(window) < 0.25 * cube.size
 
     log = []
@@ -226,7 +225,7 @@ def test_parity_cases_run_on_a_box_smaller_than_the_grid(name):
     travel = params.reinit_every * dt * (params.beta + 2.0 * params.alpha / min(spacing))
     pads = [int(np.ceil(travel / s)) for s in spacing]
     _, outer, _ = _update_box(
-        ls.phi.data, max(spacing) * ls.band_halfwidth, pads, _whole(ls.phi.dims)
+        ls.phi.data, max(spacing) * ls.band_halfwidth, pads, whole_box(ls.phi.dims)
     )
     box_voxels = np.prod([s.stop - s.start for s in outer])
     assert box_voxels < 0.5 * ls.phi.data.size

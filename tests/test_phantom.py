@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,11 @@ DIMS = (48, 48, 48)
 @pytest.fixture(scope="module")
 def atlas():
     return synth_atlas(DIMS, seed=0)
+
+
+@pytest.fixture(scope="module")
+def atlas64():
+    return synth_atlas((64, 64, 64), seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +87,7 @@ class TestSynthAtlas:
         assert np.array_equal(atlas.prob_gm.data, other.prob_gm.data)
 
     def test_probabilities_sum_below_one(self, atlas):
-        total = atlas.probability_stack().sum(axis=0)
+        total = np.stack([atlas.prob_csf.data, atlas.prob_gm.data, atlas.prob_wm.data]).sum(axis=0)
         assert total.max() <= 1.0 + 1e-9
         brain = atlas.brain_mask.data
         # inside the brain the three maps cover most of the mass
@@ -235,3 +243,95 @@ class TestCaseSerialization:
         assert entries["center"] == "auto"
         assert int(entries["tumor_voxels"]) == truth.count()
         assert float(entries["offset"]) == tumor.offset
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# Small phantom cells: (atlas dims, spacing, atlas seed, lesion).  The
+# digests below pin their bytes: a new generator knob must leave them
+# unchanged at its default.
+PIN_CELLS = {
+    "sphere": ((32, 32, 32), (1.0, 1.0, 1.0), 0, TumorSpec("sphere", None, (6.0,), 4.0, 1)),
+    "ellipsoid": (
+        (32, 32, 32),
+        (1.0, 1.0, 1.0),
+        0,
+        TumorSpec("ellipsoid", None, (7.0, 5.0, 4.0), -4.0, 2),
+    ),
+    "blob": ((32, 32, 32), (1.0, 1.0, 1.0), 0, TumorSpec("blob", None, (5.0,), 4.0, 3)),
+    "control": ((32, 32, 32), (1.0, 1.0, 1.0), 0, TumorSpec("sphere", None, (6.0,), 0.0, 4)),
+    "off-centre": (
+        (32, 32, 32),
+        (1.0, 1.0, 1.0),
+        0,
+        TumorSpec("sphere", (18.0, 13.5, 16.0), (5.0,), -5.0, 5),
+    ),
+    "anisotropic": (
+        (40, 36, 32),
+        (1.0, 1.0, 2.0),
+        6,
+        TumorSpec("blob", (22.0, 15.5, 34.0), (5.0,), 3.0, 7),
+    ),
+}
+
+# sha256 of (the atlas's five volumes, the patient and the truth mask)
+PINNED = {
+    "anisotropic": (
+        "e5a2ded813b48885170c9069614021b66ac9799aa9bbe1594590277eb3c2a700",
+        "1448550ca8e8b1a6f33b70efaa004b3a7707d2074634aaf3609d47eb511c9c30",
+    ),
+    "blob": (
+        "4b663262337e04fb0eb4e674a7f6d0f4b657ab4d3c6310521b83e8e5b43c31ca",
+        "e0dc6c8daf843ac7e23d5d69ce1c581c3d55dcefbdc397181ee52530fd05f293",
+    ),
+    "control": (
+        "4b663262337e04fb0eb4e674a7f6d0f4b657ab4d3c6310521b83e8e5b43c31ca",
+        "46d2558e2c5c47ea20901ac576df9b6b08f5c44884814fbc839d60f9bdd47332",
+    ),
+    "ellipsoid": (
+        "4b663262337e04fb0eb4e674a7f6d0f4b657ab4d3c6310521b83e8e5b43c31ca",
+        "4d38a1b1a08fc62301b52fad02dc2b0a670bfe9ca4fbb8a35b40f230529db312",
+    ),
+    "off-centre": (
+        "4b663262337e04fb0eb4e674a7f6d0f4b657ab4d3c6310521b83e8e5b43c31ca",
+        "23472411339d2da96b9cb0371e9ec8a54e0bb5ca37014661703406b4adf9dd9f",
+    ),
+    "sphere": (
+        "4b663262337e04fb0eb4e674a7f6d0f4b657ab4d3c6310521b83e8e5b43c31ca",
+        "a468a1568f96f34526edbde661709a913e768d97ed64b3b315c0075419ecae93",
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PIN_CELLS))
+def test_phantom_bytes_are_pinned(cell):
+    dims, spacing, atlas_seed, tumor = PIN_CELLS[cell]
+    atlas = synth_atlas(dims, seed=atlas_seed, spacing=spacing)
+    patient, truth = synth_patient(atlas, tumor)
+    maps = (getattr(atlas, key).data for key in ATLAS_FILES)
+    assert (_sha256(*maps), _sha256(patient.data, truth.data)) == PINNED[cell]
+
+
+@pytest.mark.parametrize(("shape", "radius", "grids"), [("sphere", 8.0, 4.0), ("blob", 7.0, 6.0)])
+def test_synth_patient_peak_memory(atlas64, shape, radius, grids):
+    """synth_patient holds the patient, a per-voxel factor and the tissue
+    labels, not whole-grid coordinate or probability copies: its traced
+    peak at 64^3 is 3.1 float64 grids for a sphere and 5.1 for a blob (the
+    blob adds its smoothed wobble field), against 13 and 14 when the grid
+    coordinates were meshgrids and the labels came from a float64 stack."""
+    tumor = TumorSpec(shape, radii=(radius,))
+    grid = 8 * 64**3
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        synth_patient(atlas64, tumor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / grid < grids

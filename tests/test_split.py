@@ -21,12 +21,18 @@ from fvfseg.fvf3d import (
     _gradient_norm2,
     _peak_gradient_norm2,
     _update_box,
-    _whole,
     evolve,
     make_force_context,
     signed_distance_init,
 )
-from fvfseg.volume import BinaryMask, ScalarVolume, gaussian_smooth, run_parts, split_planes
+from fvfseg.volume import (
+    BinaryMask,
+    ScalarVolume,
+    gaussian_smooth,
+    run_parts,
+    split_planes,
+    whole_box,
+)
 
 from .oracles import evolve_box_oracle
 from .test_narrow_band import (
@@ -127,7 +133,7 @@ def test_split_step_is_exact_for_one_plane_parts_on_the_grid_faces(monkeypatch):
             ls.phi.data,
             max(ls.phi.spacing) * ls.band_halfwidth,
             params.travel_pads(ls.phi.spacing, ls.phi.dims),
-            _whole(ls.phi.dims),
+            whole_box(ls.phi.dims),
         )
         assert core[0].start == 0
         _assert_matches_reference(name)

@@ -13,7 +13,8 @@ from fvfseg.volume import (
     largest_component,
     morphology,
     require_same_grid,
-    world_coordinates,
+    whole_box,
+    world_offsets,
 )
 
 from .oracles import dilate_oracle, erode_oracle, largest_component_oracle
@@ -72,12 +73,25 @@ class TestWorldCoordinates:
     def test_matches_formula(self, rng):
         dims = (4, 5, 6)
         spacing = (0.7, 1.1, 2.3)
-        wx, wy, wz = world_coordinates(dims, spacing)
+        offsets = world_offsets(whole_box(dims), spacing, (0.0, 0.0, 0.0))
+        wx, wy, wz = np.broadcast_arrays(*offsets)
+        assert wx.shape == dims
         for _ in range(20):
             i, j, k = (int(rng.integers(0, d)) for d in dims)
             assert wx[i, j, k] == pytest.approx(i * 0.7)
             assert wy[i, j, k] == pytest.approx(j * 1.1)
             assert wz[i, j, k] == pytest.approx(k * 2.3)
+
+    def test_box_is_the_slice_of_the_whole_grid(self):
+        dims = (7, 5, 9)
+        spacing = (0.9375, 1.0, 2.0)
+        center = (2.5, -1.25, 7.0)
+        box = (slice(2, 6), slice(0, 5), slice(3, 4))
+        whole = np.broadcast_arrays(*world_offsets(whole_box(dims), spacing, center))
+        part = world_offsets(box, spacing, center)
+        assert [p.shape for p in part] == [(4, 1, 1), (1, 5, 1), (1, 1, 1)]
+        for w, p in zip(whole, np.broadcast_arrays(*part)):
+            assert np.array_equal(w[box], p)
 
 
 class TestMorphology:
@@ -226,7 +240,7 @@ class TestGradient:
     def test_linear_field_exact(self):
         dims = (6, 7, 8)
         spacing = (0.5, 1.0, 2.0)
-        wx, wy, wz = world_coordinates(dims, spacing)
+        wx, wy, wz = world_offsets(whole_box(dims), spacing, (0.0, 0.0, 0.0))
         gx, gy, gz = _central_gradient(2.0 * wx - 3.0 * wy + 0.5 * wz, spacing)
         assert np.allclose(gx, 2.0)
         assert np.allclose(gy, -3.0)
