@@ -15,7 +15,7 @@ from .brainmap import (
     posterior_triple,
     spatial_prior,
 )
-from .candidate import CandidateParams, CandidateRegion, extract_candidate
+from .candidate import CandidateRegion, extract_candidate
 from .errors import (
     GridMismatchError,
     MvolFormatError,

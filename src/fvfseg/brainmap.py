@@ -16,8 +16,8 @@ a conflict mapping turns into an abnormality score CM:
 
 The mapping is deliberately discontinuous at CC = 0: zero correlation maps
 to 0, while any infinitesimally positive correlation maps to nearly 1.
-Scaling CM by omega (0..255 by default) yields the abnormality volume used
-for candidate extraction.
+Scaling CM by omega (OMEGA = 255 by default) yields the abnormality volume
+used for candidate extraction.
 
 The intensities come in as the vector the mixture was fitted to: the
 normalized brain voxels in the brain mask's memory order
@@ -42,7 +42,7 @@ from .ngmm import TissueMixtureModel, _gaussian_pdf_into
 from .volume import (
     BinaryMask,
     ScalarVolume,
-    mask_index,
+    mask_order,
     require_same_grid,
     run_parts,
     split_planes,
@@ -50,6 +50,7 @@ from .volume import (
 
 BAYES_DENOMINATOR_FLOOR = 1e-300
 CC_VARIANCE_FLOOR = 1e-12
+OMEGA = 255.0
 
 # build_gbbm works on chunks of this many brain voxels: its kernel holds 10
 # float64 and 2 bool buffers per voxel, so the 750k brain voxels of a 128^3
@@ -330,7 +331,7 @@ def build_gbbm(
     values: np.ndarray,
     atlas: ProbabilisticAtlas,
     model: TissueMixtureModel,
-    omega: float = 255.0,
+    omega: float = OMEGA,
     diagnostics: dict | None = None,
 ) -> ScalarVolume:
     """Whole-volume abnormality map: omega * CM at brain voxels, 0 elsewhere.
@@ -351,7 +352,8 @@ def build_gbbm(
     """
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be positive and finite, got {omega}")
-    voxels, order = mask_index(atlas.brain_mask)
+    order = mask_order(atlas.brain_mask)
+    voxels = np.flatnonzero(atlas.brain_mask.data.ravel(order))
     x = np.asarray(values, dtype=np.float64)
     if x.shape != voxels.shape:
         raise ValueError(f"need {voxels.size} brain-voxel values, got shape {x.shape}")

@@ -3,20 +3,21 @@
 The abnormality volume is noisy at tissue interfaces and near the skull
 edge, so a fixed five-step cleanup isolates one solid candidate blob:
 
-1. strip strip_depth voxel layers off the brain mask (erosion)
+1. strip STRIP_DEPTH voxel layers off the brain mask (erosion)
 2. threshold inside the stripped mask (strictly greater than psi), as
    one AND of (map > psi) and that mask; since psi >= 0 this equals
    zeroing the map outside the mask and then thresholding
-3. erode, to break thin bridges and drop isolated speckle
-4. keep the largest connected component
-5. dilate, clipped to the stripped brain mask, to restore the lost margin
+3. erode ERODE_DEPTH layers, to break thin bridges and drop speckle
+4. keep the largest CONNECTIVITY-connected component
+5. dilate DILATE_DEPTH layers, clipped to the stripped brain mask
 
-If the mask is empty after any step the extraction fails with the step
+Only psi is a parameter, PSI_PER_OMEGA * brainmap.OMEGA by default.  If
+the mask is empty after any step the extraction fails with the step
 index, which the CLI maps to its own exit code.
 
 Steps 1-3 run on the whole grid: speckle above psi reaches the skull, so
 the thresholded mask spans the brain.  Steps 4 and 5 run on the bounding
-box of the eroded mask grown by dilate_iters + 1 voxels, which holds every
+box of the eroded mask grown by DILATE_DEPTH + 1 voxels, which holds every
 component and everything the dilation can reach; the result, its counts
 and its centroid are the same as on the whole grid.
 """
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .brainmap import OMEGA
 from .errors import NoCandidateError
 from .volume import (
     BinaryMask,
@@ -40,24 +42,18 @@ from .volume import (
     require_same_grid,
 )
 
+STRIP_DEPTH = 2
+ERODE_DEPTH = 2
+DILATE_DEPTH = 2
+CONNECTIVITY = 26
+# the default psi as a fraction of the map's omega
+PSI_PER_OMEGA = 0.6
 
-@dataclass
-class CandidateParams:
-    psi: float = 153.0  # 0.6 * the default omega of 255
-    strip_depth: int = 2
-    erode_iters: int = 2
-    dilate_iters: int = 2
-    connectivity: int = 26
 
-    def __post_init__(self):
-        if not (math.isfinite(self.psi) and self.psi >= 0):
-            raise ValueError(f"psi must be finite and >= 0, got {self.psi}")
-        if self.strip_depth < 1:
-            raise ValueError(f"strip_depth must be >= 1, got {self.strip_depth}")
-        if self.erode_iters < 0 or self.dilate_iters < 0:
-            raise ValueError("erode_iters and dilate_iters must be >= 0")
-        if self.connectivity not in (6, 26):
-            raise ValueError(f"connectivity must be 6 or 26, got {self.connectivity}")
+def check_psi(psi: float) -> None:
+    """Reject a threshold that is not finite and >= 0."""
+    if not (math.isfinite(psi) and psi >= 0):
+        raise ValueError(f"psi must be finite and >= 0, got {psi}")
 
 
 @dataclass
@@ -75,38 +71,36 @@ class CandidateRegion:
 def extract_candidate(
     gbbm: ScalarVolume,
     brain_mask: BinaryMask,
-    params: CandidateParams | None = None,
+    psi: float = PSI_PER_OMEGA * OMEGA,
 ) -> CandidateRegion:
     """Run the five cleanup steps and return the surviving blob.
 
     Raises NoCandidateError with the 1-based step index if the mask
     empties along the way.
     """
-    params = params or CandidateParams()
+    check_psi(psi)
     require_same_grid(gbbm, brain_mask, "abnormality map and brain mask")
 
-    stripped = morphology(brain_mask, "erode", iterations=params.strip_depth)
-    mask = BinaryMask((gbbm.data > params.psi) & stripped.data, gbbm.spacing)
+    stripped = morphology(brain_mask, "erode", STRIP_DEPTH)
+    mask = BinaryMask((gbbm.data > psi) & stripped.data, gbbm.spacing)
     counts = [mask.count()]
     if counts[-1] == 0:
-        raise NoCandidateError(2, f"no voxel exceeds psi={params.psi} inside the stripped brain")
+        raise NoCandidateError(2, f"no voxel exceeds psi={psi} inside the stripped brain")
 
-    if params.erode_iters > 0:
-        mask = morphology(mask, "erode", radius=1, iterations=params.erode_iters)
+    mask = morphology(mask, "erode", ERODE_DEPTH)
     counts.append(mask.count())
     if counts[-1] == 0:
-        raise NoCandidateError(3, f"mask vanished after {params.erode_iters} erosions")
+        raise NoCandidateError(3, f"mask vanished after {ERODE_DEPTH} erosions")
 
     dims = mask.dims
-    box = grow_box(bounding_box(mask.data), (params.dilate_iters + 1,) * 3, dims)
+    box = grow_box(bounding_box(mask.data), (DILATE_DEPTH + 1,) * 3, dims)
     # The x-fastest order of voxels within the box is their order in the
     # grid, so largest_component breaks ties as it would on the whole grid.
-    blob = largest_component(BinaryMask(mask.data[box], mask.spacing), params.connectivity)
+    blob = largest_component(BinaryMask(mask.data[box], mask.spacing), CONNECTIVITY)
     counts.append(blob.count())
 
-    if params.dilate_iters > 0:
-        blob = morphology(blob, "dilate", radius=1, iterations=params.dilate_iters)
-        blob = BinaryMask(blob.data & stripped.data[box], blob.spacing)
+    blob = morphology(blob, "dilate", DILATE_DEPTH)
+    blob = BinaryMask(blob.data & stripped.data[box], blob.spacing)
     counts.append(blob.count())
 
     full = np.zeros(dims, dtype=bool, order="F")  # written x-fastest, as MVOL stores it

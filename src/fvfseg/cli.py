@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import phantom, pipeline
-from .candidate import CandidateRegion
+from .candidate import PSI_PER_OMEGA, CandidateRegion
 from .errors import MvolFormatError, NoCandidateError, NumericalInstabilityError
 from .metrics import tanimoto
 from .pipeline import PipelineConfig, load_config
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                            " NOT the patient scan")
     p.add_argument("--psi", type=float, default=None)
     p.add_argument("--omega", type=float, default=None,
-                   help="the map's omega, which sets the default psi (0.6 * omega)")
+                   help=f"the map's omega, which sets the default psi ({PSI_PER_OMEGA} * omega)")
     p.set_defaults(func=cmd_candidate)
 
     p = subs.add_parser("segment", help="refine a candidate mask with the level set")

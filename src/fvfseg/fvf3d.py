@@ -12,13 +12,14 @@ unit force field assembled once before the loop:
 
     E(B) = chi( grad f(B) + delta * (B - A)/|B - A| )
 
-with f the [0, 1]-rescaled gradient-magnitude edge map of the scan, A the
-candidate centroid, delta = +1 inside the candidate mask and -1 outside,
-and chi normalization to unit length (zero when degenerate or B = A).
-Voxels inside the candidate are pushed outward along A->B, voxels outside
-are pulled back, and near intensity edges the grad f term dominates, so
-opposing flows converge on the tumor boundary.  The advection term is
-upwind-differenced on the sign of E; curvature uses central differences.
+with f the [0, 1]-rescaled gradient-magnitude edge map of the scan after
+a Gaussian of EDGE_SIGMA voxels, A the candidate centroid, delta = +1
+inside the candidate mask and -1 outside, and chi normalization to unit
+length (zero when degenerate or B = A).  Voxels inside the candidate are
+pushed outward along A->B, voxels outside are pulled back, and near
+intensity edges the grad f term dominates, so opposing flows converge on
+the tumor boundary.  The advection term is upwind-differenced on the sign
+of E; curvature uses central differences.
 
 Explicit updates are only stable for dt below roughly
 0.9 / (6 alpha / h^2 + 3 beta / h); larger steps are accepted but grow
@@ -115,6 +116,9 @@ from .volume import (
 
 _EPS_DIRECTION = 1e-12
 _EPS_CURVATURE = 1e-12
+
+# The width, in voxels, of the Gaussian that smooths the scan for its edge map.
+EDGE_SIGMA = 1.0
 
 # Half-width of the narrow band, in voxels of the coarsest axis: the
 # default of LevelSetField, signed_distance_init and init_window.
@@ -365,29 +369,31 @@ def _edge_on_box(smoothed: ScalarVolume, peak: float, box):
     return f[inner], [g[inner] for g in _central_gradient(f, spacing)]
 
 
-def make_force_context(
-    patient: ScalarVolume, mask: BinaryMask, sigma: float = 1.0, center=None
-) -> ForceContext:
+def make_force_context(patient: ScalarVolume, mask: BinaryMask, center=None) -> ForceContext:
     """Build the static force inputs from a scan and a candidate mask, with
     the seed point A at ``center`` (default: the mask's centroid).
 
-    The whole-grid work is the Gaussian and the peak of the central
-    gradient's squared magnitude, taken slab by slab: sqrt is correctly
-    rounded and monotone, so the square root of the largest squared
-    magnitude is the largest magnitude."""
+    The whole-grid work is the Gaussian (EDGE_SIGMA) and the peak of the
+    central gradient's squared magnitude, taken slab by slab: sqrt is
+    correctly rounded and monotone, so the square root of the largest
+    squared magnitude is the largest magnitude."""
     require_same_grid(patient, mask, "patient and candidate")
     if center is None:
         center = mask_centroid(mask)
     if any(n < 3 for n in patient.dims):
         raise ValueError(f"central gradient needs at least 3 voxels per axis, got {patient.dims}")
-    smoothed = gaussian_smooth(patient, sigma)
+    smoothed = gaussian_smooth(patient, EDGE_SIGMA)
     peak = math.sqrt(_peak_gradient_norm2(smoothed.data, patient.spacing))
     return ForceContext(smoothed=smoothed, peak=peak, center=tuple(center), candidate=mask)
 
 
 def zero_level_mask(ls: LevelSetField) -> BinaryMask:
-    """Voxels strictly inside the front (phi < 0)."""
-    return BinaryMask(ls.phi.data < 0.0, ls.phi.spacing)
+    """Voxels strictly inside the front (phi < 0), x-fastest as MVOL stores
+    them; outside ``ls.window`` phi is a placeholder above the band."""
+    box, phi = ls.window or whole_box(ls.phi.dims), ls.phi.data
+    inside = np.zeros(phi.shape, dtype=bool, order="F")
+    np.less(phi[box], 0.0, out=inside[box])
+    return BinaryMask(inside, ls.phi.spacing)
 
 
 def _radial(ctx: ForceContext, box):

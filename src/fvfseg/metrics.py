@@ -29,7 +29,7 @@ def tanimoto(x: BinaryMask, g: BinaryMask) -> OverlapReport:
     require_same_grid(x, g, "segmentation and ground truth")
     n_x = x.count()
     n_g = g.count()
-    n_inter = int(np.logical_and(x.data, g.data).sum())
+    n_inter = int(np.count_nonzero(np.logical_and(x.data, g.data)))
     n_union = n_x + n_g - n_inter
     tm = 1.0 if n_union == 0 else n_inter / n_union
     return OverlapReport(tanimoto=tm, n_x=n_x, n_g=n_g, n_intersection=n_inter)

@@ -29,9 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .volume import BinaryMask, ScalarVolume, mask_index, require_same_grid
+from .volume import BinaryMask, ScalarVolume, mask_order, require_same_grid
 
 VARIANCE_FLOOR = 1e-6
+# the default caps of fit_em's iterations and of the samples it is given
+EM_MAX_ITERS = 500
+MAX_SAMPLES = 2_000_000
 # EM's histogram: bins over the widened central span of the samples, each
 # quantized to 2**_LEVEL_BITS fixed-point levels
 EM_BINS = 16384
@@ -102,29 +105,24 @@ class TissueMixtureModel:
 
 def normalize_intensity(scan: ScalarVolume, mask: BinaryMask):
     """The scan's values at the voxels of ``mask``, in the mask's memory
-    order (``volume.mask_index``), widened to float64 (exact) and divided by
+    order (``volume.mask_order``), widened to float64 (exact) and divided by
     their mean, together with a NormalizationRecord.
 
-    The values are gathered and widened into the vector a chunk of
-    EM_CHUNK_SAMPLES at a time, so the vector and the mask's index are the
-    only arrays as long as the mask's voxel count.  The mean is
-    summed in the mask's memory order, so for a float64 scan in Fortran
-    order it can differ in its last bit from a sum in C order.
+    The values are gathered through the mask itself, with no index of its
+    voxels.  The mean is summed in the mask's memory order, so for a
+    float64 scan in Fortran order it can differ in its last bit from a sum
+    in C order.
     """
     require_same_grid(scan, mask, "scan and mask")
-    index, order = mask_index(mask)
-    if index.size == 0:
+    order = mask_order(mask)
+    values = np.asarray(scan.data.ravel(order)[mask.data.ravel(order)], dtype=np.float64)
+    if values.size == 0:
         raise ValueError("cannot normalize against an empty mask")
-    flat = scan.data.ravel(order)
-    values = np.empty(index.size)
-    for start in range(0, index.size, EM_CHUNK_SAMPLES):
-        part = slice(start, start + EM_CHUNK_SAMPLES)
-        values[part] = flat[index[part]]
     m = float(values.mean())
     if not (math.isfinite(m) and m > 0):
         raise ValueError(f"masked mean must be positive to normalize, got {m}")
     values /= m
-    return values, NormalizationRecord(mean=m, note=f"mean over {index.size} masked voxels")
+    return values, NormalizationRecord(mean=m, note=f"mean over {values.size} masked voxels")
 
 
 def gaussian_pdf(x, mean: float, std: float):
@@ -148,7 +146,7 @@ def _gaussian_pdf_into(x, mean: float, std: float, out, z):
     return out
 
 
-def sample_masked_intensities(values: np.ndarray, max_samples: int = 2_000_000) -> np.ndarray:
+def sample_masked_intensities(values: np.ndarray, max_samples: int = MAX_SAMPLES) -> np.ndarray:
     """``values`` itself when it holds at most ``max_samples`` values, else
     a uniform subsample of that size drawn with seed 0, in the order of
     ``values``."""
@@ -335,7 +333,7 @@ def fit_em(
     samples,
     k: int = 3,
     tol: float = 1e-6,
-    max_iters: int = 500,
+    max_iters: int = EM_MAX_ITERS,
 ) -> TissueMixtureModel:
     """Fit a K-component univariate Gaussian mixture with EM.
 

@@ -2,10 +2,11 @@
 
 Everything an invocation needs lives in a PipelineConfig: five paths and
 the seven settings a caller tunes (em_max_iters, max_samples, omega, psi,
-alpha, beta, max_iters).  Every other method parameter is the default of
-the layer that owns it (fit_em, CandidateParams, EvolutionParams,
-make_force_context, fvf3d.BAND_HALFWIDTH).  The config checks its settings
-when it is built, before any stage writes an artifact.  A flat
+alpha, beta, max_iters).  Their defaults are the names the layers that
+own them define (ngmm.EM_MAX_ITERS and MAX_SAMPLES, brainmap.OMEGA,
+candidate.PSI_PER_OMEGA, the fields of fvf3d.EvolutionParams), and every
+other method parameter is fixed in its layer.  The config checks its
+settings when it is built, before any stage writes an artifact.  A flat
 ``key = value`` text file (comments with #, unknown keys rejected) can
 populate it and command-line flags override file values.  The run writes
 its artifacts into output_dir:
@@ -41,9 +42,9 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from . import fvf3d
+from . import brainmap, fvf3d, ngmm
 from .brainmap import ProbabilisticAtlas, build_gbbm
-from .candidate import CandidateParams, CandidateRegion, extract_candidate
+from .candidate import PSI_PER_OMEGA, CandidateRegion, check_psi, extract_candidate
 from .errors import NoCandidateError, NumericalInstabilityError
 from .metrics import tanimoto
 from .mvol import atomic_write_text, read_volume, write_volume
@@ -86,28 +87,25 @@ class PipelineConfig:
     output_dir: str | None = None
     ground_truth: str | None = None
     # mixture fit
-    em_max_iters: int = 500
-    max_samples: int = 2_000_000
+    em_max_iters: int = ngmm.EM_MAX_ITERS
+    max_samples: int = ngmm.MAX_SAMPLES
     # abnormality map + candidate
-    omega: float = 255.0
-    psi: float | None = None  # None -> 0.6 * omega
+    omega: float = brainmap.OMEGA
+    psi: float | None = None  # None -> PSI_PER_OMEGA * omega
     # level set
-    alpha: float = 0.2
-    beta: float = 1.0
-    max_iters: int = 300
+    alpha: float = fvf3d.EvolutionParams.alpha
+    beta: float = fvf3d.EvolutionParams.beta
+    max_iters: int = fvf3d.EvolutionParams.max_iters
 
     def __post_init__(self):
         # reject bad settings before any stage writes an artifact
         if not (self.omega > 0 and math.isfinite(self.omega)):
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
-        self.candidate_params()
+        check_psi(self.resolved_psi())
         self.evolution_params()
 
     def resolved_psi(self) -> float:
-        return 0.6 * self.omega if self.psi is None else self.psi
-
-    def candidate_params(self) -> CandidateParams:
-        return CandidateParams(psi=self.resolved_psi())
+        return PSI_PER_OMEGA * self.omega if self.psi is None else self.psi
 
     def evolution_params(self) -> fvf3d.EvolutionParams:
         return fvf3d.EvolutionParams(alpha=self.alpha, beta=self.beta, max_iters=self.max_iters)
@@ -226,8 +224,10 @@ def gbbm_stage(
     config: PipelineConfig,
 ) -> ScalarVolume:
     """Abnormality map of the normalized brain-voxel values that fit_stage
-    returns; writes gbbm.mvol."""
+    returns, cast once to the float32, x-fastest array that gbbm.mvol holds:
+    written as it is and returned, so candidate_stage thresholds gbbm.mvol."""
     gbbm = build_gbbm(values, atlas, model, omega=config.omega)
+    gbbm = ScalarVolume(gbbm.data.astype(np.float32, order="F"), gbbm.spacing)
     write_volume(gbbm, _artifact(config, GBBM_FILE))
     return gbbm
 
@@ -243,7 +243,7 @@ def candidate_stage(
     propagates, so they cannot be mistaken for this run's output.
     """
     try:
-        region = extract_candidate(gbbm, atlas.brain_mask, config.candidate_params())
+        region = extract_candidate(gbbm, atlas.brain_mask, config.resolved_psi())
     except NoCandidateError:
         _remove_artifacts_after(config, GBBM_FILE)
         raise

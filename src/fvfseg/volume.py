@@ -13,14 +13,14 @@ Conventions used throughout the package:
   everything outside the grid as background
 
 Morphology is separable.  A cube is the Minkowski sum of three axis
-segments, and ``iterations`` passes of the radius-r cube are one pass of
-the radius ``r * iterations`` cube (Haralick, Sternberg & Zhuang 1987).
-On the grid this stays exact with an out-of-grid background: an erosion
-never sets a voxel outside the grid, and for a dilation every path from
-a grid voxel to another through segment steps can be routed through the
-box between them, which lies in the grid.  So ``morphology`` runs one
-1-D AND (erode) or OR (dilate) with the neighbours at +-1 per axis,
-``r * iterations`` times, over a C-ordered copy flattened to 1-D, where
+segments, and one pass of the radius-r cube is r passes of the radius-1
+cube (Haralick, Sternberg & Zhuang 1987).  On the grid this stays exact
+with an out-of-grid background: an erosion never sets a voxel outside
+the grid, and for a dilation every path from a grid voxel to another
+through segment steps can be routed through the box between them, which
+lies in the grid.  So ``morphology`` runs one 1-D AND (erode) or OR
+(dilate) with the neighbours at +-1 per axis, r times, over a C-ordered
+copy flattened to 1-D, where
 the neighbours along axis a of flat index i are i -+ stride_a.  That flat
 pass also fills the axis's two face planes across rows, so those planes
 are then rewritten: cleared by an erosion, the OR of the plane and its
@@ -175,7 +175,7 @@ class BinaryMask:
         return self.data.shape
 
     def count(self) -> int:
-        return int(self.data.sum())
+        return int(np.count_nonzero(self.data))
 
 
 def require_same_grid(a, b, what: str = "volumes"):
@@ -185,14 +185,11 @@ def require_same_grid(a, b, what: str = "volumes"):
         )
 
 
-def mask_index(mask: BinaryMask) -> tuple[np.ndarray, str]:
-    """The flat indices of the voxels of ``mask`` in its memory order, and
-    that order ("F" for a Fortran-ordered mask, as read from MVOL, else
-    "C"): the one order in which the package reads a mask's voxels.
-    ``a.ravel(order)[index]`` gathers them from an array on the grid, which
-    the ravel copies unless it is laid out like the mask."""
-    order = "F" if mask.data.flags.f_contiguous else "C"
-    return np.flatnonzero(mask.data.ravel(order)), order
+def mask_order(mask: BinaryMask) -> str:
+    """"F" for a Fortran-ordered mask, as read from MVOL, else "C": the one
+    order in which the package reads a mask's voxels.  ``a.ravel(order)``
+    is a view of an array on the grid laid out like the mask."""
+    return "F" if mask.data.flags.f_contiguous else "C"
 
 
 def whole_box(dims):
@@ -225,14 +222,14 @@ def c_strides(shape):
     return (ny * nz, nz, 1)
 
 
-def morphology(mask: BinaryMask, mode: str, radius: int = 1, iterations: int = 1) -> BinaryMask:
-    """Binary erosion or dilation by the Chebyshev ball of ``radius``,
-    ``iterations`` times, out-of-grid voxels counted as background: the
-    separable passes of the module docstring."""
+def morphology(mask: BinaryMask, mode: str, radius: int = 1) -> BinaryMask:
+    """Binary erosion or dilation by the Chebyshev ball of ``radius`` (the
+    cube of side 2 * radius + 1), out-of-grid voxels counted as
+    background: the separable passes of the module docstring."""
     if mode not in ("erode", "dilate"):
         raise ValueError(f"mode must be 'erode' or 'dilate', got {mode!r}")
-    if radius < 1 or iterations < 1:
-        raise ValueError("radius and iterations must both be >= 1")
+    if radius < 1:
+        raise ValueError(f"radius must be >= 1, got {radius}")
     # The cube is symmetric under any permutation of the axes, so a Fortran-
     # ordered mask (as read from MVOL) is processed as its C-ordered transpose.
     flip = mask.data.flags.f_contiguous
@@ -245,7 +242,7 @@ def morphology(mask: BinaryMask, mode: str, radius: int = 1, iterations: int = 1
         if mode == "dilate" and shape[axis] == 1:
             continue  # no neighbour along this axis lies in the grid
         cur_a, old_a = np.moveaxis(state, axis, 0), np.moveaxis(prev, axis, 0)
-        for _ in range(radius * iterations):
+        for _ in range(radius):
             np.copyto(prev, state)
             if n > 2 * st:
                 body = cur[st : n - st]

@@ -14,6 +14,8 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
+from fvfseg.candidate import CONNECTIVITY, DILATE_DEPTH, ERODE_DEPTH, STRIP_DEPTH
+
 mp.mp.dps = 50
 
 
@@ -130,24 +132,23 @@ def largest_component_oracle(mask: np.ndarray, connectivity: int = 26) -> np.nda
 # --- candidate extraction on the whole grid
 
 
-def extract_candidate_oracle(gbbm, brain, spacing, params):
-    """The five cleanup steps of fvfseg.candidate, each on the whole grid:
-    returns the mask, its centroid in world units and the step counts, or
-    the 1-based step at which the mask empties."""
-    stripped = erode_oracle(brain, 1, params.strip_depth)
-    mask = np.where(stripped, gbbm, 0.0) > params.psi
+def extract_candidate_oracle(gbbm, brain, spacing, psi):
+    """The five cleanup steps of fvfseg.candidate at its fixed depths and
+    connectivity, each on the whole grid, erosion and dilation as repeated
+    radius-1 passes: returns the mask, its centroid in world units and the
+    step counts, or the 1-based step at which the mask empties."""
+    stripped = erode_oracle(brain, 1, STRIP_DEPTH)
+    mask = np.where(stripped, gbbm, 0.0) > psi
     counts = [int(mask.sum())]
     if counts[-1] == 0:
         return 2
-    if params.erode_iters > 0:
-        mask = erode_oracle(mask, 1, params.erode_iters)
+    mask = erode_oracle(mask, 1, ERODE_DEPTH)
     counts.append(int(mask.sum()))
     if counts[-1] == 0:
         return 3
-    mask = largest_component_oracle(mask, params.connectivity)
+    mask = largest_component_oracle(mask, CONNECTIVITY)
     counts.append(int(mask.sum()))
-    if params.dilate_iters > 0:
-        mask = dilate_oracle(mask, 1, params.dilate_iters) & stripped
+    mask = dilate_oracle(mask, 1, DILATE_DEPTH) & stripped
     counts.append(int(mask.sum()))
     idx = np.nonzero(mask)
     centroid = tuple(float(idx[ax].mean() * spacing[ax]) for ax in range(3))

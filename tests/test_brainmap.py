@@ -20,7 +20,7 @@ from fvfseg.brainmap import (
 )
 from fvfseg.errors import GridMismatchError
 from fvfseg.ngmm import TissueMixtureModel
-from fvfseg.volume import BinaryMask, ScalarVolume, mask_index
+from fvfseg.volume import BinaryMask, ScalarVolume, mask_order
 
 from .oracles import (
     mp_cc_to_cm,
@@ -37,9 +37,16 @@ MODEL = TissueMixtureModel(
 )
 
 
+def _brain_index(atlas):
+    """The flat indices of the atlas's brain voxels in the mask's memory
+    order, and that order."""
+    order = mask_order(atlas.brain_mask)
+    return np.flatnonzero(atlas.brain_mask.data.ravel(order)), order
+
+
 def _brain_values(data, atlas):
     """The brain voxels of a volume on the atlas grid, as build_gbbm reads them."""
-    index, order = mask_index(atlas.brain_mask)
+    index, order = _brain_index(atlas)
     return np.asarray(data).ravel(order)[index]
 
 
@@ -450,7 +457,7 @@ class TestGbbmSplit:
         chunks of 7 voxels."""
         monkeypatch.setattr(brainmap, "GBBM_CHUNK_VOXELS", 7)
         atlas = _random_atlas(rng, dims=self.DIMS)
-        index, order = mask_index(atlas.brain_mask)
+        index, order = _brain_index(atlas)
         n = index.size
         cuts = {0, n - 1}
         for workers in (2, 3, 5):
@@ -524,7 +531,7 @@ class TestGbbmSplit:
 
     def test_a_negative_atlas_value_in_the_last_part_raises(self, rng, monkeypatch):
         atlas = _random_atlas(rng, dims=self.DIMS)
-        index, order = mask_index(atlas.brain_mask)
+        index, order = _brain_index(atlas)
         # within the atlas's tolerance below 0, so the atlas accepts it
         atlas.prob_csf.data.ravel(order)[index[-1]] = -5e-7
         values = _brain_values(rng.uniform(0.3, 1.8, atlas.dims), atlas)

@@ -1,8 +1,17 @@
+import inspect
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from fvfseg.candidate import CandidateParams, CandidateRegion, extract_candidate
+from fvfseg.candidate import (
+    CONNECTIVITY,
+    DILATE_DEPTH,
+    ERODE_DEPTH,
+    STRIP_DEPTH,
+    CandidateRegion,
+    extract_candidate,
+)
 from fvfseg.errors import GridMismatchError, NoCandidateError
 from fvfseg.volume import (
     BinaryMask,
@@ -30,15 +39,14 @@ def _map_with_blob(value=200.0, lo=8, hi=16, dims=DIMS):
 
 class TestBinarize:
     def test_threshold_is_strict(self):
-        # both voxels lie inside the brain stripped by one layer
-        data = np.zeros((5, 5, 5))
-        data[1, 1, 1] = 153.0
-        data[3, 3, 3] = 153.0 + 1e-7
-        params = CandidateParams(psi=153.0, strip_depth=1, erode_iters=0, dilate_iters=0)
-        region = extract_candidate(ScalarVolume(data, UNIT), _brain((5, 5, 5)), params)
-        assert region.step_voxels[0] == 1
-        assert not region.mask.data[1, 1, 1]
-        assert region.mask.data[3, 3, 3]
+        # two 7^3 cubes inside the stripped brain, one at psi and one a hair above
+        data = np.zeros(DIMS)
+        data[3:10, 3:10, 3:10] = 153.0
+        data[13:20, 13:20, 13:20] = 153.0 + 1e-7
+        region = extract_candidate(ScalarVolume(data, UNIT), _brain(), psi=153.0)
+        assert region.step_voxels[0] == 7**3
+        assert not region.mask.data[3:10, 3:10, 3:10].any()
+        assert region.mask.data[13:20, 13:20, 13:20].all()
 
 
 class TestCentroid:
@@ -55,23 +63,16 @@ class TestCentroid:
 
 class TestParams:
     def test_default_psi_tracks_default_omega(self):
-        assert CandidateParams().psi == pytest.approx(0.6 * 255.0)
+        psi = inspect.signature(extract_candidate).parameters["psi"].default
+        assert psi == pytest.approx(0.6 * 255.0)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [
-            dict(psi=-1.0),
-            dict(psi=float("inf")),
-            dict(strip_depth=0),
-            dict(erode_iters=-1),
-            dict(dilate_iters=-1),
-            dict(connectivity=18),
-            dict(psi=float("nan")),
-        ],
+        [dict(psi=-1.0), dict(psi=float("inf")), dict(psi=float("nan"))],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            CandidateParams(**kwargs)
+        with pytest.raises(ValueError, match="psi"):
+            extract_candidate(_map_with_blob(), _brain(), **kwargs)
 
     def test_region_cannot_be_empty(self):
         with pytest.raises(ValueError):
@@ -99,16 +100,13 @@ class TestExtraction:
     def test_matches_manual_step_composition(self):
         gbbm = _map_with_blob(lo=6, hi=17)
         brain = _brain()
-        params = CandidateParams()
-        region = extract_candidate(gbbm, brain, params)
+        region = extract_candidate(gbbm, brain)
 
-        stripped = morphology(brain, "erode", iterations=params.strip_depth)
-        manual = BinaryMask(
-            np.where(stripped.data, gbbm.data, 0.0) > params.psi, UNIT
-        )
-        manual = morphology(manual, "erode", iterations=params.erode_iters)
-        manual = largest_component(manual, params.connectivity)
-        manual = morphology(manual, "dilate", iterations=params.dilate_iters)
+        stripped = morphology(brain, "erode", STRIP_DEPTH)
+        manual = BinaryMask(np.where(stripped.data, gbbm.data, 0.0) > 153.0, UNIT)
+        manual = morphology(manual, "erode", ERODE_DEPTH)
+        manual = largest_component(manual, CONNECTIVITY)
+        manual = morphology(manual, "dilate", DILATE_DEPTH)
         manual = BinaryMask(manual.data & stripped.data, UNIT)
         assert np.array_equal(region.mask.data, manual.data)
 
@@ -149,21 +147,14 @@ class TestExtraction:
         data = np.zeros(DIMS)
         data[2:10, 2:10, 2:10] = 200.0
         region = extract_candidate(ScalarVolume(data, UNIT), _brain())
-        stripped = morphology(_brain(), "erode", iterations=2)
+        stripped = morphology(_brain(), "erode", 2)
         assert not (region.mask.data & ~stripped.data).any()
-
-    def test_erode_zero_iterations_skips_step(self):
-        data = np.zeros(DIMS)
-        data[10, 10, 10] = 200.0  # single voxel survives only without erosion
-        params = CandidateParams(erode_iters=0, dilate_iters=0)
-        region = extract_candidate(ScalarVolume(data, UNIT), _brain(), params)
-        assert region.voxel_count == 1
 
     def test_custom_psi(self):
         gbbm = _map_with_blob(value=100.0)
         with pytest.raises(NoCandidateError):
             extract_candidate(gbbm, _brain())  # default psi=153
-        region = extract_candidate(gbbm, _brain(), CandidateParams(psi=50.0))
+        region = extract_candidate(gbbm, _brain(), psi=50.0)
         assert region.voxel_count > 0
 
     def test_grid_mismatch_rejected(self):
@@ -187,7 +178,7 @@ def _ball_brain(dims, center, radius):
 
 CROP_DIMS = (28, 26, 24)
 SPACING = (1.0, 0.8, 1.5)
-# Each case: abnormality map, brain mask, params.  The cleanup after erosion
+# Each case: abnormality map and brain mask.  The cleanup after erosion
 # runs on a box around the eroded mask and must match the whole grid.
 CROP_CASES = {
     # two 6^3 blobs, both eroded to 2^3: C order meets the first one first,
@@ -195,35 +186,31 @@ CROP_CASES = {
     "tie": (
         _blob_map(CROP_DIMS, [((4, 4, 14), (10, 10, 20)), ((16, 14, 4), (22, 20, 10))]),
         np.ones(CROP_DIMS, dtype=bool),
-        CandidateParams(),
     ),
-    # a blob on the x = 0 face: the box is clipped by the grid there
+    # a blob on the x = 0 face: the strip cuts it back, and its box reaches
+    # to within one voxel of the face
     "grid_face": (
         _blob_map(CROP_DIMS, [((0, 6, 5), (9, 15, 13))]),
         np.ones(CROP_DIMS, dtype=bool),
-        CandidateParams(strip_depth=1),
     ),
     # a blob reaching out of a ball-shaped brain: the stripped brain's edge
-    # cuts 350 voxels off the dilation
+    # cuts the thresholded mask, and the dilation reaches back to that edge
     "stripped_edge": (
         _blob_map(CROP_DIMS, [((12, 8, 5), (27, 20, 17))]),
         _ball_brain(CROP_DIMS, (12, 13, 11), 11.0),
-        CandidateParams(dilate_iters=3),
-    ),
-    # no erosion: the box spans every voxel above psi, speckle included
-    "no_erosion": (
-        _blob_map(CROP_DIMS, [((8, 8, 8), (13, 12, 11)), ((20, 3, 3), (21, 4, 4))]),
-        np.ones(CROP_DIMS, dtype=bool),
-        CandidateParams(erode_iters=0, connectivity=6),
     ),
 }
 
 
+def _extract(data, brain, psi=153.0):
+    return extract_candidate(ScalarVolume(data, SPACING), BinaryMask(brain, SPACING), psi)
+
+
 @pytest.mark.parametrize("name", sorted(CROP_CASES))
 def test_cropped_cleanup_matches_the_whole_grid(name):
-    data, brain, params = CROP_CASES[name]
-    region = extract_candidate(ScalarVolume(data, SPACING), BinaryMask(brain, SPACING), params)
-    mask, centroid, counts = extract_candidate_oracle(data, brain, SPACING, params)
+    data, brain = CROP_CASES[name]
+    region = _extract(data, brain)
+    mask, centroid, counts = extract_candidate_oracle(data, brain, SPACING, 153.0)
     assert np.array_equal(region.mask.data, mask)
     assert region.centroid == centroid
     assert region.step_voxels == counts
@@ -231,10 +218,15 @@ def test_cropped_cleanup_matches_the_whole_grid(name):
 
 
 def test_tie_goes_to_the_smallest_x_fastest_index():
-    data, brain, params = CROP_CASES["tie"]
-    region = extract_candidate(ScalarVolume(data, SPACING), BinaryMask(brain, SPACING), params)
+    region = _extract(*CROP_CASES["tie"])
     assert region.step_voxels[1] == 2 * region.step_voxels[2]
     assert region.mask.data[19, 17, 7] and not region.mask.data[7, 7, 17]
+
+
+# psi per random map, as a quantile of its brain voxels: on the fixture's
+# maps the first erosion leaves several components, the next two one, and
+# the erosion of the last map leaves nothing
+QUANTILES = (0.6, 0.75, 0.9, 0.7)
 
 
 def test_cropped_cleanup_matches_on_random_maps(rng):
@@ -243,14 +235,13 @@ def test_cropped_cleanup_matches_on_random_maps(rng):
     for trial in range(4):
         data = ndimage.gaussian_filter(rng.normal(size=dims), 3.0)
         data = 255.0 * (data - data.min()) / (data.max() - data.min())
-        psi = float(np.quantile(data[brain], 0.75))
-        params = CandidateParams(psi=psi, erode_iters=1, dilate_iters=trial)
-        expected = extract_candidate_oracle(data, brain, SPACING, params)
+        psi = float(np.quantile(data[brain], QUANTILES[trial]))
+        expected = extract_candidate_oracle(data, brain, SPACING, psi)
         if isinstance(expected, int):
             with pytest.raises(NoCandidateError) as err:
-                extract_candidate(ScalarVolume(data, SPACING), BinaryMask(brain, SPACING), params)
+                _extract(data, brain, psi)
             assert err.value.step == expected
             continue
-        region = extract_candidate(ScalarVolume(data, SPACING), BinaryMask(brain, SPACING), params)
+        region = _extract(data, brain, psi)
         assert np.array_equal(region.mask.data, expected[0])
         assert (region.centroid, region.step_voxels) == expected[1:]

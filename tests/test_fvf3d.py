@@ -15,6 +15,7 @@ from fvfseg.fvf3d import (
     _gradient_norm2,
     _peak_gradient_norm2,
     evolve,
+    init_window,
     make_force_context,
     reinitialize,
     signed_distance_init,
@@ -147,10 +148,10 @@ class TestDirectionalCosine:
         assert _cos_gamma((1, 0, 0), (0, 0, 0)) == 0.0
 
 
-def _edge_map(vol, sigma=1.0):
+def _edge_map(vol):
     """The edge map f and its gradient on the whole grid, as the force
     builds them on a box."""
-    ctx = make_force_context(vol, _cube_mask(vol.dims, 1, 3), sigma=sigma)
+    ctx = make_force_context(vol, _cube_mask(vol.dims, 1, 3))
     return _edge_on_box(ctx.smoothed, ctx.peak, whole_box(vol.dims))
 
 
@@ -171,7 +172,7 @@ class TestEdgeMap:
     def test_step_edge_peaks_at_interface(self):
         data = np.zeros((16, 10, 10))
         data[8:, :, :] = 1.0
-        f, _ = _edge_map(ScalarVolume(data, UNIT), sigma=1.0)
+        f, _ = _edge_map(ScalarVolume(data, UNIT))
         profile = f[:, 5, 5]
         assert profile.argmax() in (7, 8)
 
@@ -501,3 +502,16 @@ class TestZeroLevelMask:
         assert mask.data[1, 1, 1]
         assert not mask.data[2, 2, 2]
         assert mask.count() == 1
+
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_whole_grid_sign_in_x_fastest_layout(self, windowed):
+        # a window leaves phi a placeholder outside it, and evolve widens it
+        mask = _ball_mask((24, 22, 20), (10, 11, 9), 4.5)
+        window = init_window(mask) if windowed else None
+        ls = signed_distance_init(mask, window=window)
+        ctx = make_force_context(ScalarVolume(np.ones(mask.dims), UNIT), mask)
+        out = evolve(ls, ctx, EvolutionParams(max_iters=25, reinit_every=10, stop_tol=0.0))
+        assert (out.window is not None) == windowed
+        got = zero_level_mask(out).data
+        assert got.flags.f_contiguous
+        assert np.array_equal(got, out.phi.data < 0)

@@ -3,7 +3,8 @@ with the defaults of the functions and parameter types it feeds, and the
 narrow band's half-width has one default, fvf3d.BAND_HALFWIDTH; the EM fit
 leaves every artifact past the abnormality map unchanged against the
 reference fit; the fit and the map read one vector of normalized brain
-voxels, which the fit leaves intact."""
+voxels, which the fit leaves intact, and a run indexes the brain mask
+once; the map the pipeline thresholds is the map gbbm.mvol holds."""
 
 import inspect
 import tracemalloc
@@ -14,7 +15,8 @@ import pytest
 
 from fvfseg import fvf3d, phantom, pipeline
 from fvfseg.brainmap import ProbabilisticAtlas, build_gbbm
-from fvfseg.candidate import CandidateParams
+from fvfseg.candidate import extract_candidate
+from fvfseg.mvol import read_volume
 from fvfseg.ngmm import (
     TissueMixtureModel,
     fit_em,
@@ -49,7 +51,7 @@ class TestDefaultsAgree:
         assert PipelineConfig().evolution_params() == fvf3d.EvolutionParams()
 
     def test_candidate_params(self):
-        assert PipelineConfig().candidate_params() == CandidateParams()
+        assert PipelineConfig().resolved_psi() == _default(extract_candidate, "psi")
 
     def test_band_halfwidth(self):
         assert fvf3d.BAND_HALFWIDTH == 6.0
@@ -108,6 +110,21 @@ def test_reference_em_model_changes_only_the_gbbm_within_tolerance(tmp_path):
     assert np.abs(gbbm.astype(np.float64) - ref_gbbm).max() <= 1e-3
     psi = config.resolved_psi()
     assert np.array_equal(gbbm > psi, ref_gbbm > psi)
+
+
+def test_one_brain_mask_index_per_run(tmp_path, monkeypatch):
+    """normalize_intensity gathers through the brain mask and build_gbbm
+    indexes it: one whole-grid flatnonzero per run."""
+    config = _sphere_case(tmp_path / "case")
+    flatnonzero, grid_calls = np.flatnonzero, []
+
+    def spy(a):
+        grid_calls.append(np.size(a) == 64**3)
+        return flatnonzero(a)
+
+    monkeypatch.setattr(np, "flatnonzero", spy)
+    assert run_pipeline(replace(config, output_dir=str(tmp_path / "out")))["status"] == "ok"
+    assert sum(grid_calls) == 1
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +200,18 @@ class TestSharedVector:
         assert np.array_equal(maps[0], maps[1])
         c_map, f_map = (tmp_path / order / GBBM_FILE for order in "CF")
         assert c_map.read_bytes() == f_map.read_bytes()
+
+
+@pytest.mark.parametrize("order", "CF")
+def test_stage_map_is_the_written_map(scan_case, tmp_path, order):
+    """gbbm_stage returns the float32, x-fastest map it writes, so the
+    candidate stage thresholds the same values in a pipeline run as on
+    gbbm.mvol read back."""
+    atlas, patient = _laid_out(scan_case, order)
+    config = PipelineConfig(output_dir=str(tmp_path))
+    values, _, model = fit_stage(patient, atlas, config)
+    got = gbbm_stage(values, atlas, model, config).data
+    written = read_volume(str(tmp_path / GBBM_FILE)).data
+    assert got.dtype == written.dtype == np.float32
+    assert got.flags.f_contiguous
+    assert np.array_equal(got.view(np.uint32), written.view(np.uint32))

@@ -1,6 +1,10 @@
-"""README's "Library use" block runs as written against a phantom case, and
-its table of config keys lists exactly the keys the config parser takes."""
+"""README's "Library use" block runs as written against a phantom case, its
+table of config keys lists exactly the keys the config parser takes, and
+its table of library-only parameters names parameters that exist."""
 
+import dataclasses
+import importlib
+import inspect
 import os
 import re
 
@@ -38,3 +42,24 @@ def test_config_key_table_names_every_key():
     keys = re.findall(r"^\| `(\w+)` +\|", table, re.M)
     assert len(keys) == len(set(keys))
     assert set(keys) == pipeline.CONFIG_KEYS
+
+
+def test_library_parameter_table_names_existing_parameters():
+    """The CLI section's table of library-only parameters: each row names a
+    parameter of every function, or a field of every dataclass, in its
+    second column, so a deleted knob fails here until README drops it."""
+    section = _readme().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    table = re.search(r"^\| parameter .*?\n\n", section, re.M | re.S).group(0)
+    rows = re.findall(r"^\| `(\w+)` +\| (.*?) *\|$", table, re.M)
+    assert rows
+    for name, owners in rows:
+        paths = re.findall(r"`(fvfseg[\w.]+)`", owners)
+        assert paths, name
+        for path in paths:
+            module, _, attr = path.rpartition(".")
+            owner = getattr(importlib.import_module(module), attr)
+            if dataclasses.is_dataclass(owner):
+                names = {f.name for f in dataclasses.fields(owner)}
+            else:
+                names = set(inspect.signature(owner).parameters)
+            assert name in names, f"{path} has no parameter {name!r}"

@@ -107,13 +107,12 @@ class TestMorphology:
 
     @given(small_masks(), st.integers(1, 3))
     def test_iterations_compose(self, data, iters):
+        # one pass at radius r is r passes at radius 1
         once = BinaryMask(data, UNIT)
         chained = once
         for _ in range(iters):
             chained = morphology(chained, "dilate")
-        assert np.array_equal(
-            morphology(once, "dilate", iterations=iters).data, chained.data
-        )
+        assert np.array_equal(morphology(once, "dilate", iters).data, chained.data)
 
     @given(small_masks())
     def test_duality_on_interior(self, data):
@@ -131,7 +130,7 @@ class TestMorphology:
     def test_fortran_ordered_mask_matches_oracle(self, mode, oracle, rng):
         # masks read from MVOL files are Fortran-ordered
         data = rng.random((9, 7, 5)) > 0.3
-        got = morphology(BinaryMask(np.asfortranarray(data), UNIT), mode, iterations=2).data
+        got = morphology(BinaryMask(np.asfortranarray(data), UNIT), mode, 2).data
         assert np.array_equal(got, oracle(data, 1, 2))
 
     @pytest.mark.parametrize("mode, oracle", [("erode", erode_oracle), ("dilate", dilate_oracle)])
@@ -144,15 +143,15 @@ class TestMorphology:
     def test_radius_and_thin_axes_match_oracle(self, shape, order, mode, oracle, rng):
         # Axes of length 1 and 2 are all face planes.  A dense mask keeps
         # erosions of the 13x11x12 grid non-empty and a sparse one keeps
-        # dilations from filling it, at radius 1 and 2 and one to three
-        # iterations; empty and full masks too.
+        # dilations from filling it, at radii 1 to 6, each against the
+        # oracle's repeated passes of radius 1 or 2; empty and full masks too.
         masks = [rng.random(shape) > p for p in (0.1, 0.97)]
         masks += [np.zeros(shape, bool), np.ones(shape, bool)]
         for data in masks:
             mask = BinaryMask(np.asarray(data, order=order), UNIT)
             for radius in (1, 2):
                 for iters in (1, 2, 3):
-                    got = morphology(mask, mode, radius, iters).data
+                    got = morphology(mask, mode, radius * iters).data
                     assert np.array_equal(got, oracle(data, radius, iters))
 
 
