@@ -68,7 +68,15 @@ class TestParams:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(psi=-1.0), dict(psi=float("inf")), dict(psi=float("nan"))],
+        [
+            dict(psi=-1.0),
+            dict(psi=float("inf")),
+            dict(psi=float("-inf")),
+            dict(psi=-1e-12),
+            dict(psi=np.float32("nan")),
+            dict(psi=np.float32("inf")),
+            dict(psi=float("nan")),
+        ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError, match="psi"):
