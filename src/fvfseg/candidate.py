@@ -4,12 +4,14 @@ The abnormality volume is noisy at tissue interfaces and near the skull
 edge, so a fixed five-step cleanup isolates one solid candidate blob:
 
 1. strip STRIP_DEPTH voxel layers off the brain mask (erosion)
-2. threshold inside the stripped mask (strictly greater than psi), as
-   one AND of (map > psi) and that mask; since psi >= 0 this equals
-   zeroing the map outside the mask and then thresholding
+2. threshold inside the stripped mask (strictly greater than psi, in
+   float64 also for a float32 map), as one AND of (map > psi) and that
+   mask; since psi >= 0 this equals zeroing the map outside the mask and
+   then thresholding
 3. erode ERODE_DEPTH layers, to break thin bridges and drop speckle
 4. keep the largest CONNECTIVITY-connected component
-5. dilate DILATE_DEPTH layers, clipped to the stripped brain mask
+5. dilate DILATE_DEPTH layers; with DILATE_DEPTH == ERODE_DEPTH the result
+   lies in the opening of the step-2 mask, so in the stripped brain
 
 Only psi is a parameter, PSI_PER_OMEGA * brainmap.OMEGA by default.  If
 the mask is empty after any step the extraction fails with the step
@@ -82,7 +84,8 @@ def extract_candidate(
     require_same_grid(gbbm, brain_mask, "abnormality map and brain mask")
 
     stripped = morphology(brain_mask, "erode", STRIP_DEPTH)
-    mask = BinaryMask((gbbm.data > psi) & stripped.data, gbbm.spacing)
+    # a float64 psi keeps a float32 map's comparison in float64
+    mask = BinaryMask((gbbm.data > np.float64(psi)) & stripped.data, gbbm.spacing)
     counts = [mask.count()]
     if counts[-1] == 0:
         raise NoCandidateError(2, f"no voxel exceeds psi={psi} inside the stripped brain")
@@ -100,7 +103,6 @@ def extract_candidate(
     counts.append(blob.count())
 
     blob = morphology(blob, "dilate", DILATE_DEPTH)
-    blob = BinaryMask(blob.data & stripped.data[box], blob.spacing)
     counts.append(blob.count())
 
     full = np.zeros(dims, dtype=bool, order="F")  # written x-fastest, as MVOL stores it

@@ -24,9 +24,11 @@ of E; curvature uses central differences.
 Explicit updates are only stable for dt below roughly
 0.9 / (6 alpha / h^2 + 3 beta / h); larger steps are accepted but grow
 grid-scale oscillations until the non-finite check trips.  phi is
-periodically restored to a signed distance function with Sussman
-reinitialization (upwind Godunov scheme, frozen smoothed sign), which
-leaves the zero level set in place to well under half a voxel.
+periodically restored to a signed distance function by rebuilding it from
+its front (reinitialize): the voxels at the zero crossing keep their
+sub-voxel distance, and every other voxel takes its distance to the plane
+through the front point of its nearest such voxel, so no voxel changes
+sign.
 
 The updates, the checkpoint reinitialization and the force E run on one
 axis-aligned box, a narrow band in the sense of Adalsteinsson & Sethian
@@ -39,8 +41,8 @@ clipped to the grid.  Every term of a step reads phi within one voxel
 neighbours), so each step runs on the box grown by one voxel, its read
 box, and no face formula of the read box reaches the update box except
 on a grid face, where the two share the face and its formula.  The
-reinitialization runs on the box grown by two voxels: its values depend
-on where its box's faces lie, so that margin is part of the scheme.
+reinitialization runs on the box grown by two voxels, the reach of the
+normal it gives each voxel at the front.
 Voxels outside the box stay frozen; the box is rebuilt at every
 checkpoint.  A field with no voxel in the band is evolved on the whole
 grid.  The force's edge term is built on the box too: of the edge map
@@ -132,8 +134,10 @@ _RUNAWAY_BANDS = 100.0
 # The margin around the update box on which reinitialization runs, the
 # checkpoint's cos_gamma is taken and the window must hold phi exact.  The
 # step itself reads phi only one voxel around the box (the read box of
-# evolve).  Sussman's values depend on where the faces of its box lie, so
-# this margin is part of the scheme: a narrower one changes the bits.
+# evolve).  The normal that reinitialization gives an interface voxel reads
+# phi two voxels around it (a central difference summed over the 3^3
+# neighbourhood), so with this margin every interface voxel of the update
+# box has the normal it has on the whole grid.
 _HALO = 2
 
 # Planes of x per slab of the squared-gradient peak in make_force_context:
@@ -520,106 +524,81 @@ def _curvature_times_gradnorm(phi, spacing, work):
 
 
 def reinitialize(ls: LevelSetField) -> LevelSetField:
-    """Restore phi to a signed distance function (Sussman scheme with the
-    subcell interface fix).
+    """Restore phi to a signed distance function by rebuilding it from its
+    front, each voxel from its nearest interface voxel (the closest-point
+    construction of Adalsteinsson & Sethian 1999).
 
-    Cells next to the zero crossing are relaxed toward the sub-voxel
-    distance implied by the incoming field, which pins the interface in
-    place even when advection has compressed phi into a steep jump; a
-    plain upwind reinitialization bleeds such a front by a good fraction
-    of a voxel per call.  Elsewhere the usual Godunov flow with a frozen
-    smoothed sign rebuilds |grad phi| = 1.  An exact distance field is a
-    fixed point.  It takes max(8, ceil(2 band_halfwidth) + 4) steps of
-    half a voxel, enough for the rebuilt distance to cross the band.  The
-    result keeps ``ls.window``.
+    The interface voxels have a sign change to an axis neighbour (on a face
+    the missing neighbour is the voxel itself) or phi0 == 0.  Each keeps
+    the sub-voxel distance the incoming field implies: phi0 over the root
+    sum of squares of the larger one-sided slope per axis, so a steep
+    compressed jump keeps its linear-interpolation crossing.  Each also
+    gets a unit normal n_k, the direction of the central gradient summed
+    over its 3^3 neighbourhood (edge voxels replicated; zero where the sum
+    vanishes).  Every other voxel x takes |pinned_k + n_k . (x - x_k)|, its
+    distance to the plane through k's front point, signed by its own phi0,
+    where k is its nearest interface voxel in world units
+    (distance_transform_edt).  A plane distance of exactly 0 is raised to
+    the smallest normal float, so every voxel keeps its sign.
 
-    Every inner step runs on the flattened box (module docstring) with
-    buffers allocated once for all steps: one difference per axis, the
-    upwind term of each voxel's own side, and the interface relaxation on
-    the interface voxels' flat indices only.
+    An interface voxel's pinned value and normal read phi0 within two
+    voxels of it, so they are the same bits on any box holding that reach.
+    A box with no interface voxel comes back unchanged.  The result keeps
+    ``ls.iteration``, ``ls.band_halfwidth`` and ``ls.window``.
     """
     phi = np.array(ls.phi.data, dtype=np.float64, order="C")
-    spacing = ls.phi.spacing
-    h = min(spacing)
-    iterations = max(8, math.ceil(2.0 * ls.band_halfwidth) + 4)
-    n, strides = phi.size, c_strides(phi.shape)
-    flat = phi.reshape(-1)
-    buf = np.empty(n + max(strides))
-    work = np.empty(n)
-
-    # Interface cells: a sign change to a neighbour (on a face the missing
-    # neighbour is the voxel itself), or phi0 == 0.  phi is still phi0 here.
-    interface = flat == 0.0
-    crossing = np.empty(n, dtype=bool)
-    for axis, st in enumerate(strides):
-        np.multiply(flat[: n - st], flat[st:], out=work[: n - st])
-        np.less(work[: n - st], 0.0, out=crossing[: n - st])
-        crossing.reshape(phi.shape)[PLANES[axis][-1]] = False
-        interface[: n - st] |= crossing[: n - st]
-        interface[st:] |= crossing[: n - st]
+    spacing, shape = ls.phi.spacing, phi.shape
+    interface = phi == 0.0
+    for axis in range(3):
+        along, marks = np.moveaxis(phi, axis, 0), np.moveaxis(interface, axis, 0)
+        crossing = along[1:] * along[:-1] < 0.0
+        marks[1:] |= crossing
+        marks[:-1] |= crossing
     iface = np.flatnonzero(interface)
-    del interface, crossing
-    m = iface.size
-    # Their pinned distances: per axis take the larger one-sided slope of
-    # phi0, so a steep compressed jump still yields the linear-interpolation
-    # crossing.  ``relaxed`` holds each step's relaxed interface values.
-    pinned, relaxed, gathered = np.empty(m), np.empty(m), work[:m]
+    if iface.size == 0:
+        return replace(ls, phi=ScalarVolume(phi, spacing))
+    flat = phi.reshape(-1)
+
+    slope2 = np.zeros(iface.size)
+    buf = np.empty(phi.size + max(c_strides(shape)))
     for axis, s in enumerate(spacing):
         dm, dp = _one_sided(phi, axis, s, buf)
-        np.abs(np.take(dm, iface, out=gathered, mode="clip"), out=gathered)
-        np.abs(np.take(dp, iface, out=relaxed, mode="clip"), out=relaxed)
-        np.maximum(gathered, relaxed, out=gathered)
-        if axis == 0:
-            np.multiply(gathered, gathered, out=pinned)
-        else:
-            pinned += np.multiply(gathered, gathered, out=gathered)
-    np.sqrt(pinned, out=pinned)
-    np.maximum(pinned, _EPS_DIRECTION, out=pinned)
-    np.divide(np.take(flat, iface, out=gathered, mode="clip"), pinned, out=pinned)
+        slope2 += np.maximum(np.abs(dm[iface]), np.abs(dp[iface])) ** 2
+    del buf
+    pinned = flat[iface] / np.maximum(np.sqrt(slope2), _EPS_DIRECTION)
 
-    dt = 0.5 * h
-    # dt times the frozen smoothed sign
-    dt_sign = np.multiply(flat, flat)
-    dt_sign += h * h
-    np.sqrt(dt_sign, out=dt_sign)
-    np.divide(flat, dt_sign, out=dt_sign)
-    dt_sign *= dt
-    # The upwind term of a voxel with phi0 > 0 is max(dm+, -dp-)^2, and
-    # with phi0 < 0 max(-dm-, dp+)^2: both are max(sign0 dm, -sign0 dp, 0)^2.
-    # A voxel with phi0 == 0 is an interface cell, whose step is replaced.
-    sign0 = np.sign(flat)
-    neg_sign0 = np.negative(sign0)
-    terms = np.empty(n)
-    for it in range(iterations):
-        # relaxed = phi - (dt/h) (sign0 |phi| - pinned) on the interface
-        p, s0 = work[:m], terms[:m]
-        np.take(flat, iface, out=p, mode="clip")
-        np.take(sign0, iface, out=s0, mode="clip")
-        np.abs(p, out=relaxed)
-        relaxed *= s0
-        relaxed -= pinned
-        relaxed *= dt / h
-        np.subtract(p, relaxed, out=relaxed)
-        for axis, s in enumerate(spacing):
-            dm, dp = _one_sided(phi, axis, s, buf)
-            up = terms if axis == 0 else work
-            np.multiply(sign0, dm, out=up)
-            # dm is consumed, so dp's buffer can take -sign0 dp in place
-            np.multiply(neg_sign0, dp, out=dp)
-            np.maximum(up, dp, out=up)
-            np.maximum(up, 0.0, out=up)
-            np.multiply(up, up, out=up)
-            if axis:
-                terms += up
-        # stepped = phi - dt sign (sqrt(terms) - 1)
-        np.sqrt(terms, out=terms)
-        terms -= 1.0
-        terms *= dt_sign
-        flat -= terms
-        flat[iface] = relaxed
-        if not np.isfinite(phi).all():
-            raise NumericalInstabilityError(ls.iteration, f"reinitialization diverged at inner step {it}")
-    return LevelSetField(ScalarVolume(phi, spacing), ls.iteration, ls.band_halfwidth, ls.window)
+    normal = [np.zeros(shape) for _ in spacing]
+    for axis, (g, s) in enumerate(zip(normal, spacing)):
+        if shape[axis] > 1:
+            central_difference(phi, axis, s, g)
+        for along in range(3):
+            ndimage.correlate1d(g, (1.0, 1.0, 1.0), along, output=g, mode="nearest")
+    length = np.sqrt(sum(g.reshape(-1)[iface] ** 2 for g in normal))
+    scale = np.divide(1.0, length, where=length >= _EPS_DIRECTION, out=np.zeros_like(length))
+    for g in normal:
+        g.reshape(-1)[iface] *= scale
+    flat[iface] = pinned
+    # on a field that is mostly front these are grids too: free them
+    # before the nearest-voxel indices are built
+    del iface, pinned, slope2, length, scale
+
+    near = ndimage.distance_transform_edt(
+        ~interface, sampling=spacing, return_distances=False, return_indices=True
+    )
+    nearest = np.ravel_multi_index(near, shape)
+    plane = np.take(flat, nearest)
+    term = np.empty(shape)
+    for x, k, g, s in zip(np.ogrid[tuple(slice(n) for n in shape)], near, normal, spacing):
+        # (x - x_k) along the axis, in world units, times n_k's component
+        np.subtract(x, k, out=term)
+        term *= s
+        term *= np.take(g, nearest)
+        plane += term
+    np.abs(plane, out=plane)
+    np.maximum(plane, np.finfo(np.float64).tiny, out=plane)
+    np.copysign(plane, phi, out=plane)
+    np.copyto(plane, phi, where=interface)
+    return replace(ls, phi=ScalarVolume(plane, spacing))
 
 
 def _cos_gamma_stats(px, py, pz, ctx, band, box):
@@ -740,11 +719,11 @@ def evolve(
 
     Reinitializing only the box is exact against a whole-grid
     reinitialization only while no later box reaches voxels that the
-    whole-grid one would have moved: Sussman reinitialization also moves
-    voxels far from the front.  On a 48^3 cube [6, 42)^3 with an r = 4 ball
-    start, alpha 0.1, beta 1, reinit_every 10 and band 2, the inside
-    volume at the third checkpoint reads 5544 here against 5520 with
-    whole-grid reinitialization.
+    whole-grid one would have moved: the rebuild moves every voxel of its
+    box, while voxels outside every box keep their starting distance.  On
+    a 48^3 cube [6, 42)^3 with an r = 4 ball start, alpha 0.1, beta 1,
+    reinit_every 10 and band 2, the inside volume at the third checkpoint
+    reads 5616 here against 5592 with whole-grid reinitialization.
     ``log`` (a list, optional) receives one record dict per checkpoint:
     ``iteration``, ``inside``, ``changed`` (voxels whose inside/outside
     label differs from the starting phi), ``max_update`` (the largest

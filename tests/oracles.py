@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
+from scipy import ndimage
 
 from fvfseg.candidate import CONNECTIVITY, DILATE_DEPTH, ERODE_DEPTH, STRIP_DEPTH
 
@@ -344,42 +345,50 @@ def _advection_ref(phi, velocity, spacing):
     return adv
 
 
-def _reinitialize_ref(phi, spacing, band_halfwidth):
-    phi = np.array(phi, dtype=np.float64)
-    h = min(spacing)
-    iterations = max(8, int(np.ceil(2.0 * band_halfwidth)) + 4)
-    phi0 = phi.copy()
-    sign = phi0 / np.sqrt(phi0 * phi0 + h * h)
-    sign0 = np.sign(phi0)
-    pos = phi0 > 0
-    neg = phi0 < 0
-    interface = np.zeros(phi.shape, dtype=bool)
-    slope_sq = np.zeros_like(phi)
+def _pinned_ref(phi0, spacing):
+    """The interface voxels of ``phi0`` (a sign change to an axis neighbour,
+    the edge replicated, or phi0 == 0) and phi0 over the root sum of
+    squares of the larger one-sided slope per axis, on the whole grid."""
+    interface = phi0 == 0.0
+    slope_sq = np.zeros_like(phi0)
     for axis, s in enumerate(spacing):
         fwd = _shift_ref(phi0, axis, 1)
         bwd = _shift_ref(phi0, axis, -1)
         interface |= (phi0 * fwd < 0) | (phi0 * bwd < 0)
-        dm = (phi0 - bwd) / s
-        dp = (fwd - phi0) / s
-        slope_sq += np.maximum(np.abs(dm), np.abs(dp)) ** 2
-    interface |= phi0 == 0.0
-    pinned = phi0 / np.maximum(np.sqrt(slope_sq), _EPS)
-    dt = 0.5 * h
-    for _ in range(iterations):
-        terms_pos = np.zeros_like(phi)
-        terms_neg = np.zeros_like(phi)
-        for axis, s in enumerate(spacing):
-            dm = (phi - _shift_ref(phi, axis, -1)) / s
-            dp = (_shift_ref(phi, axis, 1) - phi) / s
-            terms_pos += np.maximum(np.maximum(dm, 0.0) ** 2, np.minimum(dp, 0.0) ** 2)
-            terms_neg += np.maximum(np.minimum(dm, 0.0) ** 2, np.maximum(dp, 0.0) ** 2)
-        g = np.zeros_like(phi)
-        g[pos] = np.sqrt(terms_pos[pos]) - 1.0
-        g[neg] = np.sqrt(terms_neg[neg]) - 1.0
-        stepped = phi - dt * sign * g
-        relaxed = phi - (dt / h) * (sign0 * np.abs(phi) - pinned)
-        phi = np.where(interface, relaxed, stepped)
-    return phi
+        slope_sq += np.maximum(np.abs((phi0 - bwd) / s), np.abs((fwd - phi0) / s)) ** 2
+    return interface, phi0 / np.maximum(np.sqrt(slope_sq), _EPS)
+
+
+def _reinitialize_ref(phi, spacing):
+    """The closest-point rebuild: interface voxels keep their pinned value;
+    every other voxel takes its distance to the plane through its nearest
+    interface voxel's front point, signed by its own phi0.  The plane's
+    normal is np.gradient summed over the 3^3 neighbourhood, one axis at a
+    time as c + (left + right) with the edge replicated: the order of
+    ndimage.correlate1d's symmetric sum (uniform_filter's running sum gives
+    other bits)."""
+    phi0 = np.array(phi, dtype=np.float64)
+    interface, pinned = _pinned_ref(phi0, spacing)
+    if not interface.any():
+        return phi0
+    summed = []
+    for axis, (n, s) in enumerate(zip(phi0.shape, spacing)):
+        g = np.gradient(phi0, s, axis=axis, edge_order=1) if n > 1 else np.zeros_like(phi0)
+        for along in range(3):
+            g = g + (_shift_ref(g, along, -1) + _shift_ref(g, along, 1))
+        summed.append(g)
+    length = np.sqrt(sum(g * g for g in summed))
+    scale = np.divide(1.0, length, where=length >= _EPS, out=np.zeros_like(length))
+    near = tuple(
+        ndimage.distance_transform_edt(
+            ~interface, sampling=spacing, return_distances=False, return_indices=True
+        )
+    )
+    plane = pinned[near]
+    for axis, (g, s) in enumerate(zip(summed, spacing)):
+        plane = plane + ((np.indices(phi0.shape)[axis] - near[axis]) * s) * (g * scale)[near]
+    out = np.copysign(np.maximum(np.abs(plane), np.finfo(np.float64).tiny), phi0)
+    return np.where(interface, pinned, out)
 
 
 def edge_map_oracle(smoothed, spacing):
@@ -452,7 +461,7 @@ def evolve_oracle(phi, spacing, band_halfwidth, params, force=None):
         done += 1
         max_update = float(np.abs(update).max()) * dt
         if done % params.reinit_every == 0 or done == params.max_iters:
-            phi = _reinitialize_ref(phi, spacing, band_halfwidth)
+            phi = _reinitialize_ref(phi, spacing)
             inside = int((phi < 0).sum())
             record = {"iteration": done, "inside": inside, "max_update": max_update}
             if force is not None:

@@ -48,6 +48,14 @@ class TestBinarize:
         assert not region.mask.data[3:10, 3:10, 3:10].any()
         assert region.mask.data[13:20, 13:20, 13:20].all()
 
+    def test_a_float32_map_is_compared_with_psi_in_float64(self):
+        # psi = 152.99999999 rounds to 153.0 in float32, where the cube
+        # would not exceed it
+        data = np.zeros(DIMS, dtype=np.float32)
+        data[8:16, 8:16, 8:16] = 153.0
+        region = extract_candidate(ScalarVolume(data, UNIT), _brain(), psi=152.99999999)
+        assert region.step_voxels[0] == 8**3
+
 
 class TestCentroid:
     def test_weighted_mean_world_position(self):

@@ -13,8 +13,9 @@ from fvfseg.cli import (
     EXIT_OK,
     main,
 )
-from fvfseg.mvol import read_volume
+from fvfseg.mvol import read_volume, write_volume
 from fvfseg.phantom import ATLAS_FILES, MANIFEST_FILE, PATIENT_FILE, TRUTH_FILE
+from fvfseg.volume import ScalarVolume
 
 DIMS_FLAG = "48"
 
@@ -436,6 +437,19 @@ class TestStagedCommands:
         assert main(["candidate", "--input", gbbm] + common + omega) == EXIT_OK
         for name in (pipeline.GBBM_FILE, pipeline.CANDIDATE_FILE, pipeline.CANDIDATE_REPORT_FILE):
             assert (out / name).read_bytes() == (one_shot / name).read_bytes(), name
+
+    def test_candidate_compares_a_float32_map_with_psi_in_float64(self, case_dir, tmp_path):
+        """A map value of 153.0 exceeds --psi 152.99999999, which rounds to
+        153.0 in float32."""
+        truth = read_volume(str(case_dir / TRUTH_FILE))
+        gbbm = tmp_path / pipeline.GBBM_FILE
+        data = np.where(truth.data, np.float32(153.0), np.float32(0.0))
+        write_volume(ScalarVolume(data, truth.spacing), str(gbbm))
+        assert read_volume(str(gbbm)).data.dtype == np.float32
+        args = ["candidate", "--input", str(gbbm), "--atlas-dir", str(case_dir),
+                "--output-dir", str(tmp_path)]
+        assert main(args + ["--psi", "152.99999999"]) == EXIT_OK
+        assert main(args + ["--psi", "153"]) == EXIT_NO_CANDIDATE
 
     def test_fixed_model_pipeline_reproduces_fitted_run(
         self, case_dir, pipeline_out, tmp_path

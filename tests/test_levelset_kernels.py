@@ -1,7 +1,8 @@
 """The level-set kernels against the whole-array oracle formulas, bit for
 bit: the flat-stride passes and their face rewrites must give the same
 float64 values, down to the sign of zero, on every grid shape, spacing and
-memory order the kernels accept."""
+memory order the kernels accept.  The reinitialization is also checked
+for the properties it keeps on those inputs."""
 
 import tracemalloc
 
@@ -11,7 +12,7 @@ import pytest
 from fvfseg.fvf3d import LevelSetField, _relative, _speed, _upwind_parts, _Workspace, reinitialize
 from fvfseg.volume import ScalarVolume, grow_box
 
-from .oracles import _advection_ref, _curvature_ref, _reinitialize_ref
+from .oracles import _advection_ref, _curvature_ref, _pinned_ref, _reinitialize_ref
 
 SPACINGS = [(1.0, 1.0, 1.0), (1.0, 1.0, 2.0), (0.9375, 1.1, 1.3)]
 
@@ -97,20 +98,27 @@ def test_a_reused_workspace_gives_the_bits_of_a_fresh_call(spacing, rng):
 )
 def test_reinitialize_matches_the_oracle_bit_for_bit(shape, order, spacing, rng):
     phi = _field(rng, shape, order)
-    for band in (2.0, 6.0):
-        out = reinitialize(LevelSetField(ScalarVolume(phi, spacing), 3, band))
-        assert out.iteration == 3 and out.band_halfwidth == band
-        assert _same_bits(out.phi.data, _reinitialize_ref(phi, spacing, band))
+    out = reinitialize(LevelSetField(ScalarVolume(phi, spacing), 3, 2.0))
+    assert out.iteration == 3 and out.band_halfwidth == 2.0
+    got = out.phi.data
+    assert _same_bits(got, _reinitialize_ref(phi, spacing))
+    assert np.isfinite(got).all()
+    # every voxel off the front is nonzero, with its own sign
+    assert np.array_equal(np.sign(got), np.sign(phi))
+    interface, pinned = _pinned_ref(phi, spacing)
+    assert interface.any() and _same_bits(got[interface], pinned[interface])
+    other = np.asarray(phi, order="F" if order == "C" else "C")
+    assert _same_bits(reinitialize(LevelSetField(ScalarVolume(other, spacing))).phi.data, got)
 
 
 def test_reinitialize_matches_the_oracle_on_a_distance_field():
     dims = (40, 36, 30)
     idx = np.indices(dims).astype(np.float64)
     r = np.sqrt((idx[0] - 19.3) ** 2 + (idx[1] - 17.8) ** 2 + ((idx[2] - 14.6) * 1.3) ** 2)
-    phi = 0.6 * (r - 9.0)  # a compressed front, as advection leaves it
+    phi = 0.6 * (r - 9.0)  # a stretched front
     for spacing in SPACINGS:
         out = reinitialize(LevelSetField(ScalarVolume(phi, spacing), 0, 6.0))
-        assert _same_bits(out.phi.data, _reinitialize_ref(phi, spacing, 6.0))
+        assert _same_bits(out.phi.data, _reinitialize_ref(phi, spacing))
 
 
 def _peak_grids(fn, *args):

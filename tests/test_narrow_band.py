@@ -190,10 +190,13 @@ def test_window_widens_as_the_front_travels():
 
 
 def test_reinitialize_keeps_the_window():
-    # A slab front: its distance field is linear in x, so reinitialization
-    # changes only the planes it reaches from the front in its 10 steps,
-    # none of which lies beyond the window.  The front then travels out of
-    # the window, and evolve must widen it with the exact distance.
+    # A slab front.  The rebuild reads phi0 within two voxels of the
+    # interface voxels, all of which lie in the window with that reach, so
+    # on the window it is the whole grid's rebuild to the bit.  It rebuilds
+    # every voxel of its box, though, so the whole grid's far planes leave
+    # the starting distance; the reference evolve starts from the starting
+    # distance with the window's values put in.  The front then travels out
+    # of the window, and evolve must widen it with the exact distance.
     dims = (48, 10, 10)
     candidate = np.zeros(dims, dtype=bool)
     candidate[6:42] = True
@@ -209,9 +212,11 @@ def test_reinitialize_keeps_the_window():
     assert windowed.window == window and whole.window is None
     assert np.array_equal(windowed.phi.data[window], whole.phi.data[window])
 
+    phi = signed_distance_init(start, band).phi.data
+    phi[window] = windowed.phi.data[window]
     log, ref_log = [], []
     out = evolve(windowed, ctx, params, log=log)
-    ref = evolve(whole, ctx, params, log=ref_log)
+    ref = evolve(replace(whole, phi=ScalarVolume(phi, UNIT)), ctx, params, log=ref_log)
     assert _voxels(out.window) > _voxels(window)
     assert np.array_equal(out.phi.data[out.window], ref.phi.data[out.window])
     assert log == ref_log and log[-1]["inside"] > start.count()
