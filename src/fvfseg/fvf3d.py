@@ -30,7 +30,7 @@ sub-voxel distance, and every other voxel takes its distance to the plane
 through the front point of its nearest such voxel, so no voxel changes
 sign.
 
-The updates, the checkpoint reinitialization and the force E run on one
+The updates, the reinitialization and the force E run on one
 axis-aligned box, a narrow band in the sense of Adalsteinsson & Sethian
 (1995) and Peng et al. (1999).  The box is the bounding box of
 |phi| <= band_halfwidth * max(spacing), widened by the farthest the front
@@ -40,16 +40,19 @@ clipped to the grid.  Every term of a step reads phi within one voxel
 (Chebyshev distance 1; the mixed second differences read the diagonal
 neighbours), so each step runs on the box grown by one voxel, its read
 box, and no face formula of the read box reaches the update box except
-on a grid face, where the two share the face and its formula.  The
-reinitialization runs on the box grown by two voxels, the reach of the
-normal it gives each voxel at the front.
-Voxels outside the box stay frozen; the box is rebuilt at every
-checkpoint.  A field with no voxel in the band is evolved on the whole
-grid.  The force's edge term is built on the box too: of the edge map
-only the divisor of its [0, 1] rescale, the peak of the smoothed gradient
-magnitude over the whole scan, needs the whole grid, so the force context
-keeps the smoothed scan and that peak, and f and grad f are computed on
-the box grown by their stencil reach and then trimmed.
+on a grid face, where the two share the face and its formula.  A
+segment is the reinit_every steps between two checkpoints.  At each
+checkpoint but the last the box is found anew around the front as the
+steps left it, and phi is rebuilt on the box grown by two voxels, the
+reach of the normal the rebuild gives each voxel at the front, before
+the next segment runs on it; the first segment runs on the field as
+given.  Voxels outside the box stay frozen.  A field with no voxel in
+the band is evolved on the whole grid.  The force's edge term is built
+on the box too: of the edge map only the divisor of its [0, 1] rescale,
+the peak of the smoothed gradient magnitude over the whole scan, needs
+the whole grid, so the force context keeps the smoothed scan and that
+peak, and f and grad f are computed on the box grown by their stencil
+reach and then trimmed.
 
 The stencils run on a C-ordered copy of the box flattened to one
 dimension.  Along axis a the neighbours of flat index i are i - stride_a
@@ -62,8 +65,8 @@ differences with the edge voxel replicated.  A face of the halo box and a
 face of the grid are treated alike.  Each formula keeps the operation
 order of its whole-array form, so the results are the same bits.  The
 steps on one box write into arrays allocated once for that box and
-dropped before its checkpoint's reinitialization (the force on the read
-box is rebuilt only when the box moves), and a division by a spacing of
+dropped at its checkpoint, before the rebuild (the force on the read box
+is rebuilt only when the box moves), and a division by a spacing of
 exactly 1.0 is skipped.
 
 A step on a large box runs on several threads (volume.split_planes and
@@ -82,12 +85,11 @@ parts; one part is the serial step.
 The starting distance field need not cover the grid either.  It can be
 exact only on a window, a box holding the whole region (the distance to a
 region is exact on any such box), with a placeholder larger than the band
-outside it.  init_window gives the window that holds evolve's first box:
-the region's bounding box grown by the band, the travel margin and the
-halo.  Whenever a box with its halo would leave the window, evolve widens
-the window: it writes the exact distance to the starting front on the new
-part and keeps its own values on the old.  So phi on the window is always
-what the whole-grid field holds, and the placeholders are never read.
+outside it.  The first box with its two-voxel halo must lie in the
+window; init_window gives the window that holds it: the region's
+bounding box grown by the band, the travel margin and the halo.  Each
+later box is rebuilt from the front before its segment, so evolve only
+grows the window to hold it, and no step reads a placeholder.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ BAND_HALFWIDTH = 6.0
 _RUNAWAY_BANDS = 100.0
 
 # The margin around the update box on which reinitialization runs, the
-# checkpoint's cos_gamma is taken and the window must hold phi exact.  The
+# checkpoint's cos_gamma is taken and the window must hold.  The
 # step itself reads phi only one voxel around the box (the read box of
 # evolve).  The normal that reinitialization gives an interface voxel reads
 # phi two voxels around it (a central difference summed over the 3^3
@@ -156,8 +158,8 @@ _PEAK_PASSES = 12
 class LevelSetField:
     """phi with the evolution's iteration count and band half-width (in
     voxels of the coarsest axis).  ``window`` (a tuple of three slices, or
-    None for the whole grid) is the box on which phi is exact; outside it
-    phi holds a placeholder larger than the band."""
+    None for the whole grid) is the box that holds every value computed
+    for phi; outside it phi holds a placeholder larger than the band."""
 
     phi: ScalarVolume
     iteration: int = 0
@@ -235,19 +237,6 @@ class EvolutionParams:
         return [math.ceil(min(travel / s, n)) for s, n in zip(spacing, dims)]
 
 
-def _fill_distance(phi: np.ndarray, m: np.ndarray, spacing, window):
-    """Write the signed Euclidean distance to the boundary of mask ``m``
-    (negative inside) into phi[window], a box holding every voxel of m."""
-    # The outside distance is exact on any box holding the whole mask.
-    phi[window] = ndimage.distance_transform_edt(~m[window], sampling=spacing)
-    # The inside distance only needs the mask's bounding box plus one layer:
-    # that layer is background (or the grid face, as on the whole grid), and
-    # no background voxel beyond it is closer to a voxel inside.  It is 0 on
-    # background, so the part of that layer outside the window keeps its value.
-    box = grow_box(bounding_box(m), (1, 1, 1), m.shape)
-    phi[box] -= ndimage.distance_transform_edt(m[box], sampling=spacing)
-
-
 def _contains(outer, inner) -> bool:
     return all(o.start <= i.start and i.stop <= o.stop for o, i in zip(outer, inner))
 
@@ -276,7 +265,15 @@ def signed_distance_init(
             raise ValueError(f"window {window} does not hold the whole region")
         far = math.hypot(*(n * s for n, s in zip(dims, spacing)))
         phi = np.full(dims, far + band_halfwidth * max(spacing))
-    _fill_distance(phi, m, spacing, window or whole_box(dims))
+    # The outside distance is exact on any box holding the whole mask.
+    box = window or whole_box(dims)
+    phi[box] = ndimage.distance_transform_edt(~m[box], sampling=spacing)
+    # The inside distance only needs the mask's bounding box plus one layer:
+    # that layer is background (or the grid face, as on the whole grid), and
+    # no background voxel beyond it is closer to a voxel inside.  It is 0 on
+    # background, so the part of that layer outside the window keeps its value.
+    box = grow_box(bounding_box(m), (1, 1, 1), dims)
+    phi[box] -= ndimage.distance_transform_edt(m[box], sampling=spacing)
     return LevelSetField(ScalarVolume(phi, spacing), 0, band_halfwidth, window)
 
 
@@ -670,32 +667,6 @@ def _update_box(phi, width, pads, window):
     return core, outer, _relative(core, outer)
 
 
-def _update_box_in_window(phi, start_inside, spacing, window, width, pads):
-    """_update_box, with ``window`` (the box on which phi is exact) widened
-    until the halo box lies inside it; returns the three boxes and the
-    window.
-
-    A widening writes the exact distance to the boundary of
-    ``start_inside`` on the new part of the window and keeps phi on the
-    old, so phi stays what the whole-grid scheme holds.  Voxels on a window
-    face that is not a grid face lie outside every earlier update box and
-    hold their starting distance, so a band reaching past the window also
-    reaches that face, and its halo box leaves the window.
-    """
-    while True:
-        core, outer, inner = _update_box(phi, width, pads, window)
-        if _contains(window, outer):
-            return core, outer, inner, window
-        grown = grow_box(outer, pads, phi.shape)
-        wider = tuple(
-            slice(min(w.start, g.start), max(w.stop, g.stop)) for w, g in zip(window, grown)
-        )
-        own = phi[window].copy()
-        _fill_distance(phi, start_inside, spacing, wider)
-        phi[window] = own
-        window = wider
-
-
 def evolve(
     ls: LevelSetField,
     ctx: ForceContext | None,
@@ -706,29 +677,26 @@ def evolve(
 
     Updates, reinitialization and the force run on the narrow-band box of
     the module docstring; voxels outside it keep their values.  Every
-    ``reinit_every`` iterations phi is reinitialized on the box, the inside
-    volume compared with the previous checkpoint (a fractional change
-    below ``stop_tol`` stops the evolution), and the box rebuilt.  A field
-    exact only on ``ls.window`` has that window widened whenever a box's
-    halo would reach past it (module docstring), and the returned field
-    carries the final window.  The band search, the inside volume and the
+    ``reinit_every`` iterations, and after the last, is a checkpoint: the
+    inside volume of the field the steps left is compared with the
+    previous checkpoint's (a fractional change below ``stop_tol`` stops
+    the evolution).  If another segment follows, the box is found anew,
+    the window grown to hold it with its halo, and phi rebuilt from its
+    front on that halo box (reinitialize).  The first box with its halo
+    must lie in ``ls.window`` (init_window gives one that does), or
+    ValueError is raised.  The returned phi is what the last step left,
+    with the final window.  The band search, the inside volume and the
     relabelled count read the window only: outside it phi holds a
     placeholder larger than the band, so no voxel there is in the band or
     inside.  Non-finite phi raises NumericalInstabilityError carrying the
     global iteration index.
 
-    Reinitializing only the box is exact against a whole-grid
-    reinitialization only while no later box reaches voxels that the
-    whole-grid one would have moved: the rebuild moves every voxel of its
-    box, while voxels outside every box keep their starting distance.  On
-    a 48^3 cube [6, 42)^3 with an r = 4 ball start, alpha 0.1, beta 1,
-    reinit_every 10 and band 2, the inside volume at the third checkpoint
-    reads 5616 here against 5592 with whole-grid reinitialization.
     ``log`` (a list, optional) receives one record dict per checkpoint:
     ``iteration``, ``inside``, ``changed`` (voxels whose inside/outside
     label differs from the starting phi), ``max_update`` (the largest
     change of the last step over the voxels it updated) and, with a force
-    context, ``cos_gamma_mean``.
+    context, ``cos_gamma_mean`` (over the band of the field the steps
+    left).
     """
     params = params or EvolutionParams()
     spacing = ls.phi.spacing
@@ -743,15 +711,14 @@ def evolve(
     dt = params.resolve_dt(spacing)
     phi = np.array(ls.phi.data, dtype=np.float64)
     window = ls.window or whole_box(dims)
-    # Outside the window phi holds a placeholder larger than the band, so
-    # the inside voxels, then and now, all lie in the window.
-    start_inside = np.zeros(dims, dtype=bool)
-    start_inside[window] = ls.phi.data[window] < 0
     width = max(spacing) * ls.band_halfwidth
     pads = params.travel_pads(spacing, dims)
-    core, outer, inner, window = _update_box_in_window(
-        phi, start_inside, spacing, window, width, pads
-    )
+    core, outer, _ = _update_box(phi, width, pads, window)
+    if not _contains(window, outer):
+        raise ValueError(
+            f"the first box {outer} leaves the window {window}: "
+            "start from the window of init_window"
+        )
 
     use_advection = ctx is not None and params.beta > 0
     velocity = None  # per x-part, _upwind_parts of the force on its read box
@@ -813,22 +780,19 @@ def evolve(
             raise NumericalInstabilityError(ls.iteration + done)
 
         if checkpoint:
-            # reinitialization and the next box's force run without the
-            # step's buffers, so the peak memory is that of one of the three
+            # the rebuild and the next box's force run without the step's
+            # buffers, so the peak memory is that of one of the three
             parts = None
-            field = reinitialize(
-                LevelSetField(
-                    ScalarVolume(phi[outer], spacing), ls.iteration + done, ls.band_halfwidth
-                )
-            )
-            phi[core] = field.phi.data[inner]
             now_inside = phi[window] < 0
             inside = int(np.count_nonzero(now_inside))
             if log is not None:
+                # outside the window phi holds a placeholder above the band,
+                # so every voxel inside, then and now, lies in the window
+                started = ls.phi.data[window] < 0
                 record = {
                     "iteration": ls.iteration + done,
                     "inside": inside,
-                    "changed": int(np.count_nonzero(now_inside != start_inside[window])),
+                    "changed": int(np.count_nonzero(now_inside != started)),
                     "max_update": max_update,
                 }
                 if ctx is not None:
@@ -837,12 +801,17 @@ def evolve(
                     del grad
                 log.append(record)
             if abs(inside - prev_inside) / max(prev_inside, 1) < params.stop_tol:
-                prev_inside = inside
                 break
             prev_inside = inside
-            core, outer, inner, window = _update_box_in_window(
-                phi, start_inside, spacing, window, width, pads
-            )
+            if done < params.max_iters:
+                core, outer, _ = _update_box(phi, width, pads, window)
+                window = tuple(
+                    slice(min(w.start, o.start), max(w.stop, o.stop)) for w, o in zip(window, outer)
+                )
+                field = LevelSetField(
+                    ScalarVolume(phi[outer], spacing), ls.iteration + done, ls.band_halfwidth
+                )
+                phi[outer] = reinitialize(field).phi.data
 
     return LevelSetField(
         ScalarVolume(phi, spacing),

@@ -348,8 +348,11 @@ def fit_em(
     (``_binned_samples``).  A bin enters EM as one point at the exact mean
     of its quantized samples, weighted by its count; a sample outside the
     span enters as a point of its own.  The bin sums are exact integers,
-    so the fit is bitwise invariant to the order of the samples.  The
-    initial std comes from the moments of these points and scatters.
+    so the fit is bitwise invariant to the order of the samples.  Every
+    sum over the points is numpy's pairwise sum of an elementwise product,
+    never a BLAS dot, whose partial sums follow the BLAS thread count, so
+    the fit is also the same bits on any number of CPUs.  The initial std
+    comes from the moments of these points and scatters.
 
     Per iteration, the E-step fills row j with
     log w_j + log N(x; mu_j, sigma_j) at each point and normalizes the
@@ -381,8 +384,8 @@ def fit_em(
     points, counts, scatter = _binned_samples(x, q[0] - margin, q[1] + margin)
 
     n = x.size
-    centre = float(counts @ points) / n
-    variance = float(counts @ np.square(points - centre) + scatter.sum()) / n
+    centre = float(np.multiply(counts, points).sum()) / n
+    variance = float(np.multiply(counts, np.square(points - centre)).sum() + scatter.sum()) / n
     means = q[2:].copy()
     stds = np.full(k, max(math.sqrt(variance) / k, _STD_FLOOR))
     weights = np.full(k, 1.0 / k)
@@ -395,7 +398,7 @@ def fit_em(
     converged = False
     for _ in range(max_iters):
         _log_weighted_densities(points, weights, means, stds, terms)
-        ll = float(counts @ _log_normalize(terms, peak, log_z)) / n
+        ll = float(np.multiply(counts, _log_normalize(terms, peak, log_z), out=log_z).sum()) / n
         if not math.isfinite(ll):
             raise ValueError("EM log-likelihood became non-finite")
         if ll < prev_ll - 1e-9:
@@ -406,19 +409,20 @@ def fit_em(
             break
         prev_ll = ll
 
-        within = terms @ scatter
+        within = np.multiply(terms, scatter).sum(axis=1)
         terms *= counts  # responsibilities times counts
         nk = terms.sum(axis=1)
-        dev = peak  # the E-step is done with its scratch row
+        dev, prod = peak, log_z  # the E-step is done with its scratch rows
         for j in range(k):
             if nk[j] < 1e-12:
                 continue  # starved component: keep its parameters
             np.subtract(points, means[j], out=dev)
-            shift = float(terms[j] @ dev) / nk[j]
+            shift = float(np.multiply(terms[j], dev, out=prod).sum()) / nk[j]
             dev -= shift
             np.square(dev, out=dev)
             means[j] += shift
-            stds[j] = math.sqrt(max((terms[j] @ dev + within[j]) / nk[j], VARIANCE_FLOOR))
+            var = (np.multiply(terms[j], dev, out=prod).sum() + within[j]) / nk[j]
+            stds[j] = math.sqrt(max(var, VARIANCE_FLOOR))
         weights = nk / n
 
     order = np.argsort(means, kind="stable")

@@ -131,7 +131,10 @@ def _shell_masks(dims, spacing):
 
 
 def _soft_prior(indicator, brain, spacing):
-    soft = gaussian_smooth(ScalarVolume(indicator, spacing), _PRIOR_SMOOTH_SIGMA).data
+    # float32 holds 0 and 1 exactly and the Gaussian computes in float64,
+    # so the narrower indicator gives the same bits
+    shell = ScalarVolume(indicator.astype(np.float32), spacing)
+    soft = gaussian_smooth(shell, _PRIOR_SMOOTH_SIGMA).data
     soft *= 1.0 - 3.0 * _PRIOR_FLOOR
     soft += _PRIOR_FLOOR
     soft[~brain] = 0.0
@@ -172,7 +175,7 @@ def tissue_statistics(atlas: ProbabilisticAtlas):
     well past the true within-tissue spread.
     """
     csf, gm, wm = atlas.prob_csf.data, atlas.prob_gm.data, atlas.prob_wm.data
-    labels = (gm > csf).astype(np.intp)
+    labels = (gm > csf).astype(np.uint8)
     labels[wm > np.maximum(csf, gm)] = 2
     brain = atlas.brain_mask.data
     means = np.empty(3)

@@ -16,7 +16,7 @@ its artifacts into output_dir:
     candidate.mvol        candidate mask after morphological cleanup
     candidate_report.txt  per-step voxel counts
     segmentation.mvol     final zero-level mask
-    evolution.log         one line per reinitialization checkpoint: iteration,
+    evolution.log         one line per checkpoint of the level set: iteration,
                           inside volume, voxels relabelled since the candidate,
                           largest update, mean normal/radial cosine
     report.txt            key=value summary (tm=, iterations=, ...)
@@ -258,7 +258,8 @@ def segment_stage(patient: ScalarVolume, region: CandidateRegion, config: Pipeli
     segmentation.mvol.
 
     The distance field is computed on the window around the mask that
-    holds evolve's first box, which evolve widens if the front needs more.
+    holds evolve's first box (init_window); evolve grows the window to
+    hold each later box, on which it rebuilds the distance from the front.
     Returns the final LevelSetField and its zero-level mask.  On
     NumericalInstabilityError the segmentation and report artifacts of an
     earlier run into the same directory are removed before the error

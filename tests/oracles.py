@@ -477,9 +477,10 @@ def evolve_oracle(phi, spacing, band_halfwidth, params, force=None):
 def evolve_box_oracle(ls, ctx, params, log=None):
     """fvfseg.fvf3d.evolve's loop in its plainer form, for bitwise parity:
     each step runs _speed on the whole stencil box ``outer`` (the update box
-    plus a 2-voxel halo) with fresh arrays, and the checkpoint's cos_gamma
-    reads the gradient that _speed returned.  Arguments, log records and
-    the returned field are evolve's."""
+    plus a 2-voxel halo) with fresh arrays, the checkpoint's cos_gamma
+    reads the gradient that _speed returned, and phi is rebuilt on the next
+    ``outer`` before each segment but the first.  Arguments, log records
+    and the returned field are evolve's."""
     from fvfseg import fvf3d
     from fvfseg.errors import NumericalInstabilityError
     from fvfseg.volume import ScalarVolume, whole_box
@@ -489,13 +490,11 @@ def evolve_box_oracle(ls, ctx, params, log=None):
     dt = params.resolve_dt(spacing)
     phi = np.array(ls.phi.data, dtype=np.float64)
     window = ls.window or whole_box(dims)
-    start_inside = np.zeros(dims, dtype=bool)
-    start_inside[window] = ls.phi.data[window] < 0
     width = max(spacing) * ls.band_halfwidth
     pads = params.travel_pads(spacing, dims)
-    core, outer, inner, window = fvf3d._update_box_in_window(
-        phi, start_inside, spacing, window, width, pads
-    )
+    core, outer, inner = fvf3d._update_box(phi, width, pads, window)
+    if not fvf3d._contains(window, outer):
+        raise ValueError("the first box leaves the window")
 
     use_advection = ctx is not None and params.beta > 0
     velocity = None
@@ -527,19 +526,13 @@ def evolve_box_oracle(ls, ctx, params, log=None):
             raise NumericalInstabilityError(ls.iteration + done)
 
         if done % params.reinit_every == 0 or done == params.max_iters:
-            field = fvf3d.reinitialize(
-                fvf3d.LevelSetField(
-                    ScalarVolume(phi[outer], spacing), ls.iteration + done, ls.band_halfwidth
-                )
-            )
-            phi[core] = field.phi.data[inner]
             now_inside = phi[window] < 0
             inside = int(np.count_nonzero(now_inside))
             if log is not None:
                 record = {
                     "iteration": ls.iteration + done,
                     "inside": inside,
-                    "changed": int(np.count_nonzero(now_inside != start_inside[window])),
+                    "changed": int(np.count_nonzero(now_inside != (ls.phi.data[window] < 0))),
                     "max_update": max_update,
                 }
                 if ctx is not None:
@@ -549,12 +542,18 @@ def evolve_box_oracle(ls, ctx, params, log=None):
                     )
                 log.append(record)
             if abs(inside - prev_inside) / max(prev_inside, 1) < params.stop_tol:
-                prev_inside = inside
                 break
             prev_inside = inside
-            core, outer, inner, window = fvf3d._update_box_in_window(
-                phi, start_inside, spacing, window, width, pads
-            )
+            if done < params.max_iters:
+                core, outer, inner = fvf3d._update_box(phi, width, pads, window)
+                window = tuple(
+                    slice(min(w.start, o.start), max(w.stop, o.stop)) for w, o in zip(window, outer)
+                )
+                phi[outer] = fvf3d.reinitialize(
+                    fvf3d.LevelSetField(
+                        ScalarVolume(phi[outer], spacing), ls.iteration + done, ls.band_halfwidth
+                    )
+                ).phi.data
 
     return fvf3d.LevelSetField(
         ScalarVolume(phi, spacing),

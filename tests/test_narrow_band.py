@@ -138,38 +138,55 @@ def _inside(outer, inner):
     return all(o.start <= i.start and i.stop <= o.stop for o, i in zip(outer, inner))
 
 
-@pytest.mark.parametrize("name", sorted(PARITY_CASES))
-def test_evolution_from_a_window_matches_full_grid(name):
-    # the distance starts on the candidate's own bounding box, so evolve has
-    # to widen the window before its first step
-    ls, ctx, params = PARITY_CASES[name]()
-    start = zero_level_mask(ls)
-    window = bounding_box(start.data)
-    log = []
-    out = evolve(signed_distance_init(start, ls.band_halfwidth, window), ctx, params, log=log)
-    ref_phi, ref_log = _oracle(ls, ctx, params)
-
-    assert np.array_equal(zero_level_mask(out).data, ref_phi < 0)
-    assert [r["iteration"] for r in log] == [r["iteration"] for r in ref_log]
-    assert [r["inside"] for r in log] == [r["inside"] for r in ref_log]
-    assert _inside(out.window, window) and _voxels(out.window) > _voxels(window)
-    if name == "travel":
-        # its travel margin spans the grid, so the window grows to all of it
-        assert _voxels(out.window) == ls.phi.data.size
-
-
-def test_window_widens_as_the_front_travels():
-    # The window of init_window holds the first box; the front then crosses
-    # ~15 voxels in ten short segments, and the window has to follow it.
-    # With ten checkpoints the oracle's whole-grid reinitialization moves far
-    # voxels that the boxes leave frozen, so the reference is evolve from a
-    # whole-grid start.
+def _cube_case(max_iters):
+    # a ball that grows to fill a cube over many short segments
     dims = (48, 48, 48)
     cube = np.zeros(dims, dtype=bool)
     cube[6:42, 6:42, 6:42] = True
     ctx = make_force_context(ScalarVolume(np.ones(dims), UNIT), BinaryMask(cube, UNIT))
     start = BinaryMask(_ball(dims, (23.5,) * 3, 4.0), UNIT)
-    params = EvolutionParams(alpha=0.1, beta=1.0, max_iters=100, reinit_every=10, stop_tol=0.0)
+    params = EvolutionParams(
+        alpha=0.1, beta=1.0, max_iters=max_iters, reinit_every=10, stop_tol=0.0
+    )
+    return start, ctx, params
+
+
+def test_many_checkpoints_match_full_grid():
+    # Six segments.  Each is rebuilt from its front on its own box before it
+    # runs, as the whole grid is, so the far voxels that no box reached
+    # before do not enter a step with their starting distance.
+    start, ctx, params = _cube_case(60)
+    band = 2.0
+    ls = signed_distance_init(start, band, init_window(start, band, params))
+    log = []
+    out = evolve(ls, ctx, params, log=log)
+    ref_phi, ref_log = _oracle(signed_distance_init(start, band), ctx, params)
+
+    assert np.array_equal(zero_level_mask(out).data, ref_phi < 0)
+    assert zero_level_mask(out).count() == 25536
+    assert [r["inside"] for r in log][:3] == [r["inside"] for r in ref_log][:3]
+    assert log[2]["inside"] == 5592
+
+
+def test_a_window_that_does_not_hold_the_first_box_is_rejected():
+    # the candidate's own bounding box is smaller than the first box with
+    # its halo: init_window gives the window to start from
+    ls, ctx, params = _travel_case()
+    start = zero_level_mask(ls)
+    tight = signed_distance_init(start, ls.band_halfwidth, bounding_box(start.data))
+    with pytest.raises(ValueError, match="init_window"):
+        evolve(tight, ctx, params)
+    window = init_window(start, ls.band_halfwidth, params)
+    wide = signed_distance_init(start, ls.band_halfwidth, window)
+    assert evolve(wide, ctx, replace(params, max_iters=1)).iteration == 1
+
+
+def test_window_widens_as_the_front_travels():
+    # The window of init_window holds the first box; the front then crosses
+    # ~15 voxels in ten short segments, and the window grows to hold each
+    # new box, on which phi is rebuilt from the front before the segment.
+    start, ctx, params = _cube_case(100)
+    dims, cube = start.dims, ctx.candidate.data
     band = 2.0
     window = init_window(start, band, params)
     ls = signed_distance_init(start, band, window)
@@ -178,8 +195,9 @@ def test_window_widens_as_the_front_travels():
 
     log = []
     out = evolve(ls, ctx, params, log=log)
-    # Against the same boxes from a whole-grid start: every value the
-    # window holds and every log figure are the same to the bit.
+    # Against the same boxes from a whole-grid start: no box reads the
+    # placeholders as distances, so every value the window holds and every
+    # log figure are the same to the bit.
     ref_log = []
     ref = evolve(signed_distance_init(start, band), ctx, params, log=ref_log)
     assert ref.window is None
@@ -196,7 +214,8 @@ def test_reinitialize_keeps_the_window():
     # every voxel of its box, though, so the whole grid's far planes leave
     # the starting distance; the reference evolve starts from the starting
     # distance with the window's values put in.  The front then travels out
-    # of the window, and evolve must widen it with the exact distance.
+    # of the window, and evolve must grow it to hold the next box, on which
+    # phi is rebuilt from the front, placeholders included.
     dims = (48, 10, 10)
     candidate = np.zeros(dims, dtype=bool)
     candidate[6:42] = True

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fvfseg
 from fvfseg.ngmm import (
     _STD_FLOOR,
     EM_CHUNK_SAMPLES,
@@ -250,6 +255,37 @@ class TestFitEm:
         x[2 * EM_CHUNK_SAMPLES + 5] = np.inf
         with pytest.raises(ValueError, match="finite"):
             fit_em(x, k=3)
+
+
+_FIT_IN_CHILD = """
+import sys
+import numpy as np
+from fvfseg.ngmm import fit_em, model_to_text
+sys.stdout.write(model_to_text(fit_em(np.load(sys.argv[1]))))
+"""
+
+
+def _model_text_at_blas_threads(path, threads):
+    src = str(Path(fvfseg.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", _FIT_IN_CHILD, str(path)],
+        env=env, capture_output=True, check=True,
+    )
+    return run.stdout
+
+
+def test_fit_is_the_same_bytes_at_any_blas_thread_count(tmp_path):
+    # OpenBLAS splits a long dot product over its threads, and the partial
+    # sums round differently; the fit must not call it
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: OpenBLAS runs one thread whatever its setting")
+    path = tmp_path / "samples.npy"
+    np.save(path, _draw_mixture(np.random.default_rng(7), 200_000))
+    one = _model_text_at_blas_threads(path, 1)
+    assert one.startswith(b"K=3\n")
+    assert _model_text_at_blas_threads(path, 2) == one
 
 
 class TestFitEmMatchesOracle:
