@@ -4,8 +4,13 @@ noise seeds, plus a null-control check.
 
 Generates one synthetic atlas, plants lesions of each shape with several
 noise realizations, runs the full pipeline on every case and prints an
-overlap table.  Artifacts land in --work-dir (a temp dir by default, so
-pass one explicitly if you want to look at the volumes afterwards).
+overlap table.  A lesion the pipeline finds no candidate for is a miss:
+its row reads "none (step N)", N the pipeline step at which the candidate
+mask became empty, and the study goes on.  Each shape's summary counts its
+detections and averages tm over the detected cases.  The exit status is 1
+only when the null control (offset 0) yields a candidate.  Artifacts land
+in --work-dir (a temp dir by default, so pass one explicitly if you want
+to look at the volumes afterwards).
 
 Usage:
     python3 scripts/run_phantom_study.py --dims 64 --seeds 5
@@ -32,6 +37,9 @@ RADII = {"sphere": (8.0,), "ellipsoid": (10.0, 7.0, 5.0), "blob": (7.0,)}
 
 
 def run_one(atlas, case_dir, out_dir, spec, atlas_seed):
+    """Run the pipeline on one planted case.  Returns the report, the truth's
+    voxel count and, on a miss, the step at which the candidate vanished
+    (else None)."""
     patient, truth = synth_patient(atlas, spec)
     save_phantom_case(str(case_dir), atlas, patient, truth, spec, atlas_seed)
     config = PipelineConfig(
@@ -40,8 +48,10 @@ def run_one(atlas, case_dir, out_dir, spec, atlas_seed):
         output_dir=str(out_dir),
         ground_truth=str(case_dir / TRUTH_FILE),
     )
-    report = run_pipeline(config)
-    return report, truth.count()
+    try:
+        return run_pipeline(config), truth.count(), None
+    except NoCandidateError as err:
+        return err.report, truth.count(), err.step
 
 
 def main(argv=None):
@@ -63,7 +73,7 @@ def main(argv=None):
     print(f"grid {args.dims}^3, atlas seed {args.atlas_seed}, "
           f"offset {args.offset:+g} sigma, work dir {work}")
     print()
-    header = f"{'shape':<10} {'seed':>4} {'tm':>8} {'iters':>6} {'cand_vox':>9} {'truth_vox':>10}"
+    header = f"{'shape':<10} {'seed':>4} {'tm':>13} {'iters':>6} {'cand_vox':>9} {'truth_vox':>10}"
     print(header)
     print("-" * len(header))
 
@@ -73,31 +83,36 @@ def main(argv=None):
             spec = TumorSpec(shape=shape, radii=RADII[shape],
                              offset=args.offset, seed=seed)
             tag = f"{shape}_s{seed}"
-            report, truth_vox = run_one(
+            report, truth_vox, missed = run_one(
                 atlas, work / f"case_{tag}", work / f"out_{tag}", spec,
                 args.atlas_seed,
             )
-            tm = float(report["tm"])
-            by_shape.setdefault(shape, []).append(tm)
-            print(f"{shape:<10} {seed:>4} {tm:>8.4f} {int(report['iterations']):>6} "
+            tms = by_shape.setdefault(shape, [])
+            if missed is None:
+                tm = float(report["tm"])
+                tms.append(tm)
+                tm_text = f"{tm:.4f}"
+            else:
+                tm_text = f"none (step {missed})"
+            print(f"{shape:<10} {seed:>4} {tm_text:>13} {int(report['iterations']):>6} "
                   f"{int(report['candidate_voxels']):>9} {truth_vox:>10}")
 
     print()
     for shape, tms in by_shape.items():
-        spread = statistics.stdev(tms) if len(tms) > 1 else 0.0
-        print(f"{shape:<10} mean tm {statistics.mean(tms):.4f} "
-              f"+/- {spread:.4f} over {len(tms)} seeds")
+        line = f"{shape:<10} detected {len(tms)}/{args.seeds}"
+        if tms:
+            spread = statistics.stdev(tms) if len(tms) > 1 else 0.0
+            line += f", mean tm {statistics.mean(tms):.4f} +/- {spread:.4f}"
+        print(line)
 
     # null control: a zero-offset "lesion" must not produce a detection
     spec = TumorSpec(shape="sphere", radii=RADII["sphere"], offset=0.0, seed=1)
-    try:
-        run_one(atlas, work / "case_control", work / "out_control", spec,
-                args.atlas_seed)
-    except NoCandidateError:
-        print("\ncontrol    offset 0 -> no candidate (expected)")
-    else:
+    _, _, missed = run_one(atlas, work / "case_control", work / "out_control", spec,
+                           args.atlas_seed)
+    if missed is None:
         print("\ncontrol    offset 0 -> FALSE POSITIVE", file=sys.stderr)
         return 1
+    print(f"\ncontrol    offset 0 -> no candidate at step {missed} (expected)")
     return 0
 
 

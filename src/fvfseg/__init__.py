@@ -35,7 +35,6 @@ from .fvf3d import (
 from .metrics import OverlapReport, tanimoto
 from .mvol import read_volume, write_volume
 from .ngmm import (
-    NormalizationRecord,
     TissueMixtureModel,
     fit_em,
     load_model,

@@ -84,9 +84,9 @@ def _em_line(iterations: int, converged: bool) -> str:
 def cmd_fit(args) -> int:
     config = _config_from_args(args)
     atlas = phantom.load_atlas_dir(config.atlas_dir)
-    _, record, model = pipeline.fit_stage(pipeline.read_scalar(config.input), atlas, config)
+    values, _, model = pipeline.fit_stage(pipeline.read_scalar(config.input), atlas, config)
     path = os.path.join(config.output_dir, pipeline.MODEL_FILE)
-    print(f"model written to {path} ({record.note})")
+    print(f"model written to {path} (mean over {values.size} masked voxels)")
     if model.loglik_trace is not None:
         print(_em_line(len(model.loglik_trace), model.converged))
     return EXIT_OK

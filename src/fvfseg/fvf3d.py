@@ -23,7 +23,7 @@ of E; curvature uses central differences.
 
 Explicit updates are only stable for dt below roughly
 0.9 / (6 alpha / h^2 + 3 beta / h); larger steps are accepted but grow
-grid-scale oscillations until the non-finite check trips.  phi is
+grid-scale oscillations until the step check trips.  phi is
 periodically restored to a signed distance function by rebuilding it from
 its front (reinitialize): the voxels at the zero crossing keep their
 sub-voxel distance, and every other voxel takes its distance to the plane
@@ -77,19 +77,25 @@ buffers and its cut of the velocity are allocated then, in the calling
 thread.  Each step then has two phases.  First every part computes its
 update from phi on its read box.  Only after all have finished, since a
 read box overlaps the neighbouring parts, each part adds dt times its
-update to its own planes and returns its largest |update| and whether
-its values are finite.  A max is exact in any order, so the step, the
-log and the iteration of a blow-up are the same bits for any number of
-parts; one part is the serial step.
+update to its own planes and returns its largest |update|.  A max is
+exact in any order, so the step, the log and the iteration of a blow-up
+are the same bits for any number of parts; one part is the serial step.
 
-The starting distance field need not cover the grid either.  It can be
-exact only on a window, a box holding the whole region (the distance to a
-region is exact on any such box), with a placeholder larger than the band
-outside it.  The first box with its two-voxel halo must lie in the
-window; init_window gives the window that holds it: the region's
-bounding box grown by the band, the travel margin and the halo.  Each
-later box is rebuilt from the front before its segment, so evolve only
-grows the window to hold it, and no step reads a placeholder.
+That largest |update| is the step's one check: dt times it must be
+finite and at most _RUNAWAY_BANDS band widths.  A non-finite phi in the
+read box makes the update non-finite at the core voxels beside it, and a
+finite phi plus a dt * update within that bound cannot overflow, so phi
+needs no check of its own.
+
+The starting distance field need not cover the grid either.  It is exact
+only on its window, a box holding the whole region (the distance to a
+region is exact on any such box; the whole grid by default), with a
+placeholder larger than the band outside it.  The first box with its
+two-voxel halo must lie in the window; init_window gives the window that
+holds it: the region's bounding box grown by the band, the travel margin
+and the halo.  Each later box is rebuilt from the front before its
+segment, so evolve only grows the window to hold it, and no step reads a
+placeholder.
 """
 
 from __future__ import annotations
@@ -157,9 +163,10 @@ _PEAK_PASSES = 12
 @dataclass
 class LevelSetField:
     """phi with the evolution's iteration count and band half-width (in
-    voxels of the coarsest axis).  ``window`` (a tuple of three slices, or
-    None for the whole grid) is the box that holds every value computed
-    for phi; outside it phi holds a placeholder larger than the band."""
+    voxels of the coarsest axis).  ``window`` (a tuple of three slices) is
+    the box that holds every value computed for phi; outside it phi holds a
+    placeholder larger than the band.  None, the default, is the whole
+    grid, and is stored as whole_box of phi's dims."""
 
     phi: ScalarVolume
     iteration: int = 0
@@ -169,6 +176,8 @@ class LevelSetField:
     def __post_init__(self):
         if self.iteration < 0 or not (self.band_halfwidth > 0):
             raise ValueError("iteration must be >= 0 and band_halfwidth > 0")
+        if self.window is None:
+            self.window = whole_box(self.phi.dims)
 
 
 @dataclass
@@ -246,10 +255,10 @@ def signed_distance_init(
 ) -> LevelSetField:
     """Signed Euclidean distance to the mask boundary, negative inside.
 
-    With ``window`` (three slices holding the whole mask) the distance is
-    computed on that box only, and every voxel outside it holds the grid's
-    diagonal plus the band width: more than any distance on the grid, so
-    never inside the band.
+    The distance is computed on ``window`` (three slices holding the whole
+    mask; the whole grid by default) only, and every voxel outside it holds
+    the grid's diagonal plus the band width: more than any distance on the
+    grid, so never inside the band.
     """
     m = mask.data
     if not m.any():
@@ -257,17 +266,13 @@ def signed_distance_init(
     if m.all():
         raise ValueError("region covers the whole grid, no boundary to track")
     dims, spacing = m.shape, mask.spacing
-    if window is None:
-        phi = np.empty(dims)
-    else:
-        window = tuple(slice(*sl.indices(n)[:2]) for sl, n in zip(window, dims))
-        if len(window) != 3 or not _contains(window, bounding_box(m)):
-            raise ValueError(f"window {window} does not hold the whole region")
-        far = math.hypot(*(n * s for n, s in zip(dims, spacing)))
-        phi = np.full(dims, far + band_halfwidth * max(spacing))
+    window = tuple(slice(*sl.indices(n)[:2]) for sl, n in zip(window or whole_box(dims), dims))
+    if len(window) != 3 or not _contains(window, bounding_box(m)):
+        raise ValueError(f"window {window} does not hold the whole region")
+    far = math.hypot(*(n * s for n, s in zip(dims, spacing)))
+    phi = np.full(dims, far + band_halfwidth * max(spacing))
     # The outside distance is exact on any box holding the whole mask.
-    box = window or whole_box(dims)
-    phi[box] = ndimage.distance_transform_edt(~m[box], sampling=spacing)
+    phi[window] = ndimage.distance_transform_edt(~m[window], sampling=spacing)
     # The inside distance only needs the mask's bounding box plus one layer:
     # that layer is background (or the grid face, as on the whole grid), and
     # no background voxel beyond it is closer to a voxel inside.  It is 0 on
@@ -391,7 +396,7 @@ def make_force_context(patient: ScalarVolume, mask: BinaryMask, center=None) -> 
 def zero_level_mask(ls: LevelSetField) -> BinaryMask:
     """Voxels strictly inside the front (phi < 0), x-fastest as MVOL stores
     them; outside ``ls.window`` phi is a placeholder above the band."""
-    box, phi = ls.window or whole_box(ls.phi.dims), ls.phi.data
+    box, phi = ls.window, ls.phi.data
     inside = np.zeros(phi.shape, dtype=bool, order="F")
     np.less(phi[box], 0.0, out=inside[box])
     return BinaryMask(inside, ls.phi.spacing)
@@ -465,10 +470,10 @@ def _one_sided(f, axis, s, buf):
 class _Workspace:
     """The arrays of one step on a box of ``shape``, all overwritten by each
     _speed call: the C-ordered copy of phi, its central gradient, the
-    update, five scratch arrays (the last a view of ``buf``, the difference
-    buffer of the advection, one axis stride longer than the box) and a
-    boolean array.  evolve allocates one per x-part of the step at the
-    first step on each box and drops them at the box's checkpoint."""
+    update and five scratch arrays (the last a view of ``buf``, the
+    difference buffer of the advection, one axis stride longer than the
+    box).  evolve allocates one per x-part of the step at the first step on
+    each box and drops them at the box's checkpoint."""
 
     def __init__(self, shape):
         self.shape = tuple(shape)
@@ -477,7 +482,6 @@ class _Workspace:
         self.grad = tuple(np.empty(shape) for _ in range(3))
         self.buf = np.empty(size + max(c_strides(shape)))
         self.scratch = [np.empty(shape) for _ in range(4)] + [self.buf[:size].reshape(shape)]
-        self.flags = np.empty(shape, dtype=bool)
 
 
 def _curvature_times_gradnorm(phi, spacing, work):
@@ -564,16 +568,21 @@ def reinitialize(ls: LevelSetField) -> LevelSetField:
     del buf
     pinned = flat[iface] / np.maximum(np.sqrt(slope2), _EPS_DIRECTION)
 
-    normal = [np.zeros(shape) for _ in spacing]
-    for axis, (g, s) in enumerate(zip(normal, spacing)):
+    # each axis's summed gradient, kept only where the normals are read
+    g = np.empty(shape)
+    normal = []
+    for axis, s in enumerate(spacing):
         if shape[axis] > 1:
             central_difference(phi, axis, s, g)
+        else:
+            g.fill(0.0)
         for along in range(3):
             ndimage.correlate1d(g, (1.0, 1.0, 1.0), along, output=g, mode="nearest")
-    length = np.sqrt(sum(g.reshape(-1)[iface] ** 2 for g in normal))
+        normal.append(g.reshape(-1)[iface])
+    length = np.sqrt(sum(n**2 for n in normal))
     scale = np.divide(1.0, length, where=length >= _EPS_DIRECTION, out=np.zeros_like(length))
-    for g in normal:
-        g.reshape(-1)[iface] *= scale
+    for n in normal:
+        n *= scale
     flat[iface] = pinned
     # on a field that is mostly front these are grids too: free them
     # before the nearest-voxel indices are built
@@ -585,8 +594,9 @@ def reinitialize(ls: LevelSetField) -> LevelSetField:
     nearest = np.ravel_multi_index(near, shape)
     plane = np.take(flat, nearest)
     term = np.empty(shape)
-    for x, k, g, s in zip(np.ogrid[tuple(slice(n) for n in shape)], near, normal, spacing):
+    for x, k, nk, s in zip(np.ogrid[tuple(slice(n) for n in shape)], near, normal, spacing):
         # (x - x_k) along the axis, in world units, times n_k's component
+        g[interface] = nk
         np.subtract(x, k, out=term)
         term *= s
         term *= np.take(g, nearest)
@@ -618,16 +628,13 @@ def _upwind_parts(velocity):
     )
 
 
-def _speed(phi, spacing, alpha, velocity, work=None):
+def _speed(phi, spacing, alpha, velocity, work):
     """The explicit update alpha * K|grad phi| - V . grad phi of one step
     and the central gradient of phi.  ``velocity`` is _upwind_parts of V
     (upwinded on its sign), or None for no advection.  The stencils run on
     a C-ordered copy of phi flattened (module docstring), in the arrays of
     ``work``, a _Workspace of phi's shape: the update and the gradient
-    returned are its arrays, valid until the next call with it.  Without
-    ``work`` the call allocates one for itself."""
-    if work is None:
-        work = _Workspace(phi.shape)
+    returned are its arrays, valid until the next call with it."""
     np.copyto(work.phi, phi)
     phi = work.phi
     update, grad = _curvature_times_gradnorm(phi, spacing, work)
@@ -646,9 +653,8 @@ def _speed(phi, spacing, alpha, velocity, work=None):
 
 
 def _update_box(phi, width, pads, window):
-    """The box of voxels an evolution segment may move, the box its
-    reinitialization reads (the _HALO margin), and the first as slices into
-    the second.
+    """The box of voxels an evolution segment may move, and the box its
+    reinitialization reads (the _HALO margin).
 
     The first box is the bounding box of |phi| <= width widened by
     pads[axis] voxels, or the whole grid when no voxel is that close to
@@ -663,8 +669,7 @@ def _update_box(phi, width, pads, window):
     else:
         band = tuple(slice(b.start + w.start, b.stop + w.start) for b, w in zip(band, window))
         core = grow_box(band, pads, dims)
-    outer = grow_box(core, (_HALO,) * 3, dims)
-    return core, outer, _relative(core, outer)
+    return core, grow_box(core, (_HALO,) * 3, dims)
 
 
 def evolve(
@@ -688,8 +693,10 @@ def evolve(
     with the final window.  The band search, the inside volume and the
     relabelled count read the window only: outside it phi holds a
     placeholder larger than the band, so no voxel there is in the band or
-    inside.  Non-finite phi raises NumericalInstabilityError carrying the
-    global iteration index.
+    inside.  A step whose largest change is not finite or exceeds
+    _RUNAWAY_BANDS band widths raises NumericalInstabilityError carrying
+    the global iteration index; this also catches non-finite phi (module
+    docstring).
 
     ``log`` (a list, optional) receives one record dict per checkpoint:
     ``iteration``, ``inside``, ``changed`` (voxels whose inside/outside
@@ -710,10 +717,10 @@ def evolve(
 
     dt = params.resolve_dt(spacing)
     phi = np.array(ls.phi.data, dtype=np.float64)
-    window = ls.window or whole_box(dims)
+    window = ls.window
     width = max(spacing) * ls.band_halfwidth
     pads = params.travel_pads(spacing, dims)
-    core, outer, _ = _update_box(phi, width, pads, window)
+    core, outer = _update_box(phi, width, pads, window)
     if not _contains(window, outer):
         raise ValueError(
             f"the first box {outer} leaves the window {window}: "
@@ -736,8 +743,7 @@ def evolve(
             update = update[own]
             step = np.multiply(update, dt, out=work.scratch[0][own])
             phi[core_p] += step
-            peak = float(np.abs(update, out=step).max())
-            return peak, bool(np.isfinite(phi[core_p], out=work.flags[own]).all())
+            return float(np.abs(update, out=step).max())
 
     prev_inside = int(np.count_nonzero(phi[window] < 0))
     runaway = _RUNAWAY_BANDS * ls.band_halfwidth * max(spacing)
@@ -769,14 +775,11 @@ def evolve(
             grad = _central_gradient(phi[outer], spacing)
         # every part reads its neighbours' cores, so no part adds its step
         # before all have computed theirs
-        added = run_parts(part_add, list(zip(parts, run_parts(part_speed, parts))))
+        peaks = run_parts(part_add, list(zip(parts, run_parts(part_speed, parts))))
         done += 1
-        max_update = float(np.max([peak for peak, _ in added])) * dt
-        if (
-            not math.isfinite(max_update)
-            or max_update > runaway
-            or not all(finite for _, finite in added)
-        ):
+        # np.max, unlike max, returns nan if any part's peak is nan
+        max_update = float(np.max(peaks)) * dt
+        if not math.isfinite(max_update) or max_update > runaway:
             raise NumericalInstabilityError(ls.iteration + done)
 
         if checkpoint:
@@ -804,18 +807,11 @@ def evolve(
                 break
             prev_inside = inside
             if done < params.max_iters:
-                core, outer, _ = _update_box(phi, width, pads, window)
+                core, outer = _update_box(phi, width, pads, window)
                 window = tuple(
                     slice(min(w.start, o.start), max(w.stop, o.stop)) for w, o in zip(window, outer)
                 )
-                field = LevelSetField(
-                    ScalarVolume(phi[outer], spacing), ls.iteration + done, ls.band_halfwidth
-                )
+                field = LevelSetField(ScalarVolume(phi[outer], spacing))
                 phi[outer] = reinitialize(field).phi.data
 
-    return LevelSetField(
-        ScalarVolume(phi, spacing),
-        ls.iteration + done,
-        ls.band_halfwidth,
-        None if ls.window is None else window,
-    )
+    return LevelSetField(ScalarVolume(phi, spacing), ls.iteration + done, ls.band_halfwidth, window)

@@ -55,18 +55,6 @@ _STD_FLOOR = math.sqrt(VARIANCE_FLOOR)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-@dataclass
-class NormalizationRecord:
-    """How a volume was brought onto the normalized intensity scale."""
-
-    mean: float
-    note: str = ""
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and self.mean > 0):
-            raise ValueError(f"normalization mean must be positive and finite, got {self.mean}")
-
-
 @dataclass(eq=True)
 class TissueMixtureModel:
     """Univariate Gaussian mixture, components sorted by ascending mean."""
@@ -106,7 +94,7 @@ class TissueMixtureModel:
 def normalize_intensity(scan: ScalarVolume, mask: BinaryMask):
     """The scan's values at the voxels of ``mask``, in the mask's memory
     order (``volume.mask_order``), widened to float64 (exact) and divided by
-    their mean, together with a NormalizationRecord.
+    their mean, together with that mean.
 
     The values are gathered through the mask itself, with no index of its
     voxels.  The mean is summed in the mask's memory order, so for a
@@ -122,7 +110,7 @@ def normalize_intensity(scan: ScalarVolume, mask: BinaryMask):
     if not (math.isfinite(m) and m > 0):
         raise ValueError(f"masked mean must be positive to normalize, got {m}")
     values /= m
-    return values, NormalizationRecord(mean=m, note=f"mean over {values.size} masked voxels")
+    return values, m
 
 
 def gaussian_pdf(x, mean: float, std: float):

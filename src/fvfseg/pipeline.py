@@ -204,9 +204,9 @@ def fit_stage(patient: ScalarVolume, atlas: ProbabilisticAtlas, config: Pipeline
 
     Writes model.txt when ``config.output_dir`` is set.  Returns the vector
     of normalized brain-voxel values, which the fit leaves as it was and
-    gbbm_stage reads, its NormalizationRecord and the model.
+    gbbm_stage reads, the mean they were divided by and the model.
     """
-    values, record = normalize_intensity(patient, atlas.brain_mask)
+    values, mean = normalize_intensity(patient, atlas.brain_mask)
     if config.model is None:
         samples = sample_masked_intensities(values, max_samples=config.max_samples)
         model = fit_em(samples, k=3, max_iters=config.em_max_iters)
@@ -214,7 +214,7 @@ def fit_stage(patient: ScalarVolume, atlas: ProbabilisticAtlas, config: Pipeline
         model = load_model(config.model)
     if config.output_dir is not None:
         save_model(model, _artifact(config, MODEL_FILE))
-    return values, record, model
+    return values, mean, model
 
 
 def gbbm_stage(

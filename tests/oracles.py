@@ -483,16 +483,17 @@ def evolve_box_oracle(ls, ctx, params, log=None):
     and the returned field are evolve's."""
     from fvfseg import fvf3d
     from fvfseg.errors import NumericalInstabilityError
-    from fvfseg.volume import ScalarVolume, whole_box
+    from fvfseg.volume import ScalarVolume
 
     spacing = ls.phi.spacing
     dims = ls.phi.dims
     dt = params.resolve_dt(spacing)
     phi = np.array(ls.phi.data, dtype=np.float64)
-    window = ls.window or whole_box(dims)
+    window = ls.window
     width = max(spacing) * ls.band_halfwidth
     pads = params.travel_pads(spacing, dims)
-    core, outer, inner = fvf3d._update_box(phi, width, pads, window)
+    core, outer = fvf3d._update_box(phi, width, pads, window)
+    inner = fvf3d._relative(core, outer)
     if not fvf3d._contains(window, outer):
         raise ValueError("the first box leaves the window")
 
@@ -513,7 +514,9 @@ def evolve_box_oracle(ls, ctx, params, log=None):
             del force
             force_box = outer
         with np.errstate(over="ignore", invalid="ignore"):
-            update, (px, py, pz) = fvf3d._speed(phi[outer], spacing, params.alpha, velocity)
+            update, (px, py, pz) = fvf3d._speed(
+                phi[outer], spacing, params.alpha, velocity, fvf3d._Workspace(phi[outer].shape)
+            )
             update = update[inner]
             phi[core] += dt * update
         done += 1
@@ -545,7 +548,8 @@ def evolve_box_oracle(ls, ctx, params, log=None):
                 break
             prev_inside = inside
             if done < params.max_iters:
-                core, outer, inner = fvf3d._update_box(phi, width, pads, window)
+                core, outer = fvf3d._update_box(phi, width, pads, window)
+                inner = fvf3d._relative(core, outer)
                 window = tuple(
                     slice(min(w.start, o.start), max(w.stop, o.stop)) for w, o in zip(window, outer)
                 )
@@ -556,8 +560,5 @@ def evolve_box_oracle(ls, ctx, params, log=None):
                 ).phi.data
 
     return fvf3d.LevelSetField(
-        ScalarVolume(phi, spacing),
-        ls.iteration + done,
-        ls.band_halfwidth,
-        None if ls.window is None else window,
+        ScalarVolume(phi, spacing), ls.iteration + done, ls.band_halfwidth, window
     )

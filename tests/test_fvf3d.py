@@ -76,6 +76,16 @@ class TestSignedDistanceInit:
         with pytest.raises(ValueError, match="whole grid"):
             signed_distance_init(BinaryMask(np.ones((4, 4, 4), dtype=bool), UNIT))
 
+    def test_window_defaults_to_the_whole_grid(self):
+        mask = _ball_mask((16, 14, 12), (8, 7, 6), 4.0)
+        assert signed_distance_init(mask).window == whole_box(mask.dims)
+
+
+def test_a_level_set_without_a_window_holds_the_whole_grid():
+    phi = ScalarVolume(np.ones((9, 8, 7)), UNIT)
+    assert LevelSetField(phi).window == whole_box(phi.dims)
+    assert LevelSetField(phi, 3, 2.0, None).window == whole_box(phi.dims)
+
 
 class TestReinitialize:
     def test_plane_sdf_is_fixed_point(self):
@@ -524,13 +534,14 @@ class TestZeroLevelMask:
 
     @pytest.mark.parametrize("windowed", [False, True])
     def test_whole_grid_sign_in_x_fastest_layout(self, windowed):
-        # a window leaves phi a placeholder outside it, and evolve widens it
+        # a window leaves phi a placeholder outside it, and evolve widens it;
+        # on this grid the window of init_window is the whole grid
         mask = _ball_mask((24, 22, 20), (10, 11, 9), 4.5)
         window = init_window(mask) if windowed else None
         ls = signed_distance_init(mask, window=window)
         ctx = make_force_context(ScalarVolume(np.ones(mask.dims), UNIT), mask)
         out = evolve(ls, ctx, EvolutionParams(max_iters=25, reinit_every=10, stop_tol=0.0))
-        assert (out.window is not None) == windowed
+        assert out.window == whole_box(mask.dims)
         got = zero_level_mask(out).data
         assert got.flags.f_contiguous
         assert np.array_equal(got, out.phi.data < 0)

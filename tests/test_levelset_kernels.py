@@ -39,10 +39,10 @@ def test_speed_matches_the_oracle_bit_for_bit(shape, order, spacing, rng):
     velocity = [_field(rng, shape, order) for _ in range(3)]
     curv, grad = _curvature_ref(phi, spacing)
     for alpha in (0.2, 1.0):
-        update, out_grad = _speed(phi, spacing, alpha, None)
+        update, out_grad = _speed(phi, spacing, alpha, None, _Workspace(shape))
         assert _same_bits(update, alpha * curv)
         assert all(_same_bits(a, b) for a, b in zip(out_grad, grad))
-        update, _ = _speed(phi, spacing, alpha, _upwind_parts(velocity))
+        update, _ = _speed(phi, spacing, alpha, _upwind_parts(velocity), _Workspace(shape))
         assert _same_bits(update, alpha * curv - _advection_ref(phi, velocity, spacing))
 
 
@@ -69,7 +69,7 @@ def test_speed_on_the_read_box_matches_the_stencil_box(core, spacing, rng):
         box = grow_box(core, (halo,) * 3, dims)
         parts = _upwind_parts([v[box] for v in velocity])
         for v in (None, parts):
-            update, grad = _speed(phi[box], spacing, 0.2, v)
+            update, grad = _speed(phi[box], spacing, 0.2, v, _Workspace(phi[box].shape))
             inner = _relative(core, box)
             results.append([update[inner], *(g[inner] for g in grad)])
     for got, want in zip(results[:2], results[2:]):
@@ -85,7 +85,7 @@ def test_a_reused_workspace_gives_the_bits_of_a_fresh_call(spacing, rng):
         velocity = _upwind_parts([_field(rng, shape) for _ in range(3)])
         for v in (velocity, None):
             update, grad = _speed(phi, spacing, 0.2, v, work)
-            fresh, fresh_grad = _speed(phi, spacing, 0.2, v)
+            fresh, fresh_grad = _speed(phi, spacing, 0.2, v, _Workspace(shape))
             assert update is work.update and _same_bits(update, fresh)
             assert all(_same_bits(a, b) for a, b in zip(grad, fresh_grad))
 
@@ -121,8 +121,8 @@ def test_reinitialize_matches_the_oracle_on_a_distance_field():
         assert _same_bits(out.phi.data, _reinitialize_ref(phi, spacing))
 
 
-def _peak_grids(fn, *args):
-    """The tracemalloc peak of fn(*args), in float64 arrays of 64^3."""
+def _peak_grids(fn, *args, side=64):
+    """The tracemalloc peak of fn(*args), in float64 arrays of side^3."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -130,7 +130,7 @@ def _peak_grids(fn, *args):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    return peak / (64**3 * 8)
+    return peak / (side**3 * 8)
 
 
 def test_kernels_allocate_a_bounded_number_of_fields(rng):
@@ -139,8 +139,12 @@ def test_kernels_allocate_a_bounded_number_of_fields(rng):
     velocity = _upwind_parts([_field(rng, phi.shape) for _ in range(3)])
     unit = (1.0, 1.0, 1.0)
     ls = LevelSetField(ScalarVolume(phi, (1.0, 1.1, 1.3)))
-    assert _peak_grids(_speed, phi, unit, 0.2, velocity) <= 12
-    assert _peak_grids(_speed, phi, (0.9375, 1.1, 1.3), 0.2, velocity) <= 12
+
+    def fresh_speed(phi, spacing, alpha, velocity):
+        return _speed(phi, spacing, alpha, velocity, _Workspace(phi.shape))
+
+    assert _peak_grids(fresh_speed, phi, unit, 0.2, velocity) <= 12
+    assert _peak_grids(fresh_speed, phi, (0.9375, 1.1, 1.3), 0.2, velocity) <= 12
     assert _peak_grids(reinitialize, ls) <= 12
 
 
@@ -151,3 +155,13 @@ def test_speed_in_a_workspace_allocates_less_than_one_field(rng):
     for spacing in ((1.0, 1.0, 1.0), (0.9375, 1.1, 1.3)):
         assert _peak_grids(_speed, phi[::-1], spacing, 0.2, velocity, work) < 1
         assert _peak_grids(_speed, phi, spacing, 0.2, None, work) < 1
+
+
+def test_reinitialize_of_a_ball_holds_one_normal_grid():
+    # a compressed distance to a ball: the normals are kept at its interface
+    # voxels only, with one box grid to read them from
+    dims = (60, 60, 60)
+    idx = np.indices(dims).astype(np.float64)
+    phi = 0.6 * (np.sqrt(((idx - 29.5) ** 2).sum(axis=0)) - 16.0)
+    ls = LevelSetField(ScalarVolume(phi, (1.0, 1.0, 1.0)))
+    assert _peak_grids(reinitialize, ls, side=60) <= 9.5

@@ -45,10 +45,10 @@ def _volume_with_mask(rng, lo=10.0, hi=200.0):
 class TestNormalization:
     def test_masked_mean_becomes_one(self, rng):
         vol, mask = _volume_with_mask(rng)
-        out, record = normalize_intensity(vol, mask)
+        out, mean = normalize_intensity(vol, mask)
         assert out.shape == (mask.count(),)
         assert out.mean() == pytest.approx(1.0, abs=1e-12)
-        assert record.mean == pytest.approx(vol.data[mask.data].mean())
+        assert mean == pytest.approx(vol.data[mask.data].mean())
 
     def test_scale_invariance(self, rng):
         vol, mask = _volume_with_mask(rng)
@@ -68,13 +68,13 @@ class TestNormalization:
         wide = np.asarray(data, dtype=np.float64)
         masked = wide.ravel(order)[mask.ravel(order)]
         mean = float(masked.mean())
-        out, record = normalize_intensity(ScalarVolume(data, UNIT), BinaryMask(mask, UNIT))
-        assert record.mean == mean
+        out, got = normalize_intensity(ScalarVolume(data, UNIT), BinaryMask(mask, UNIT))
+        assert got == mean
         assert out.dtype == np.float64 and out.ndim == 1
         assert out.tobytes() == (masked / mean).tobytes()
         if order == "C" or dtype == np.float32:
             # a C-order sum, or float32 values whose float64 sum is exact
-            assert record.mean == float(wide[mask].mean())
+            assert got == float(wide[mask].mean())
 
     def test_empty_mask_rejected(self):
         vol = ScalarVolume(np.ones((4, 4, 4)), UNIT)

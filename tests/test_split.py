@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -129,7 +130,7 @@ def test_split_step_is_exact_for_one_plane_parts_on_the_grid_faces(monkeypatch):
     monkeypatch.setattr(fvf3d, "split_planes", ends_apart)
     for name in ("grid_face", "travel"):
         ls, _, params = _case(name)
-        core, _, _ = _update_box(
+        core, _ = _update_box(
             ls.phi.data,
             max(ls.phi.spacing) * ls.band_halfwidth,
             params.travel_pads(ls.phi.spacing, ls.phi.dims),
@@ -199,6 +200,29 @@ def test_split_divergence_raises_at_the_serial_iteration_without_warnings(monkey
         with pytest.raises(NumericalInstabilityError) as split:
             evolve(ls, ctx, unstable)
     assert split.value.iteration == serial.value.iteration
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_nan_in_phi_raises_at_the_next_iteration(workers, monkeypatch):
+    # the step's largest |update| is evolve's one check: a nan at a core
+    # voxel makes the update there nan
+    _force_split(monkeypatch, workers)
+    counts = _spy_parts(monkeypatch)
+    ls, ctx, params = _case("skewed")
+    ls = replace(ls, iteration=5)
+    core, _ = _update_box(
+        ls.phi.data,
+        max(ls.phi.spacing) * ls.band_halfwidth,
+        params.travel_pads(ls.phi.spacing, ls.phi.dims),
+        ls.window,
+    )
+    ls.phi.data[tuple((c.start + c.stop) // 2 for c in core)] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalInstabilityError) as err:
+            evolve(ls, ctx, params)
+    assert err.value.iteration == ls.iteration + 1
+    assert counts and set(counts) == {workers}
 
 
 def test_repeated_split_runs_start_no_new_threads(monkeypatch):
