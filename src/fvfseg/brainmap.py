@@ -16,8 +16,8 @@ a conflict mapping turns into an abnormality score CM:
 
 The mapping is deliberately discontinuous at CC = 0: zero correlation maps
 to 0, while any infinitesimally positive correlation maps to nearly 1.
-Scaling CM by omega (OMEGA = 255 by default) yields the abnormality volume
-used for candidate extraction.
+Scaling CM by the map's fixed unit OMEGA = 255 (an 8-bit grey range)
+yields the abnormality volume used for candidate extraction.
 
 The intensities come in as the vector the mixture was fitted to: the
 normalized brain voxels in the brain mask's memory order
@@ -33,7 +33,6 @@ public chain on the whole volume.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,8 +304,8 @@ class _ChunkBuffers:
         self.scalars = np.empty((4, n))
         self.flags = np.empty((2, n), dtype=bool)
 
-    def run(self, maps, voxels, x, model, omega) -> tuple[np.ndarray, int, int]:
-        """The map's values omega * CM at the brain voxels ``voxels``, whose
+    def run(self, maps, voxels, x, model) -> tuple[np.ndarray, int, int]:
+        """The map's values OMEGA * CM at the brain voxels ``voxels``, whose
         intensities are ``x``, with their degenerate Bayes and CC counts.
         The values are a view of these buffers."""
         n = voxels.size
@@ -323,7 +322,7 @@ class _ChunkBuffers:
         _pearson_rows(post, prior, cc, u, v, flag, w)
         cc_count = int(np.count_nonzero(flag))
         _cm_rows(cc, positive)
-        cc *= omega
+        cc *= OMEGA
         return cc, bayes, cc_count
 
 
@@ -331,10 +330,9 @@ def build_gbbm(
     values: np.ndarray,
     atlas: ProbabilisticAtlas,
     model: TissueMixtureModel,
-    omega: float = OMEGA,
     diagnostics: dict | None = None,
 ) -> ScalarVolume:
-    """Whole-volume abnormality map: omega * CM at brain voxels, 0 elsewhere.
+    """Whole-volume abnormality map: OMEGA * CM at brain voxels, 0 elsewhere.
 
     ``values`` holds the normalized intensity of each brain voxel of the
     atlas, as ``ngmm.normalize_intensity`` returns it for a scan registered
@@ -350,8 +348,6 @@ def build_gbbm(
     value a hair below 0 passes the atlas's check.  Optional
     ``diagnostics`` (a dict) receives counts of degenerate brain voxels.
     """
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be positive and finite, got {omega}")
     order = mask_order(atlas.brain_mask)
     voxels = np.flatnonzero(atlas.brain_mask.data.ravel(order))
     x = np.asarray(values, dtype=np.float64)
@@ -372,7 +368,7 @@ def build_gbbm(
         for start in range(lo, hi, GBBM_CHUNK_VOXELS):
             chunk = slice(start, min(start + GBBM_CHUNK_VOXELS, hi))
             index = voxels[chunk]
-            cm, bayes, cc = buffers.run(maps, index, x[chunk], model, omega)
+            cm, bayes, cc = buffers.run(maps, index, x[chunk], model)
             flat_out[index] = cm
             counts[0] += bayes
             counts[1] += cc

@@ -13,7 +13,7 @@ edge, so a fixed five-step cleanup isolates one solid candidate blob:
 5. dilate DILATE_DEPTH layers; with DILATE_DEPTH == ERODE_DEPTH the result
    lies in the opening of the step-2 mask, so in the stripped brain
 
-Only psi is a parameter, PSI_PER_OMEGA * brainmap.OMEGA by default.  If
+Only psi is a parameter, PSI = 0.6 * brainmap.OMEGA (153) by default.  If
 the mask is empty after any step the extraction fails with the step
 index, which the CLI maps to its own exit code.
 
@@ -48,8 +48,8 @@ STRIP_DEPTH = 2
 ERODE_DEPTH = 2
 DILATE_DEPTH = 2
 CONNECTIVITY = 26
-# the default psi as a fraction of the map's omega
-PSI_PER_OMEGA = 0.6
+# the default threshold, 0.6 of the map's unit
+PSI = 0.6 * OMEGA
 
 
 def check_psi(psi: float) -> None:
@@ -73,7 +73,7 @@ class CandidateRegion:
 def extract_candidate(
     gbbm: ScalarVolume,
     brain_mask: BinaryMask,
-    psi: float = PSI_PER_OMEGA * OMEGA,
+    psi: float = PSI,
 ) -> CandidateRegion:
     """Run the five cleanup steps and return the surviving blob.
 

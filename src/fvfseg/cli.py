@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import phantom, pipeline
-from .candidate import PSI_PER_OMEGA, CandidateRegion
+from .candidate import PSI, CandidateRegion
 from .errors import MvolFormatError, NoCandidateError, NumericalInstabilityError
 from .metrics import tanimoto
 from .pipeline import PipelineConfig, load_config
@@ -24,6 +24,8 @@ EXIT_GENERIC = 1
 EXIT_IO = 2
 EXIT_NO_CANDIDATE = 3
 EXIT_INSTABILITY = 4
+
+_PSI_HELP = f"candidate threshold on the abnormality map (default {PSI:g})"
 
 
 def _parse_floats(text: str, n_expected=None):
@@ -133,10 +135,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _print_report(report: dict) -> None:
-    for key in ("status", "tm", "iterations", "candidate_voxels", "runtime_seconds"):
-        if key in report:
-            val = report[key]
-            print(f"{key}={format(val, '.17g') if isinstance(val, float) else val}")
+    print(pipeline.report_text(report, pipeline.REPORT_KEYS + ("runtime_seconds",)), end="")
     if "em_iterations" in report:
         print(_em_line(report["em_iterations"], report["em_converged"]))
 
@@ -180,16 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("gbbm", help="compute the abnormality map")
     _add_common(p, "config", "input", "atlas", "output", input_help="patient scalar MVOL")
     p.add_argument("--model", default=None, help="serialized model (skips fitting)")
-    p.add_argument("--omega", type=float, default=None)
     p.set_defaults(func=cmd_gbbm)
 
     p = subs.add_parser("candidate", help="extract the candidate region from a map")
     _add_common(p, "config", "input", "atlas", "output",
                 input_help="abnormality map MVOL (gbbm.mvol from the gbbm stage),"
                            " NOT the patient scan")
-    p.add_argument("--psi", type=float, default=None)
-    p.add_argument("--omega", type=float, default=None,
-                   help=f"the map's omega, which sets the default psi ({PSI_PER_OMEGA} * omega)")
+    p.add_argument("--psi", type=float, default=None, help=_PSI_HELP)
     p.set_defaults(func=cmd_candidate)
 
     p = subs.add_parser("segment", help="refine a candidate mask with the level set")
@@ -211,8 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "config", "input", "atlas", "output")
     p.add_argument("--model", default=None)
     p.add_argument("--ground-truth", dest="ground_truth", default=None)
-    p.add_argument("--psi", type=float, default=None)
-    p.add_argument("--omega", type=float, default=None)
+    p.add_argument("--psi", type=float, default=None, help=_PSI_HELP)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=None)

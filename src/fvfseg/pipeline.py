@@ -1,15 +1,15 @@
 """End-to-end orchestration: fit -> abnormality map -> candidate -> level set.
 
 Everything an invocation needs lives in a PipelineConfig: five paths and
-the seven settings a caller tunes (em_max_iters, max_samples, omega, psi,
-alpha, beta, max_iters).  Their defaults are the names the layers that
-own them define (ngmm.EM_MAX_ITERS and MAX_SAMPLES, brainmap.OMEGA,
-candidate.PSI_PER_OMEGA, the fields of fvf3d.EvolutionParams), and every
-other method parameter is fixed in its layer.  The config checks its
-settings when it is built, before any stage writes an artifact.  A flat
-``key = value`` text file (comments with #, unknown keys rejected) can
-populate it and command-line flags override file values.  The run writes
-its artifacts into output_dir:
+the six settings a caller tunes (em_max_iters, max_samples, psi, alpha,
+beta, max_iters).  Their defaults are the names the layers that own them
+define (ngmm.EM_MAX_ITERS and MAX_SAMPLES, candidate.PSI, the fields of
+fvf3d.EvolutionParams), and every other method parameter, the abnormality
+map's scale brainmap.OMEGA among them, is fixed in its layer.  The config
+checks its settings when it is built, before any stage writes an
+artifact.  A flat ``key = value`` text file (comments with #, unknown keys
+rejected) can populate it and command-line flags override file values.
+The run writes its artifacts into output_dir:
 
     model.txt             fitted (or copied) mixture model
     gbbm.mvol             abnormality map, scalar32
@@ -34,7 +34,6 @@ deliberately kept out of report.txt so the file stays deterministic.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -42,9 +41,9 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from . import brainmap, fvf3d, ngmm
+from . import fvf3d, ngmm
 from .brainmap import ProbabilisticAtlas, build_gbbm
-from .candidate import PSI_PER_OMEGA, CandidateRegion, check_psi, extract_candidate
+from .candidate import PSI, CandidateRegion, check_psi, extract_candidate
 from .errors import NoCandidateError, NumericalInstabilityError
 from .metrics import tanimoto
 from .mvol import atomic_write_text, read_volume, write_volume
@@ -90,8 +89,7 @@ class PipelineConfig:
     em_max_iters: int = ngmm.EM_MAX_ITERS
     max_samples: int = ngmm.MAX_SAMPLES
     # abnormality map + candidate
-    omega: float = brainmap.OMEGA
-    psi: float | None = None  # None -> PSI_PER_OMEGA * omega
+    psi: float = PSI
     # level set
     alpha: float = fvf3d.EvolutionParams.alpha
     beta: float = fvf3d.EvolutionParams.beta
@@ -99,13 +97,11 @@ class PipelineConfig:
 
     def __post_init__(self):
         # reject bad settings before any stage writes an artifact
-        if not (self.omega > 0 and math.isfinite(self.omega)):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
-        check_psi(self.resolved_psi())
+        for key in ("em_max_iters", "max_samples"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        check_psi(self.psi)
         self.evolution_params()
-
-    def resolved_psi(self) -> float:
-        return PSI_PER_OMEGA * self.omega if self.psi is None else self.psi
 
     def evolution_params(self) -> fvf3d.EvolutionParams:
         return fvf3d.EvolutionParams(alpha=self.alpha, beta=self.beta, max_iters=self.max_iters)
@@ -226,7 +222,7 @@ def gbbm_stage(
     """Abnormality map of the normalized brain-voxel values that fit_stage
     returns, cast once to the float32, x-fastest array that gbbm.mvol holds:
     written as it is and returned, so candidate_stage thresholds gbbm.mvol."""
-    gbbm = build_gbbm(values, atlas, model, omega=config.omega)
+    gbbm = build_gbbm(values, atlas, model)
     gbbm = ScalarVolume(gbbm.data.astype(np.float32, order="F"), gbbm.spacing)
     write_volume(gbbm, _artifact(config, GBBM_FILE))
     return gbbm
@@ -243,7 +239,7 @@ def candidate_stage(
     propagates, so they cannot be mistaken for this run's output.
     """
     try:
-        region = extract_candidate(gbbm, atlas.brain_mask, config.resolved_psi())
+        region = extract_candidate(gbbm, atlas.brain_mask, config.psi)
     except NoCandidateError:
         _remove_artifacts_after(config, GBBM_FILE)
         raise
@@ -348,7 +344,18 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
 # runtime_seconds is reported to the caller but never written: artifacts
 # must be byte-identical across reruns of the same config
-_FILE_REPORT_KEYS = ("status", "tm", "iterations", "candidate_voxels")
+REPORT_KEYS = ("status", "tm", "iterations", "candidate_voxels")
+
+
+def report_text(report: dict, keys) -> str:
+    """One ``key=value`` line for each of ``keys`` that ``report`` holds,
+    in the order of ``keys``, floats in .17g."""
+    lines = []
+    for key in keys:
+        if key in report:
+            val = report[key]
+            lines.append(f"{key}={format(val, '.17g') if isinstance(val, float) else val}\n")
+    return "".join(lines)
 
 
 def _write_report(config, status, candidate_voxels, iterations, seg, truth, t0) -> dict:
@@ -356,10 +363,5 @@ def _write_report(config, status, candidate_voxels, iterations, seg, truth, t0) 
     if truth is not None:
         report["tm"] = tanimoto(seg, truth).tanimoto
     report["runtime_seconds"] = time.perf_counter() - t0
-    lines = []
-    for key in _FILE_REPORT_KEYS:
-        if key in report:
-            val = report[key]
-            lines.append(f"{key}={format(val, '.17g') if isinstance(val, float) else val}")
-    atomic_write_text(_artifact(config, REPORT_FILE), "\n".join(lines) + "\n")
+    atomic_write_text(_artifact(config, REPORT_FILE), report_text(report, REPORT_KEYS))
     return report

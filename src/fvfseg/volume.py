@@ -257,13 +257,6 @@ def morphology(mask: BinaryMask, mode: str, radius: int = 1) -> BinaryMask:
     return BinaryMask(state.T if flip else state, mask.spacing)
 
 
-def _linear_index_min(labels: np.ndarray, lab: int, dims) -> int:
-    # smallest x-fastest linear index of a labelled component
-    ix, iy, iz = np.nonzero(labels == lab)
-    nx, ny = dims[0], dims[1]
-    return int(np.min(ix + nx * (iy + ny * iz)))
-
-
 def largest_component(mask: BinaryMask, connectivity: int = 26) -> BinaryMask:
     """Keep only the largest connected component.
 
@@ -278,12 +271,11 @@ def largest_component(mask: BinaryMask, connectivity: int = 26) -> BinaryMask:
     labels, n = ndimage.label(mask.data, structure=structure)
     counts = np.bincount(labels.ravel())
     counts[0] = 0
-    best = counts.max()
-    tied = np.flatnonzero(counts == best)
-    if len(tied) > 1:
-        winner = min(tied, key=lambda lab: _linear_index_min(labels, lab, mask.dims))
-    else:
-        winner = tied[0]
+    tied = np.flatnonzero(counts == counts.max())
+    winner = tied[0]
+    if tied.size > 1:  # the tied label met first in x-fastest order
+        flat = labels.ravel("F")
+        winner = flat[np.argmax(np.isin(flat, tied))]
     return BinaryMask(labels == winner, mask.spacing)
 
 

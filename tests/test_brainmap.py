@@ -305,17 +305,11 @@ class TestConflictMapping:
 
 
 class TestGbbmParams:
-    """omega, the map's one parameter, is an argument of build_gbbm."""
+    """omega, the map's scale, is a constant of the module, not a parameter."""
 
     def test_default_omega(self):
-        assert inspect.signature(build_gbbm).parameters["omega"].default == 255.0
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
-    def test_rejects_bad_omega(self, bad, rng):
-        atlas = _random_atlas(rng)
-        values = _brain_values(np.ones(atlas.dims), atlas)
-        with pytest.raises(ValueError, match="omega"):
-            build_gbbm(values, atlas, MODEL, omega=bad)
+        assert brainmap.OMEGA == 255.0
+        assert "omega" not in inspect.signature(build_gbbm).parameters
 
 
 class TestBuildGbbm:
@@ -345,13 +339,6 @@ class TestBuildGbbm:
         atlas = _random_atlas(rng)
         out = build_gbbm(_brain_values(rng.uniform(0.3, 1.8, atlas.dims), atlas), atlas, MODEL)
         assert (out.data[~atlas.brain_mask.data] == 0.0).all()
-
-    def test_omega_scales_linearly(self, rng):
-        atlas = _random_atlas(rng)
-        values = _brain_values(rng.uniform(0.3, 1.8, atlas.dims), atlas)
-        a = build_gbbm(values, atlas, MODEL, omega=1.0)
-        b = build_gbbm(values, atlas, MODEL, omega=100.0)
-        assert np.allclose(b.data, 100.0 * a.data, rtol=1e-12)
 
     def test_value_range(self, rng):
         atlas = _random_atlas(rng)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from fvfseg.brainmap import OMEGA
 from fvfseg.candidate import (
     CONNECTIVITY,
     DILATE_DEPTH,
     ERODE_DEPTH,
+    PSI,
     STRIP_DEPTH,
     CandidateRegion,
     extract_candidate,
@@ -71,8 +73,8 @@ class TestCentroid:
 
 class TestParams:
     def test_default_psi_tracks_default_omega(self):
-        psi = inspect.signature(extract_candidate).parameters["psi"].default
-        assert psi == pytest.approx(0.6 * 255.0)
+        assert PSI == 0.6 * OMEGA == 153.0
+        assert inspect.signature(extract_candidate).parameters["psi"].default == PSI
 
     @pytest.mark.parametrize(
         "kwargs",

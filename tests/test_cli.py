@@ -286,7 +286,6 @@ class TestPipelineCommand:
             ("--beta", "-1", "beta"),
             ("--max-iters", "0", "max_iters"),
             ("--psi", "-1", "psi"),
-            ("--omega", "0", "omega"),
         ],
     )
     def test_bad_setting_exit_one_before_any_write(
@@ -314,6 +313,35 @@ class TestPipelineCommand:
         assert name in capsys.readouterr().err
         assert files() == before
 
+    @pytest.mark.parametrize("key", ["em_max_iters", "max_samples"])
+    def test_bad_fit_setting_in_a_config_file_exit_one_before_any_write(
+        self, key, case_dir, pipeline_out, tmp_path, capsys
+    ):
+        """The fit's settings are checked when the config is built, also
+        when --model means no fit runs."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        config = tmp_path / "fit.cfg"
+        config.write_text(f"{key} = 0\n")
+
+        def files():
+            return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+
+        before = files()
+        code = main(
+            [
+                "pipeline",
+                "--config", str(config),
+                "--model", str(pipeline_out / pipeline.MODEL_FILE),
+                "--input", str(case_dir / PATIENT_FILE),
+                "--atlas-dir", str(case_dir),
+                "--output-dir", str(out),
+            ]
+        )
+        assert code == EXIT_GENERIC
+        assert key in capsys.readouterr().err
+        assert files() == before
+
     @pytest.mark.parametrize(
         "key",
         [
@@ -327,6 +355,7 @@ class TestPipelineCommand:
             "stop_tol",
             "band_halfwidth",
             "edge_sigma",
+            "omega",
         ],
     )
     def test_fixed_parameter_config_key_exit_one(self, key, case_dir, tmp_path, capsys):
@@ -419,24 +448,26 @@ class TestStagedCommands:
         ):
             assert (out / fname).read_bytes() == (pipeline_out / fname).read_bytes(), fname
 
-    def test_stage_chain_composes_with_omega(self, case_dir, tmp_path):
-        """candidate --omega resolves psi as pipeline --omega does (0.6 *
-        omega), so fit -> gbbm --omega -> candidate --omega leaves the
-        candidate of pipeline --omega."""
+    def test_stage_chain_composes_with_omega(self, case_dir, pipeline_out, tmp_path):
+        """fit -> gbbm --model -> candidate --psi 60 leaves the map and the
+        candidate of pipeline --psi 60, a candidate the default psi does
+        not give."""
         patient = str(case_dir / PATIENT_FILE)
-        omega = ["--omega", "100"]
+        psi = ["--psi", "60"]
         one_shot = tmp_path / "one-shot"
         common = ["--input", patient, "--atlas-dir", str(case_dir)]
-        assert main(["pipeline", "--output-dir", str(one_shot)] + common + omega) == EXIT_OK
+        assert main(["pipeline", "--output-dir", str(one_shot)] + common + psi) == EXIT_OK
         out = tmp_path / "staged"
         common = ["--atlas-dir", str(case_dir), "--output-dir", str(out)]
         assert main(["fit", "--input", patient] + common) == EXIT_OK
         model = ["--model", str(out / pipeline.MODEL_FILE)]
-        assert main(["gbbm", "--input", patient] + model + common + omega) == EXIT_OK
+        assert main(["gbbm", "--input", patient] + model + common) == EXIT_OK
         gbbm = str(out / pipeline.GBBM_FILE)
-        assert main(["candidate", "--input", gbbm] + common + omega) == EXIT_OK
+        assert main(["candidate", "--input", gbbm] + common + psi) == EXIT_OK
         for name in (pipeline.GBBM_FILE, pipeline.CANDIDATE_FILE, pipeline.CANDIDATE_REPORT_FILE):
             assert (out / name).read_bytes() == (one_shot / name).read_bytes(), name
+        for name in (pipeline.CANDIDATE_FILE, pipeline.CANDIDATE_REPORT_FILE):
+            assert (out / name).read_bytes() != (pipeline_out / name).read_bytes(), name
 
     def test_candidate_compares_a_float32_map_with_psi_in_float64(self, case_dir, tmp_path):
         """A map value of 153.0 exceeds --psi 152.99999999, which rounds to
@@ -482,6 +513,16 @@ class TestStagedCommands:
         capped = (out / pipeline.MODEL_FILE).read_text()
         assert capped != (pipeline_out / pipeline.MODEL_FILE).read_text()
         assert capsys.readouterr().out.splitlines()[-1] == "em_iterations=1 (hit --max-iters)"
+
+    def test_fit_max_iters_zero_names_the_key(self, case_dir, tmp_path, capsys):
+        out = tmp_path / "zero"
+        code = main(
+            ["fit", "--input", str(case_dir / PATIENT_FILE), "--atlas-dir", str(case_dir),
+             "--output-dir", str(out), "--max-iters", "0"]
+        )
+        assert code == EXIT_GENERIC
+        assert "em_max_iters" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_candidate_stage_clears_the_earlier_report(
         self, case_dir, pipeline_out, tmp_path
@@ -644,6 +685,22 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["gbbm", "candidate", "pipeline"])
+    def test_omega_flag_is_a_usage_error(self, command, case_dir, tmp_path, capsys):
+        """The map's scale is a constant; psi is the one detection setting."""
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    command,
+                    "--input", str(case_dir / PATIENT_FILE),
+                    "--atlas-dir", str(case_dir),
+                    "--output-dir", str(tmp_path / "out"),
+                    "--omega", "100",
+                ]
+            )
+        assert exc.value.code == 2
+        assert "--omega" in capsys.readouterr().err
 
     def test_entry_point_module(self):
         import fvfseg.__main__  # noqa: F401  -- importable without side effects

@@ -51,7 +51,7 @@ class TestDefaultsAgree:
         assert PipelineConfig().evolution_params() == fvf3d.EvolutionParams()
 
     def test_candidate_params(self):
-        assert PipelineConfig().resolved_psi() == _default(extract_candidate, "psi")
+        assert PipelineConfig().psi == _default(extract_candidate, "psi")
 
     def test_band_halfwidth(self):
         assert fvf3d.BAND_HALFWIDTH == 6.0
@@ -108,7 +108,7 @@ def test_reference_em_model_changes_only_the_gbbm_within_tolerance(tmp_path):
     gbbm = read_scalar(str(out / GBBM_FILE)).data
     ref_gbbm = read_scalar(str(ref_out / GBBM_FILE)).data
     assert np.abs(gbbm.astype(np.float64) - ref_gbbm).max() <= 1e-3
-    psi = config.resolved_psi()
+    psi = config.psi
     assert np.array_equal(gbbm > psi, ref_gbbm > psi)
 
 
