@@ -32,27 +32,34 @@ sign.
 
 The updates, the reinitialization and the force E run on one
 axis-aligned box, a narrow band in the sense of Adalsteinsson & Sethian
-(1995) and Peng et al. (1999).  The box is the bounding box of
-|phi| <= band_halfwidth * max(spacing), widened by the farthest the front
-can move before the next checkpoint, reinit_every * dt * (beta +
-2 alpha / h) with the same per-term speeds as the stability bound, and
-clipped to the grid.  Every term of a step reads phi within one voxel
-(Chebyshev distance 1; the mixed second differences read the diagonal
-neighbours), so each step runs on the box grown by one voxel, its read
-box, and no face formula of the read box reaches the update box except
-on a grid face, where the two share the face and its formula.  A
-segment is the reinit_every steps between two checkpoints.  At each
-checkpoint but the last the box is found anew around the front as the
-steps left it, and phi is rebuilt on the box grown by two voxels, the
-reach of the normal the rebuild gives each voxel at the front, before
-the next segment runs on it; the first segment runs on the field as
-given.  Voxels outside the box stay frozen.  A field with no voxel in
-the band is evolved on the whole grid.  The force's edge term is built
-on the box too: of the edge map only the divisor of its [0, 1] rescale,
-the peak of the smoothed gradient magnitude over the whole scan, needs
-the whole grid, so the force context keeps the smoothed scan and that
-peak, and f and grad f are computed on the box grown by their stencil
-reach and then trimmed.
+(1995) and Peng et al. (1999).  The box is the bounding box of the
+front's voxels, those with a sign change to an axis neighbour or with
+phi == 0 (_interface, the voxels reinitialize rebuilds from), widened
+per axis by the band, ceil(band_halfwidth * max(spacing) / spacing)
+voxels, and by the farthest the front can move before the next checkpoint,
+reinit_every * dt * (beta + 2 alpha / h) with the same per-term speeds
+as the stability bound, and clipped to the grid.  The box is found from
+the front, not from |phi| <= band: the converging force steepens phi, so
+after a segment the front's voxels can read |phi| of several voxels, and
+a search by value would find no voxel at a band of one and fall back to
+the whole grid.  The band adds one voxel (BAND_HALFWIDTH) to the travel
+margin, which alone covers the front's motion.  Every term of a step
+reads phi within one voxel (Chebyshev distance 1; the mixed second
+differences read the diagonal neighbours), so each step runs on the box
+grown by one voxel, its read box, and no face formula of the read box
+reaches the update box except on a grid face, where the two share the
+face and its formula.  A segment is the reinit_every steps between two
+checkpoints.  At each checkpoint but the last the box is found anew
+around the front as the steps left it, and phi is rebuilt on the box
+grown by two voxels, the reach of the normal the rebuild gives each
+voxel at the front, before the next segment runs on it; the first
+segment runs on the field as given.  Voxels outside the box stay frozen.
+A field with no front (all of one sign) is evolved on the whole grid.
+The force's edge term is built on the box too: of the edge map only the
+divisor of its [0, 1] rescale, the peak of the smoothed gradient
+magnitude over the whole scan, needs the whole grid, so the force
+context keeps the smoothed scan and that peak, and f and grad f are
+computed on the box grown by their stencil reach and then trimmed.
 
 The stencils run on a C-ordered copy of the box flattened to one
 dimension.  Along axis a the neighbours of flat index i are i - stride_a
@@ -82,20 +89,22 @@ exact in any order, so the step, the log and the iteration of a blow-up
 are the same bits for any number of parts; one part is the serial step.
 
 That largest |update| is the step's one check: dt times it must be
-finite and at most _RUNAWAY_BANDS band widths.  A non-finite phi in the
-read box makes the update non-finite at the core voxels beside it, and a
-finite phi plus a dt * update within that bound cannot overflow, so phi
-needs no check of its own.
+finite and at most _RUNAWAY_BANDS band widths (100 voxels of the
+coarsest axis at the default band).  A non-finite phi in the read box
+makes the update non-finite at the core voxels beside it, and a finite
+phi plus a dt * update within that bound cannot overflow, so phi needs
+no check of its own.
 
 The starting distance field need not cover the grid either.  It is exact
 only on its window, a box holding the whole region (the distance to a
 region is exact on any such box; the whole grid by default), with a
-placeholder larger than the band outside it.  The first box with its
-two-voxel halo must lie in the window; init_window gives the window that
-holds it: the region's bounding box grown by the band, the travel margin
-and the halo.  Each later box is rebuilt from the front before its
-segment, so evolve only grows the window to hold it, and no step reads a
-placeholder.
+positive placeholder larger than the band outside it, so no front lies
+there.  The first box with its two-voxel halo must lie in the window;
+init_window gives the window that holds it: the region's bounding box
+grown by the front's layer outside the region, the band, the travel
+margin and the halo.  Each later box is rebuilt from the front before
+its segment, so evolve only grows the window to hold it, and no step
+reads a placeholder.
 """
 
 from __future__ import annotations
@@ -132,7 +141,7 @@ EDGE_SIGMA = 1.0
 
 # Half-width of the narrow band, in voxels of the coarsest axis: the
 # default of LevelSetField, signed_distance_init and init_window.
-BAND_HALFWIDTH = 6.0
+BAND_HALFWIDTH = 1.0
 
 # A single step that moves phi by more than this many band widths cannot be
 # a physical front motion; treat it as divergence without waiting for the
@@ -153,10 +162,15 @@ _HALO = 2
 # arrays of one pass would not.
 _PEAK_SLAB = 8
 
-# The numpy passes over each voxel of a step's read box (_speed and the
-# add) and of the squared-gradient peak: the work volume.split_planes
-# weighs a part by.
-_STEP_PASSES = 64
+# The work volume.split_planes weighs a part by, per voxel.  The peak's is
+# its numpy passes over the voxel.  A step's is weighed by its measured
+# time: _speed and the add make about 64 numpy passes, but the two parts
+# of a step already ran as fast as one part on a 40^3 or 44^3 update box
+# (2-vCPU VM, 20 steps of evolve, best of 15), 6% faster on 48^3 and 8% on
+# 52^3, and 7% slower on 32^3.  At this weight a box of 87k voxels (about
+# 44.4^3) or more runs in two parts: a 128^3 case's 48^3 box, not a 64^3
+# case's boxes of at most 32^3.
+_STEP_PASSES = 96
 _PEAK_PASSES = 12
 
 
@@ -258,7 +272,7 @@ def signed_distance_init(
     The distance is computed on ``window`` (three slices holding the whole
     mask; the whole grid by default) only, and every voxel outside it holds
     the grid's diagonal plus the band width: more than any distance on the
-    grid, so never inside the band.
+    grid, so positive, never on the front and never inside the band.
     """
     m = mask.data
     if not m.any():
@@ -288,18 +302,16 @@ def init_window(
     params: EvolutionParams | None = None,
 ):
     """The window for signed_distance_init that holds evolve's first update
-    box: the mask's bounding box grown by the band, the travel margin of
-    ``params`` and the stencil halo, clipped to the grid (None for an empty
-    mask, which signed_distance_init rejects)."""
+    box: the mask's bounding box grown by one voxel, the front's voxels
+    outside the mask (_interface), then by the band, the travel margin of
+    ``params`` (_box_pads) and the stencil halo, clipped to the grid (None
+    for an empty mask, which signed_distance_init rejects)."""
     box = bounding_box(mask.data)
     if box is None:
         return None
     spacing, dims = mask.spacing, mask.dims
-    width = band_halfwidth * max(spacing)
-    pads = (params or EvolutionParams()).travel_pads(spacing, dims)
-    return grow_box(
-        box, [math.ceil(width / s) + p + _HALO for s, p in zip(spacing, pads)], dims
-    )
+    pads = _box_pads(band_halfwidth, params or EvolutionParams(), spacing, dims)
+    return grow_box(box, [1 + p + _HALO for p in pads], dims)
 
 
 def _gradient_norm2(a, spacing):
@@ -524,13 +536,25 @@ def _curvature_times_gradnorm(phi, spacing, work):
     return lap, (px, py, pz)
 
 
+def _interface(phi):
+    """The front's voxels, as a mask of phi's shape: those with a sign
+    change to an axis neighbour (on a face the missing neighbour is the
+    voxel itself) or phi == 0.  A rebuild that keeps every sign keeps them."""
+    marks = phi == 0.0
+    for axis in range(3):
+        along, m = np.moveaxis(phi, axis, 0), np.moveaxis(marks, axis, 0)
+        crossing = along[1:] * along[:-1] < 0.0
+        m[1:] |= crossing
+        m[:-1] |= crossing
+    return marks
+
+
 def reinitialize(ls: LevelSetField) -> LevelSetField:
     """Restore phi to a signed distance function by rebuilding it from its
     front, each voxel from its nearest interface voxel (the closest-point
     construction of Adalsteinsson & Sethian 1999).
 
-    The interface voxels have a sign change to an axis neighbour (on a face
-    the missing neighbour is the voxel itself) or phi0 == 0.  Each keeps
+    The interface voxels are the front's (_interface) of phi0.  Each keeps
     the sub-voxel distance the incoming field implies: phi0 over the root
     sum of squares of the larger one-sided slope per axis, so a steep
     compressed jump keeps its linear-interpolation crossing.  Each also
@@ -549,12 +573,7 @@ def reinitialize(ls: LevelSetField) -> LevelSetField:
     """
     phi = np.array(ls.phi.data, dtype=np.float64, order="C")
     spacing, shape = ls.phi.spacing, phi.shape
-    interface = phi == 0.0
-    for axis in range(3):
-        along, marks = np.moveaxis(phi, axis, 0), np.moveaxis(interface, axis, 0)
-        crossing = along[1:] * along[:-1] < 0.0
-        marks[1:] |= crossing
-        marks[:-1] |= crossing
+    interface = _interface(phi)
     iface = np.flatnonzero(interface)
     if iface.size == 0:
         return replace(ls, phi=ScalarVolume(phi, spacing))
@@ -608,12 +627,13 @@ def reinitialize(ls: LevelSetField) -> LevelSetField:
     return replace(ls, phi=ScalarVolume(plane, spacing))
 
 
-def _cos_gamma_stats(px, py, pz, ctx, band, box):
-    """Mean cosine between the front normal and the A->B direction inside
-    the band, with the arrays covering ``box``; diagnostic only."""
+def _cos_gamma_stats(px, py, pz, ctx, phi, box):
+    """Mean cosine between the normal (px, py, pz) and the A->B direction
+    over the front's voxels (_interface) of ``phi``, with the arrays
+    covering ``box``; diagnostic only."""
     dx, dy, dz, dn = _radial(ctx, box)
     gn = np.sqrt(px * px + py * py + pz * pz)
-    ok = band & (dn >= _EPS_DIRECTION) & (gn >= _EPS_DIRECTION)
+    ok = _interface(phi) & (dn >= _EPS_DIRECTION) & (gn >= _EPS_DIRECTION)
     if not ok.any():
         return 0.0
     cos = (px * dx + py * dy + pz * dz)[ok] / (gn[ok] * dn[ok])
@@ -652,23 +672,30 @@ def _speed(phi, spacing, alpha, velocity, work):
     return update, grad
 
 
-def _update_box(phi, width, pads, window):
+def _box_pads(band_halfwidth, params, spacing, dims):
+    """Per axis, the voxels an update box reaches past the front's bounding
+    box: the band, band_halfwidth voxels of the coarsest axis, plus the
+    travel margin (EvolutionParams.travel_pads)."""
+    width = band_halfwidth * max(spacing)
+    pads = params.travel_pads(spacing, dims)
+    return [math.ceil(width / s) + p for s, p in zip(spacing, pads)]
+
+
+def _update_box(phi, pads, window):
     """The box of voxels an evolution segment may move, and the box its
     reinitialization reads (the _HALO margin).
 
-    The first box is the bounding box of |phi| <= width widened by
-    pads[axis] voxels, or the whole grid when no voxel is that close to
-    the front.  Only ``window`` is searched; it must hold every voxel with
-    |phi| <= width.
+    The box is the bounding box of the front's voxels (_interface) grown by
+    pads[axis] voxels, or the whole grid for a field with no front.  Only
+    ``window`` is searched; the front lies inside it.
     """
     dims = phi.shape
-    part = phi[window]
-    band = bounding_box((part >= -width) & (part <= width))
-    if band is None:
+    front = bounding_box(_interface(phi[window]))
+    if front is None:
         core = whole_box(dims)
     else:
-        band = tuple(slice(b.start + w.start, b.stop + w.start) for b, w in zip(band, window))
-        core = grow_box(band, pads, dims)
+        front = tuple(slice(f.start + w.start, f.stop + w.start) for f, w in zip(front, window))
+        core = grow_box(front, pads, dims)
     return core, grow_box(core, (_HALO,) * 3, dims)
 
 
@@ -690,11 +717,11 @@ def evolve(
     front on that halo box (reinitialize).  The first box with its halo
     must lie in ``ls.window`` (init_window gives one that does), or
     ValueError is raised.  The returned phi is what the last step left,
-    with the final window.  The band search, the inside volume and the
-    relabelled count read the window only: outside it phi holds a
-    placeholder larger than the band, so no voxel there is in the band or
-    inside.  A step whose largest change is not finite or exceeds
-    _RUNAWAY_BANDS band widths raises NumericalInstabilityError carrying
+    with the final window.  The front search, the inside volume and the
+    relabelled count read the window only: outside it phi holds a positive
+    placeholder, so no voxel there is on the front or inside.  A step whose
+    largest change is not finite or exceeds _RUNAWAY_BANDS band widths (100
+    voxels at the default band) raises NumericalInstabilityError carrying
     the global iteration index; this also catches non-finite phi (module
     docstring).
 
@@ -702,8 +729,8 @@ def evolve(
     ``iteration``, ``inside``, ``changed`` (voxels whose inside/outside
     label differs from the starting phi), ``max_update`` (the largest
     change of the last step over the voxels it updated) and, with a force
-    context, ``cos_gamma_mean`` (over the band of the field the steps
-    left).
+    context, ``cos_gamma_mean`` (over the front's voxels of the field the
+    steps left).
     """
     params = params or EvolutionParams()
     spacing = ls.phi.spacing
@@ -718,9 +745,8 @@ def evolve(
     dt = params.resolve_dt(spacing)
     phi = np.array(ls.phi.data, dtype=np.float64)
     window = ls.window
-    width = max(spacing) * ls.band_halfwidth
-    pads = params.travel_pads(spacing, dims)
-    core, outer = _update_box(phi, width, pads, window)
+    pads = _box_pads(ls.band_halfwidth, params, spacing, dims)
+    core, outer = _update_box(phi, pads, window)
     if not _contains(window, outer):
         raise ValueError(
             f"the first box {outer} leaves the window {window}: "
@@ -799,15 +825,14 @@ def evolve(
                     "max_update": max_update,
                 }
                 if ctx is not None:
-                    band = np.abs(phi[outer]) <= width
-                    record["cos_gamma_mean"] = _cos_gamma_stats(*grad, ctx, band, outer)
+                    record["cos_gamma_mean"] = _cos_gamma_stats(*grad, ctx, phi[outer], outer)
                     del grad
                 log.append(record)
             if abs(inside - prev_inside) / max(prev_inside, 1) < params.stop_tol:
                 break
             prev_inside = inside
             if done < params.max_iters:
-                core, outer = _update_box(phi, width, pads, window)
+                core, outer = _update_box(phi, pads, window)
                 window = tuple(
                     slice(min(w.start, o.start), max(w.stop, o.stop)) for w, o in zip(window, outer)
                 )

@@ -45,6 +45,9 @@ from .errors import MvolFormatError
 from .volume import BinaryMask, ScalarVolume
 
 _MAGIC = "MVOL1"
+# Planes of x per slab when a C-ordered volume is cast to the x-fastest
+# payload: at 128^3 a float64 slab and its float32 copy take 1.5 MB.
+_CAST_SLAB = 8
 # the numpy type of each payload dtype: little-endian either way
 _PAYLOAD_TYPES = {"scalar32": "<f4", "mask8": np.uint8}
 # The number syntax of header values.  Python's int() and float() also take
@@ -89,17 +92,32 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _x_fastest_f4(data) -> np.ndarray:
+    """``data`` as an x-fastest little-endian float32 array.  An x-fastest
+    (Fortran-ordered) source is one astype, a view when it is float32
+    already.  A C-ordered source is cast _CAST_SLAB planes of x at a time,
+    so each slab's transpose stays in cache; values are cast alike
+    either way."""
+    if data.flags.f_contiguous or not data.flags.c_contiguous:
+        return data.astype("<f4", order="F", copy=False)
+    out = np.empty(data.shape, dtype="<f4", order="F")
+    for x in range(0, data.shape[0], _CAST_SLAB):
+        out[x : x + _CAST_SLAB] = data[x : x + _CAST_SLAB]
+    return out
+
+
 def _serialize(vol) -> tuple[bytes, np.ndarray]:
     """The header bytes of ``vol`` and its payload as one flat x-fastest
     array: a view of the data when its layout and type already match, else
-    its one converted copy.  Checked before anything is written."""
+    its one converted copy (_x_fastest_f4).  Checked before anything is
+    written."""
     if isinstance(vol, BinaryMask):
         dtype = "mask8"
         payload = vol.data.view(np.uint8)
     elif isinstance(vol, ScalarVolume):
         dtype = "scalar32"
         with np.errstate(over="ignore"):
-            payload = vol.data.astype("<f4", order="F", copy=False)
+            payload = _x_fastest_f4(vol.data)
         # min and max are infinite if any cast value overflowed, with no
         # grid-sized temporary
         if not (math.isfinite(payload.min()) and math.isfinite(payload.max())):

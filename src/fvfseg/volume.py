@@ -41,7 +41,7 @@ cuts fall or which thread runs a part, so the bytes are the same for any
 number of parts.  Under that much work numpy's and ndimage's passes are
 too short to pay for handing Python's GIL between threads, so a small job
 is one part and never touches the pool: a level-set step around a 64^3
-lesion or a Gaussian of a 64^3 scan runs serially, a step on a 56^3 box
+lesion or a Gaussian of a 64^3 scan runs serially, a step on a 48^3 box
 or a Gaussian of a 128^3 scan in two parts.
 """
 

@@ -345,18 +345,25 @@ def _advection_ref(phi, velocity, spacing):
     return adv
 
 
+def _interface_ref(phi):
+    """The front's voxels of ``phi``: a sign change to an axis neighbour,
+    the edge replicated, or phi == 0."""
+    interface = phi == 0.0
+    for axis in range(phi.ndim):
+        interface |= (phi * _shift_ref(phi, axis, 1) < 0) | (phi * _shift_ref(phi, axis, -1) < 0)
+    return interface
+
+
 def _pinned_ref(phi0, spacing):
-    """The interface voxels of ``phi0`` (a sign change to an axis neighbour,
-    the edge replicated, or phi0 == 0) and phi0 over the root sum of
-    squares of the larger one-sided slope per axis, on the whole grid."""
-    interface = phi0 == 0.0
+    """The interface voxels of ``phi0`` (_interface_ref) and phi0 over the
+    root sum of squares of the larger one-sided slope per axis, on the
+    whole grid."""
     slope_sq = np.zeros_like(phi0)
     for axis, s in enumerate(spacing):
         fwd = _shift_ref(phi0, axis, 1)
         bwd = _shift_ref(phi0, axis, -1)
-        interface |= (phi0 * fwd < 0) | (phi0 * bwd < 0)
         slope_sq += np.maximum(np.abs((phi0 - bwd) / s), np.abs((fwd - phi0) / s)) ** 2
-    return interface, phi0 / np.maximum(np.sqrt(slope_sq), _EPS)
+    return _interface_ref(phi0), phi0 / np.maximum(np.sqrt(slope_sq), _EPS)
 
 
 def _reinitialize_ref(phi, spacing):
@@ -425,22 +432,23 @@ def _force_ref(edge_grad, candidate, center, spacing, dims):
     return sx * scale, sy * scale, sz * scale
 
 
-def _cos_gamma_ref(px, py, pz, center, spacing, band):
+def _cos_gamma_ref(px, py, pz, center, spacing, phi):
     dx, dy, dz, dn = _radial_ref(center, spacing, px.shape)
     gn = np.sqrt(px * px + py * py + pz * pz)
-    ok = band & (dn >= _EPS) & (gn >= _EPS)
+    ok = _interface_ref(phi) & (dn >= _EPS) & (gn >= _EPS)
     if not ok.any():
         return 0.0
     cos = (px * dx + py * dy + pz * dz)[ok] / (gn[ok] * dn[ok])
     return float(np.clip(cos, -1.0, 1.0).mean())
 
 
-def evolve_oracle(phi, spacing, band_halfwidth, params, force=None):
+def evolve_oracle(phi, spacing, params, force=None):
     """Full-grid explicit evolution of ``phi``; returns the final phi and
     one record per checkpoint (iteration, inside, max_update and, given
     ``force`` = (edge_grad x/y/z tuple, candidate mask, center),
-    cos_gamma_mean).  ``params`` supplies alpha, beta, max_iters,
-    reinit_every, stop_tol and the resolved time step ``dt``."""
+    cos_gamma_mean over the front's voxels).  ``params`` supplies alpha,
+    beta, max_iters, reinit_every, stop_tol and the resolved time step
+    ``dt``."""
     phi = np.array(phi, dtype=np.float64)
     dims = phi.shape
     dt = params.dt
@@ -465,8 +473,7 @@ def evolve_oracle(phi, spacing, band_halfwidth, params, force=None):
             inside = int((phi < 0).sum())
             record = {"iteration": done, "inside": inside, "max_update": max_update}
             if force is not None:
-                band = np.abs(phi) <= max(spacing) * band_halfwidth
-                record["cos_gamma_mean"] = _cos_gamma_ref(px, py, pz, force[2], spacing, band)
+                record["cos_gamma_mean"] = _cos_gamma_ref(px, py, pz, force[2], spacing, phi)
             log.append(record)
             if abs(inside - prev_inside) / max(prev_inside, 1) < params.stop_tol:
                 break
@@ -474,13 +481,34 @@ def evolve_oracle(phi, spacing, band_halfwidth, params, force=None):
     return phi, log
 
 
+def _front_boxes_ref(phi, window, pads):
+    """The update box, the bounding box of the front's voxels
+    (_interface_ref) in ``window`` grown by pads[axis], or the whole grid
+    when there are none, and that box plus a 2-voxel halo, both clipped to
+    the grid."""
+    dims = phi.shape
+    front = np.argwhere(_interface_ref(phi[window]))
+    if front.size == 0:
+        core = tuple(slice(0, n) for n in dims)
+    else:
+        offset = [w.start for w in window]
+        lo, hi = front.min(axis=0) + offset, front.max(axis=0) + 1 + offset
+        core = tuple(
+            slice(max(int(a) - p, 0), min(int(b) + p, n)) for a, b, p, n in zip(lo, hi, pads, dims)
+        )
+    outer = tuple(slice(max(c.start - 2, 0), min(c.stop + 2, n)) for c, n in zip(core, dims))
+    return core, outer
+
+
 def evolve_box_oracle(ls, ctx, params, log=None):
     """fvfseg.fvf3d.evolve's loop in its plainer form, for bitwise parity:
     each step runs _speed on the whole stencil box ``outer`` (the update box
     plus a 2-voxel halo) with fresh arrays, the checkpoint's cos_gamma
     reads the gradient that _speed returned, and phi is rebuilt on the next
-    ``outer`` before each segment but the first.  Arguments, log records
-    and the returned field are evolve's."""
+    ``outer`` before each segment but the first.  The update box reaches
+    ceil(band / spacing) voxels past the front's bounding box, band being
+    ls.band_halfwidth voxels of the coarsest axis, plus the travel margin.
+    Arguments, log records and the returned field are evolve's."""
     from fvfseg import fvf3d
     from fvfseg.errors import NumericalInstabilityError
     from fvfseg.volume import ScalarVolume
@@ -490,9 +518,9 @@ def evolve_box_oracle(ls, ctx, params, log=None):
     dt = params.resolve_dt(spacing)
     phi = np.array(ls.phi.data, dtype=np.float64)
     window = ls.window
-    width = max(spacing) * ls.band_halfwidth
-    pads = params.travel_pads(spacing, dims)
-    core, outer = fvf3d._update_box(phi, width, pads, window)
+    band = max(spacing) * ls.band_halfwidth
+    pads = [math.ceil(band / s) + p for s, p in zip(spacing, params.travel_pads(spacing, dims))]
+    core, outer = _front_boxes_ref(phi, window, pads)
     inner = fvf3d._relative(core, outer)
     if not fvf3d._contains(window, outer):
         raise ValueError("the first box leaves the window")
@@ -539,16 +567,15 @@ def evolve_box_oracle(ls, ctx, params, log=None):
                     "max_update": max_update,
                 }
                 if ctx is not None:
-                    band = np.abs(phi[outer]) <= width
                     record["cos_gamma_mean"] = fvf3d._cos_gamma_stats(
-                        px, py, pz, ctx, band, outer
+                        px, py, pz, ctx, phi[outer], outer
                     )
                 log.append(record)
             if abs(inside - prev_inside) / max(prev_inside, 1) < params.stop_tol:
                 break
             prev_inside = inside
             if done < params.max_iters:
-                core, outer = fvf3d._update_box(phi, width, pads, window)
+                core, outer = _front_boxes_ref(phi, window, pads)
                 inner = fvf3d._relative(core, outer)
                 window = tuple(
                     slice(min(w.start, o.start), max(w.stop, o.stop)) for w, o in zip(window, outer)

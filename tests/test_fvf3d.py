@@ -147,17 +147,18 @@ class TestReinitialize:
 
 def _cos_gamma(normal, gamma):
     """Diagnostic cosine between a front normal and the A->B direction
-    ``gamma``, measured on a band of the single voxel B."""
+    ``gamma``, measured on a front of the single voxel B (phi == 0 there
+    and 1 elsewhere)."""
     dims = (9, 9, 9)
     b = (4, 4, 4)
     ctx = make_force_context(
         ScalarVolume(np.ones(dims), UNIT), _cube_mask(dims, 3, 6),
         center=np.subtract(b, gamma),
     )
-    band = np.zeros(dims, dtype=bool)
-    band[b] = True
+    phi = np.ones(dims)
+    phi[b] = 0.0
     px, py, pz = (np.full(dims, float(c)) for c in normal)
-    return _cos_gamma_stats(px, py, pz, ctx, band, whole_box(dims))
+    return _cos_gamma_stats(px, py, pz, ctx, phi, whole_box(dims))
 
 
 class TestDirectionalCosine:
@@ -172,7 +173,7 @@ class TestDirectionalCosine:
 
     def test_zero_vector_rejected(self):
         # a zero normal or B = A has no direction: the voxel is left out of
-        # the mean, and a band with nothing left reads 0
+        # the mean, and a front with nothing left reads 0
         assert _cos_gamma((0, 0, 0), (1, 0, 0)) == 0.0
         assert _cos_gamma((1, 0, 0), (0, 0, 0)) == 0.0
 

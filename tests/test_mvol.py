@@ -255,11 +255,32 @@ class TestFileMode:
             assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_payload_bytes_do_not_depend_on_memory_layout(order, dtype, rng):
+    # a C-ordered volume is cast in slabs of x-planes, a Fortran-ordered one
+    # in one astype; 19 planes leave a part slab, and float64 values that
+    # are not float32 ones, subnormal in float32 and -0.0 all round alike
+    raw = rng.normal(0.0, 1e3, (19, 6, 5))
+    raw[0, 0, :3] = (1e-42, -0.0, 3.4e38)
+    data = np.asarray(raw, dtype=dtype, order=order)
+    expected = raw.astype(dtype).astype("<f4").tobytes(order="F")
+    payload = encode(ScalarVolume(data, (1, 1, 1))).split(b"\n\n", 1)[1]
+    assert payload == expected
+
+
 class TestEncodeErrors:
     def test_float64_overflow_rejected(self):
         v = ScalarVolume(np.full((2, 2, 2), 1e300), (1, 1, 1))
         with pytest.raises(ValueError, match="float32"):
             encode(v)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_overflow_in_any_slab_rejected_in_either_layout(self, order):
+        data = np.ones((19, 2, 2), order=order)
+        data[17, 1, 0] = -1e300
+        with pytest.raises(ValueError, match="float32"):
+            encode(ScalarVolume(data, (1, 1, 1)))
 
     def test_wrong_type_rejected(self):
         with pytest.raises(TypeError):

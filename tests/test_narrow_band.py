@@ -3,13 +3,19 @@ a box around the front and must reproduce the full-grid scheme."""
 
 import tracemalloc
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from fvfseg import phantom
+from fvfseg.brainmap import build_gbbm
+from fvfseg.candidate import extract_candidate
 from fvfseg.fvf3d import (
+    BAND_HALFWIDTH,
     EvolutionParams,
+    _box_pads,
     _update_box,
     evolve,
     init_window,
@@ -19,9 +25,10 @@ from fvfseg.fvf3d import (
     zero_level_mask,
 )
 from fvfseg.metrics import tanimoto
-from fvfseg.volume import BinaryMask, ScalarVolume, bounding_box, whole_box
+from fvfseg.pipeline import PipelineConfig, fit_stage
+from fvfseg.volume import BinaryMask, ScalarVolume, bounding_box, grow_box, whole_box
 
-from .oracles import edge_map_oracle, evolve_box_oracle, evolve_oracle
+from .oracles import _interface_ref, edge_map_oracle, evolve_box_oracle, evolve_oracle
 
 UNIT = (1.0, 1.0, 1.0)
 
@@ -52,7 +59,7 @@ def _curvature_case():
     dims = (48, 48, 48)
     balls = _ball(dims, (20, 24, 24), 6.0) | _ball(dims, (27, 24, 24), 6.0)
     params = EvolutionParams(alpha=1.0, beta=0.0, dt=0.15, max_iters=60, stop_tol=0.0)
-    return signed_distance_init(BinaryMask(balls, UNIT), band_halfwidth=3.0), None, params
+    return signed_distance_init(BinaryMask(balls, UNIT), band_halfwidth=2.0), None, params
 
 
 def _anisotropic_case():
@@ -88,7 +95,7 @@ def _oracle(ls, ctx, params):
         force = (grad, ctx.candidate.data, ctx.center)
     spacing = ls.phi.spacing
     resolved = replace(params, dt=params.resolve_dt(spacing))
-    return evolve_oracle(ls.phi.data, spacing, ls.band_halfwidth, resolved, force)
+    return evolve_oracle(ls.phi.data, spacing, resolved, force)
 
 
 @pytest.mark.parametrize("name", sorted(PARITY_CASES))
@@ -101,6 +108,64 @@ def test_box_evolution_matches_full_grid(name):
     assert np.array_equal(zero_level_mask(out).data, ref_phi < 0)
     assert [r["iteration"] for r in log] == [r["iteration"] for r in ref_log]
     assert [r["inside"] for r in log] == [r["inside"] for r in ref_log]
+
+
+ACCEPTANCE_LESIONS = {
+    "sphere": phantom.TumorSpec(shape="sphere", radii=(8.0,), offset=4.0, seed=1),
+    "ellipsoid": phantom.TumorSpec(shape="ellipsoid", radii=(10.0, 7.0, 5.0), offset=4.0, seed=2),
+}
+
+
+@cache
+def _acceptance_case(shape):
+    """The 64^3 acceptance lesion's scan, its candidate and the force the
+    pipeline seeds at the candidate's centroid."""
+    atlas = phantom.synth_atlas((64, 64, 64), seed=0)
+    patient, _ = phantom.synth_patient(atlas, ACCEPTANCE_LESIONS[shape])
+    config = PipelineConfig()
+    values, _, model = fit_stage(patient, atlas, config)
+    region = extract_candidate(build_gbbm(values, atlas, model), atlas.brain_mask, config.psi)
+    ctx = make_force_context(patient, region.mask, center=region.centroid)
+    return region.mask, ctx, config.evolution_params()
+
+
+@pytest.mark.parametrize("move", ["erode", "dilate"])
+@pytest.mark.parametrize("shape", sorted(ACCEPTANCE_LESIONS))
+def test_a_moving_front_matches_full_grid_at_the_pipeline_defaults(shape, move):
+    # The front starts 2 voxels (26-connectivity) inside or outside the
+    # candidate, and the force's delta is the candidate's, so the front
+    # travels back to it over two or three segments of one-voxel-band
+    # boxes, each found from the front the last segment left.
+    candidate, ctx, params = _acceptance_case(shape)
+    grow = ndimage.binary_erosion if move == "erode" else ndimage.binary_dilation
+    cube = ndimage.generate_binary_structure(3, 3)
+    start = BinaryMask(grow(candidate.data, cube, iterations=2), candidate.spacing)
+    ls = signed_distance_init(start, window=init_window(start, params=params))
+    log = []
+    out = evolve(ls, ctx, params, log=log)
+    ref_phi, ref_log = _oracle(signed_distance_init(start), ctx, params)
+
+    assert np.array_equal(zero_level_mask(out).data, ref_phi < 0)
+    assert out.iteration == ref_log[-1]["iteration"] >= 40
+    assert [r["inside"] for r in log] == [r["inside"] for r in ref_log]
+    assert start.count() != candidate.count() == log[-1]["inside"]
+
+
+def test_the_box_after_a_steepening_segment_hugs_the_front():
+    # The converging force steepens phi: after one segment on the
+    # acceptance sphere no voxel of the window lies within a band width of
+    # the front, so a box found by |phi| <= band would be the whole grid.
+    # The box found from the front's voxels holds their bounding box.
+    candidate, ctx, params = _acceptance_case("sphere")
+    ls = signed_distance_init(candidate, window=init_window(candidate, params=params))
+    out = evolve(ls, ctx, replace(params, max_iters=params.reinit_every))
+    phi, dims = out.phi.data, out.phi.dims
+    assert np.abs(phi[out.window]).min() > BAND_HALFWIDTH * max(out.phi.spacing)
+
+    pads = _box_pads(out.band_halfwidth, params, out.phi.spacing, dims)
+    core, _ = _update_box(phi, pads, out.window)
+    front = bounding_box(_interface_ref(phi))
+    assert core == grow_box(front, pads, dims) != whole_box(dims)
 
 
 def _skewed_case():
@@ -190,7 +255,7 @@ def test_window_widens_as_the_front_travels():
     band = 2.0
     window = init_window(start, band, params)
     ls = signed_distance_init(start, band, window)
-    _, outer = _update_box(ls.phi.data, band, params.travel_pads(UNIT, dims), whole_box(dims))
+    _, outer = _update_box(ls.phi.data, _box_pads(band, params, UNIT, dims), whole_box(dims))
     assert _inside(window, outer) and _voxels(window) < 0.25 * cube.size
 
     log = []
@@ -247,10 +312,9 @@ def test_parity_cases_run_on_a_box_smaller_than_the_grid(name):
     spacing = ls.phi.spacing
     dt = params.resolve_dt(spacing)
     travel = params.reinit_every * dt * (params.beta + 2.0 * params.alpha / min(spacing))
-    pads = [int(np.ceil(travel / s)) for s in spacing]
-    _, outer = _update_box(
-        ls.phi.data, max(spacing) * ls.band_halfwidth, pads, whole_box(ls.phi.dims)
-    )
+    band = max(spacing) * ls.band_halfwidth
+    pads = [int(np.ceil(band / s)) + int(np.ceil(travel / s)) for s in spacing]
+    _, outer = _update_box(ls.phi.data, pads, whole_box(ls.phi.dims))
     box_voxels = np.prod([s.stop - s.start for s in outer])
     assert box_voxels < 0.5 * ls.phi.data.size
 

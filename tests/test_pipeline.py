@@ -54,7 +54,7 @@ class TestDefaultsAgree:
         assert PipelineConfig().psi == _default(extract_candidate, "psi")
 
     def test_band_halfwidth(self):
-        assert fvf3d.BAND_HALFWIDTH == 6.0
+        assert fvf3d.BAND_HALFWIDTH == 1.0
         for fn in (fvf3d.LevelSetField, fvf3d.signed_distance_init, fvf3d.init_window):
             assert _default(fn, "band_halfwidth") == fvf3d.BAND_HALFWIDTH, fn.__name__
 

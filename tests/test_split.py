@@ -19,6 +19,7 @@ from fvfseg import fvf3d, volume
 from fvfseg.errors import NumericalInstabilityError
 from fvfseg.fvf3d import (
     EvolutionParams,
+    _box_pads,
     _gradient_norm2,
     _peak_gradient_norm2,
     _update_box,
@@ -132,8 +133,7 @@ def test_split_step_is_exact_for_one_plane_parts_on_the_grid_faces(monkeypatch):
         ls, _, params = _case(name)
         core, _ = _update_box(
             ls.phi.data,
-            max(ls.phi.spacing) * ls.band_halfwidth,
-            params.travel_pads(ls.phi.spacing, ls.phi.dims),
+            _box_pads(ls.band_halfwidth, params, ls.phi.spacing, ls.phi.dims),
             whole_box(ls.phi.dims),
         )
         assert core[0].start == 0
@@ -141,7 +141,7 @@ def test_split_step_is_exact_for_one_plane_parts_on_the_grid_faces(monkeypatch):
 
 
 def _large_case():
-    # a 64^3 ball of radius 18: the update box is 54^3, above the size rule
+    # a 64^3 ball of radius 18: the update box is 56^3, above the size rule
     dims = (64, 64, 64)
     ball = _ball(dims, (31.5,) * 3, 18.0)
     ctx = make_force_context(_bright(ball, UNIT), BinaryMask(ball, UNIT))
@@ -212,8 +212,7 @@ def test_a_nan_in_phi_raises_at_the_next_iteration(workers, monkeypatch):
     ls = replace(ls, iteration=5)
     core, _ = _update_box(
         ls.phi.data,
-        max(ls.phi.spacing) * ls.band_halfwidth,
-        params.travel_pads(ls.phi.spacing, ls.phi.dims),
+        _box_pads(ls.band_halfwidth, params, ls.phi.spacing, ls.phi.dims),
         ls.window,
     )
     ls.phi.data[tuple((c.start + c.stop) // 2 for c in core)] = np.nan
