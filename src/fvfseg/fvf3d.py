@@ -35,22 +35,22 @@ axis-aligned box, a narrow band in the sense of Adalsteinsson & Sethian
 (1995) and Peng et al. (1999).  The box is the bounding box of the
 front's voxels, those with a sign change to an axis neighbour or with
 phi == 0 (_interface, the voxels reinitialize rebuilds from), widened
-per axis by the band, ceil(band_halfwidth * max(spacing) / spacing)
-voxels, and by the farthest the front can move before the next checkpoint,
-reinit_every * dt * (beta + 2 alpha / h) with the same per-term speeds
-as the stability bound, and clipped to the grid.  The box is found from
-the front, not from |phi| <= band: the converging force steepens phi, so
-after a segment the front's voxels can read |phi| of several voxels, and
-a search by value would find no voxel at a band of one and fall back to
-the whole grid.  The band adds one voxel (BAND_HALFWIDTH) to the travel
-margin, which alone covers the front's motion.  Every term of a step
-reads phi within one voxel (Chebyshev distance 1; the mixed second
-differences read the diagonal neighbours), so each step runs on the box
-grown by one voxel, its read box, and no face formula of the read box
-reaches the update box except on a grid face, where the two share the
-face and its formula.  A segment is the reinit_every steps between two
-checkpoints.  At each checkpoint but the last the box is found anew
-around the front as the steps left it, and phi is rebuilt on the box
+per axis by EvolutionParams.box_pads: the band, ceil(BAND_HALFWIDTH *
+max(spacing) / spacing) voxels, and the farthest the front can move
+before the next checkpoint, reinit_every * dt * (beta + 2 alpha / h) with
+the same per-term speeds as the stability bound; then clipped to the
+grid.  The box is found from the front, not from |phi| <= band: the
+converging force steepens phi, so after a segment the front's voxels can
+read |phi| of several voxels, and a search by value would find no voxel
+at a band of one and fall back to the whole grid.  The band adds one
+voxel to the travel margin, which alone covers the front's motion.
+Every term of a step reads phi within one voxel (Chebyshev distance 1;
+the mixed second differences read the diagonal neighbours), so each step
+runs on the box grown by one voxel, its read box, and no face formula of
+the read box reaches the update box except on a grid face, where the two
+share the face and its formula.  A segment is the reinit_every steps
+between two checkpoints.  At each checkpoint but the last the box is
+found anew around the front as the steps left it, and phi is rebuilt on the box
 grown by two voxels, the reach of the normal the rebuild gives each
 voxel at the front, before the next segment runs on it; the first
 segment runs on the field as given.  Voxels outside the box stay frozen.
@@ -90,10 +90,10 @@ are the same bits for any number of parts; one part is the serial step.
 
 That largest |update| is the step's one check: dt times it must be
 finite and at most _RUNAWAY_BANDS band widths (100 voxels of the
-coarsest axis at the default band).  A non-finite phi in the read box
-makes the update non-finite at the core voxels beside it, and a finite
-phi plus a dt * update within that bound cannot overflow, so phi needs
-no check of its own.
+coarsest axis).  A non-finite phi in the read box makes the update
+non-finite at the core voxels beside it, and a finite phi plus a dt *
+update within that bound cannot overflow, so phi needs no check of its
+own.
 
 The starting distance field need not cover the grid either.  It is exact
 only on its window, a box holding the whole region (the distance to a
@@ -139,8 +139,7 @@ _EPS_CURVATURE = 1e-12
 # The width, in voxels, of the Gaussian that smooths the scan for its edge map.
 EDGE_SIGMA = 1.0
 
-# Half-width of the narrow band, in voxels of the coarsest axis: the
-# default of LevelSetField, signed_distance_init and init_window.
+# Half-width of the narrow band, in voxels of the coarsest axis.
 BAND_HALFWIDTH = 1.0
 
 # A single step that moves phi by more than this many band widths cannot be
@@ -176,22 +175,23 @@ _PEAK_PASSES = 12
 
 @dataclass
 class LevelSetField:
-    """phi with the evolution's iteration count and band half-width (in
-    voxels of the coarsest axis).  ``window`` (a tuple of three slices) is
-    the box that holds every value computed for phi; outside it phi holds a
-    placeholder larger than the band.  None, the default, is the whole
-    grid, and is stored as whole_box of phi's dims."""
+    """phi with the evolution's iteration count.  ``window`` (three slices
+    of step 1) is the box that holds every value computed for phi; outside
+    it phi holds a placeholder larger than the band.  It is stored clipped
+    to phi's dims (slice.indices) as a tuple of slice(start, stop); None,
+    the default, is the whole grid."""
 
     phi: ScalarVolume
     iteration: int = 0
-    band_halfwidth: float = BAND_HALFWIDTH
     window: tuple | None = None
 
     def __post_init__(self):
-        if self.iteration < 0 or not (self.band_halfwidth > 0):
-            raise ValueError("iteration must be >= 0 and band_halfwidth > 0")
-        if self.window is None:
-            self.window = whole_box(self.phi.dims)
+        if self.iteration < 0:
+            raise ValueError("iteration must be >= 0")
+        window = whole_box(self.phi.dims) if self.window is None else tuple(self.window)
+        if len(window) != 3 or any(sl.step not in (None, 1) for sl in window):
+            raise ValueError(f"window must be three slices of step 1, got {self.window}")
+        self.window = tuple(slice(*sl.indices(n)[:2]) for sl, n in zip(window, self.phi.dims))
 
 
 @dataclass
@@ -228,14 +228,14 @@ class EvolutionParams:
     stop_tol: float = 1e-3
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ValueError(f"alpha and beta must be finite and >= 0: {self.alpha}, {self.beta}")
         if self.dt is not None and not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.max_iters < 1 or self.reinit_every < 1:
             raise ValueError("max_iters and reinit_every must be >= 1")
-        if self.stop_tol < 0:
-            raise ValueError("stop_tol must be >= 0")
+        if not (self.stop_tol >= 0):
+            raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
 
     def stability_bound(self, spacing) -> float:
         """Largest dt the explicit scheme tolerates on this grid."""
@@ -244,35 +244,41 @@ class EvolutionParams:
         return 0.9 / denom if denom > 0 else math.inf
 
     def resolve_dt(self, spacing) -> float:
+        """dt, else the stability bound (half a voxel if it is infinite); a
+        bound that underflows to 0 at a huge alpha or beta raises ValueError."""
         if self.dt is not None:
             return self.dt
         bound = self.stability_bound(spacing)
+        if bound == 0.0:
+            raise ValueError(f"no stable dt at alpha={self.alpha}, beta={self.beta}")
         return bound if math.isfinite(bound) else 0.5 * min(spacing)
 
-    def travel_pads(self, spacing, dims) -> list[int]:
-        """Per axis, the voxels the front can cross between two box
-        rebuilds, at the speeds the stability bound assumes: beta for
-        advection along a unit force, alpha times a mean curvature of at
-        most 2/h."""
+    def box_pads(self, spacing, dims) -> list[int]:
+        """Per axis, the voxels an update box reaches past the front's
+        bounding box: the band, BAND_HALFWIDTH voxels of the coarsest axis,
+        plus the voxels (at most the grid's) the front can cross between two
+        box rebuilds at the stability bound's speeds: beta for advection
+        along a unit force, alpha times a mean curvature of at most 2/h."""
+        width = BAND_HALFWIDTH * max(spacing)
         travel = self.reinit_every * self.resolve_dt(spacing) * (
             self.beta + 2.0 * self.alpha / min(spacing)
         )
-        return [math.ceil(min(travel / s, n)) for s, n in zip(spacing, dims)]
+        return [
+            math.ceil(width / s) + math.ceil(min(travel / s, n)) for s, n in zip(spacing, dims)
+        ]
 
 
 def _contains(outer, inner) -> bool:
     return all(o.start <= i.start and i.stop <= o.stop for o, i in zip(outer, inner))
 
 
-def signed_distance_init(
-    mask: BinaryMask, band_halfwidth: float = BAND_HALFWIDTH, window=None
-) -> LevelSetField:
+def signed_distance_init(mask: BinaryMask, window=None) -> LevelSetField:
     """Signed Euclidean distance to the mask boundary, negative inside.
 
-    The distance is computed on ``window`` (three slices holding the whole
-    mask; the whole grid by default) only, and every voxel outside it holds
-    the grid's diagonal plus the band width: more than any distance on the
-    grid, so positive, never on the front and never inside the band.
+    The distance is computed on ``window`` (LevelSetField's, holding the
+    whole mask) only, and every voxel outside it holds the grid's diagonal
+    plus the band width: more than any distance on the grid, so positive,
+    never on the front and never inside the band.
     """
     m = mask.data
     if not m.any():
@@ -280,11 +286,12 @@ def signed_distance_init(
     if m.all():
         raise ValueError("region covers the whole grid, no boundary to track")
     dims, spacing = m.shape, mask.spacing
-    window = tuple(slice(*sl.indices(n)[:2]) for sl, n in zip(window or whole_box(dims), dims))
-    if len(window) != 3 or not _contains(window, bounding_box(m)):
-        raise ValueError(f"window {window} does not hold the whole region")
     far = math.hypot(*(n * s for n, s in zip(dims, spacing)))
-    phi = np.full(dims, far + band_halfwidth * max(spacing))
+    placeholder = np.full(dims, far + BAND_HALFWIDTH * max(spacing))
+    ls = LevelSetField(ScalarVolume(placeholder, spacing), window=window)
+    window, phi = ls.window, ls.phi.data
+    if not _contains(window, bounding_box(m)):
+        raise ValueError(f"window {window} does not hold the whole region")
     # The outside distance is exact on any box holding the whole mask.
     phi[window] = ndimage.distance_transform_edt(~m[window], sampling=spacing)
     # The inside distance only needs the mask's bounding box plus one layer:
@@ -293,25 +300,20 @@ def signed_distance_init(
     # background, so the part of that layer outside the window keeps its value.
     box = grow_box(bounding_box(m), (1, 1, 1), dims)
     phi[box] -= ndimage.distance_transform_edt(m[box], sampling=spacing)
-    return LevelSetField(ScalarVolume(phi, spacing), 0, band_halfwidth, window)
+    return ls
 
 
-def init_window(
-    mask: BinaryMask,
-    band_halfwidth: float = BAND_HALFWIDTH,
-    params: EvolutionParams | None = None,
-):
+def init_window(mask: BinaryMask, params: EvolutionParams | None = None):
     """The window for signed_distance_init that holds evolve's first update
     box: the mask's bounding box grown by one voxel, the front's voxels
-    outside the mask (_interface), then by the band, the travel margin of
-    ``params`` (_box_pads) and the stencil halo, clipped to the grid (None
-    for an empty mask, which signed_distance_init rejects)."""
+    outside the mask (_interface), then by the box's reach for ``params``
+    (EvolutionParams.box_pads) and the stencil halo, clipped to the grid
+    (None for an empty mask, which signed_distance_init rejects)."""
     box = bounding_box(mask.data)
     if box is None:
         return None
-    spacing, dims = mask.spacing, mask.dims
-    pads = _box_pads(band_halfwidth, params or EvolutionParams(), spacing, dims)
-    return grow_box(box, [1 + p + _HALO for p in pads], dims)
+    pads = (params or EvolutionParams()).box_pads(mask.spacing, mask.dims)
+    return grow_box(box, [1 + p + _HALO for p in pads], mask.dims)
 
 
 def _gradient_norm2(a, spacing):
@@ -569,7 +571,7 @@ def reinitialize(ls: LevelSetField) -> LevelSetField:
     An interface voxel's pinned value and normal read phi0 within two
     voxels of it, so they are the same bits on any box holding that reach.
     A box with no interface voxel comes back unchanged.  The result keeps
-    ``ls.iteration``, ``ls.band_halfwidth`` and ``ls.window``.
+    ``ls.iteration`` and ``ls.window``.
     """
     phi = np.array(ls.phi.data, dtype=np.float64, order="C")
     spacing, shape = ls.phi.spacing, phi.shape
@@ -672,15 +674,6 @@ def _speed(phi, spacing, alpha, velocity, work):
     return update, grad
 
 
-def _box_pads(band_halfwidth, params, spacing, dims):
-    """Per axis, the voxels an update box reaches past the front's bounding
-    box: the band, band_halfwidth voxels of the coarsest axis, plus the
-    travel margin (EvolutionParams.travel_pads)."""
-    width = band_halfwidth * max(spacing)
-    pads = params.travel_pads(spacing, dims)
-    return [math.ceil(width / s) + p for s, p in zip(spacing, pads)]
-
-
 def _update_box(phi, pads, window):
     """The box of voxels an evolution segment may move, and the box its
     reinitialization reads (the _HALO margin).
@@ -721,7 +714,7 @@ def evolve(
     relabelled count read the window only: outside it phi holds a positive
     placeholder, so no voxel there is on the front or inside.  A step whose
     largest change is not finite or exceeds _RUNAWAY_BANDS band widths (100
-    voxels at the default band) raises NumericalInstabilityError carrying
+    voxels of the coarsest axis) raises NumericalInstabilityError carrying
     the global iteration index; this also catches non-finite phi (module
     docstring).
 
@@ -745,7 +738,7 @@ def evolve(
     dt = params.resolve_dt(spacing)
     phi = np.array(ls.phi.data, dtype=np.float64)
     window = ls.window
-    pads = _box_pads(ls.band_halfwidth, params, spacing, dims)
+    pads = params.box_pads(spacing, dims)
     core, outer = _update_box(phi, pads, window)
     if not _contains(window, outer):
         raise ValueError(
@@ -772,7 +765,7 @@ def evolve(
             return float(np.abs(update, out=step).max())
 
     prev_inside = int(np.count_nonzero(phi[window] < 0))
-    runaway = _RUNAWAY_BANDS * ls.band_halfwidth * max(spacing)
+    runaway = _RUNAWAY_BANDS * BAND_HALFWIDTH * max(spacing)
     max_update = 0.0
     done = 0
     while done < params.max_iters:
@@ -839,4 +832,4 @@ def evolve(
                 field = LevelSetField(ScalarVolume(phi[outer], spacing))
                 phi[outer] = reinitialize(field).phi.data
 
-    return LevelSetField(ScalarVolume(phi, spacing), ls.iteration + done, ls.band_halfwidth, window)
+    return LevelSetField(ScalarVolume(phi, spacing), ls.iteration + done, window)

@@ -34,6 +34,8 @@ from .volume import BinaryMask, ScalarVolume, mask_order, require_same_grid
 VARIANCE_FLOOR = 1e-6
 # the default caps of fit_em's iterations and of the samples it is given
 EM_MAX_ITERS = 500
+# the log-likelihood gain per sample below which fit_em has converged
+EM_TOL = 1e-6
 MAX_SAMPLES = 2_000_000
 # EM's histogram: bins over the widened central span of the samples, each
 # quantized to 2**_LEVEL_BITS fixed-point levels
@@ -317,12 +319,7 @@ def _binned_samples(x, lo, hi):
     )
 
 
-def fit_em(
-    samples,
-    k: int = 3,
-    tol: float = 1e-6,
-    max_iters: int = EM_MAX_ITERS,
-) -> TissueMixtureModel:
+def fit_em(samples, k: int = 3, max_iters: int = EM_MAX_ITERS) -> TissueMixtureModel:
     """Fit a K-component univariate Gaussian mixture with EM.
 
     Initialization is deterministic: component means start at the
@@ -356,15 +353,15 @@ def fit_em(
     iteration (exposed as ``loglik_trace`` on the result) and must never
     decrease; a decrease beyond 1e-9 raises, since it signals a numerical
     problem.  The result's ``converged`` is false when ``max_iters`` ran out
-    before the gain in log-likelihood fell below ``tol``.
+    before the gain in log-likelihood fell below ``EM_TOL``.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < k:
         raise ValueError(f"need at least {k} samples to fit {k} components, got {x.size}")
     if not np.isfinite(x).all():
         raise ValueError("samples contain non-finite values")
-    if k < 1 or max_iters < 1 or not (tol > 0):
-        raise ValueError("k and max_iters must be >= 1 and tol > 0")
+    if k < 1 or max_iters < 1:
+        raise ValueError("k and max_iters must be >= 1")
 
     qs = (2.0 * np.arange(k) + 1.0) / (2.0 * k)
     q = _quantiles(x, np.concatenate(([_TAIL_QUANTILE, 1.0 - _TAIL_QUANTILE], qs)))
@@ -392,7 +389,7 @@ def fit_em(
         if ll < prev_ll - 1e-9:
             raise ValueError(f"EM log-likelihood decreased ({prev_ll} -> {ll})")
         trace.append(ll)
-        if ll - prev_ll < tol and len(trace) > 1:
+        if ll - prev_ll < EM_TOL and len(trace) > 1:
             converged = True
             break
         prev_ll = ll

@@ -326,6 +326,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     truth = read_mask(config.ground_truth) if config.ground_truth else None
     if truth is not None:
         require_same_grid(truth, patient, "ground truth and patient")
+    # an alpha or beta too large for the grid's spacing fails before any write
+    config.evolution_params().resolve_dt(patient.spacing)
 
     values, _, model = fit_stage(patient, atlas, config)
     em = {}

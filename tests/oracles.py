@@ -507,7 +507,8 @@ def evolve_box_oracle(ls, ctx, params, log=None):
     reads the gradient that _speed returned, and phi is rebuilt on the next
     ``outer`` before each segment but the first.  The update box reaches
     ceil(band / spacing) voxels past the front's bounding box, band being
-    ls.band_halfwidth voxels of the coarsest axis, plus the travel margin.
+    BAND_HALFWIDTH voxels of the coarsest axis, plus the travel margin, the
+    farthest the front moves in reinit_every steps at speed beta + 2 alpha / h.
     Arguments, log records and the returned field are evolve's."""
     from fvfseg import fvf3d
     from fvfseg.errors import NumericalInstabilityError
@@ -518,8 +519,9 @@ def evolve_box_oracle(ls, ctx, params, log=None):
     dt = params.resolve_dt(spacing)
     phi = np.array(ls.phi.data, dtype=np.float64)
     window = ls.window
-    band = max(spacing) * ls.band_halfwidth
-    pads = [math.ceil(band / s) + p for s, p in zip(spacing, params.travel_pads(spacing, dims))]
+    band = max(spacing) * fvf3d.BAND_HALFWIDTH
+    travel = params.reinit_every * dt * (params.beta + 2.0 * params.alpha / min(spacing))
+    pads = [math.ceil(band / s) + math.ceil(min(travel / s, n)) for s, n in zip(spacing, dims)]
     core, outer = _front_boxes_ref(phi, window, pads)
     inner = fvf3d._relative(core, outer)
     if not fvf3d._contains(window, outer):
@@ -530,7 +532,7 @@ def evolve_box_oracle(ls, ctx, params, log=None):
     force_box = None
 
     prev_inside = int(np.count_nonzero(phi[window] < 0))
-    runaway = fvf3d._RUNAWAY_BANDS * ls.band_halfwidth * max(spacing)
+    runaway = fvf3d._RUNAWAY_BANDS * fvf3d.BAND_HALFWIDTH * max(spacing)
     max_update = 0.0
     done = 0
     while done < params.max_iters:
@@ -581,11 +583,7 @@ def evolve_box_oracle(ls, ctx, params, log=None):
                     slice(min(w.start, o.start), max(w.stop, o.stop)) for w, o in zip(window, outer)
                 )
                 phi[outer] = fvf3d.reinitialize(
-                    fvf3d.LevelSetField(
-                        ScalarVolume(phi[outer], spacing), ls.iteration + done, ls.band_halfwidth
-                    )
+                    fvf3d.LevelSetField(ScalarVolume(phi[outer], spacing), ls.iteration + done)
                 ).phi.data
 
-    return fvf3d.LevelSetField(
-        ScalarVolume(phi, spacing), ls.iteration + done, ls.band_halfwidth, window
-    )
+    return fvf3d.LevelSetField(ScalarVolume(phi, spacing), ls.iteration + done, window)

@@ -286,6 +286,10 @@ class TestPipelineCommand:
             ("--beta", "-1", "beta"),
             ("--max-iters", "0", "max_iters"),
             ("--psi", "-1", "psi"),
+            ("--alpha", "nan", "alpha"),
+            ("--alpha", "inf", "alpha"),
+            ("--beta", "inf", "beta"),
+            ("--beta", "1e308", "beta"),
         ],
     )
     def test_bad_setting_exit_one_before_any_write(

@@ -84,7 +84,16 @@ class TestSignedDistanceInit:
 def test_a_level_set_without_a_window_holds_the_whole_grid():
     phi = ScalarVolume(np.ones((9, 8, 7)), UNIT)
     assert LevelSetField(phi).window == whole_box(phi.dims)
-    assert LevelSetField(phi, 3, 2.0, None).window == whole_box(phi.dims)
+    assert LevelSetField(phi, 3, None).window == whole_box(phi.dims)
+
+
+def test_a_level_set_window_is_three_unit_step_slices_clipped_to_the_grid():
+    phi = ScalarVolume(np.ones((9, 8, 7)), UNIT)
+    ls = LevelSetField(phi, window=(slice(None, 4), slice(-3, None), slice(2, 99, 1)))
+    assert ls.window == (slice(0, 4), slice(5, 8), slice(2, 7))
+    # the stepped and four-slice windows: test_window_must_hold_the_region
+    with pytest.raises(ValueError, match="three slices of step 1"):
+        LevelSetField(phi, window=np.s_[:, :])
 
 
 class TestReinitialize:
@@ -375,15 +384,29 @@ class TestEvolutionParams:
             dict(max_iters=0),
             dict(reinit_every=0),
             dict(stop_tol=-1e-3),
+            dict(alpha=float("nan")),
+            dict(alpha=float("inf")),
+            dict(beta=float("nan")),
+            dict(beta=float("inf")),
+            dict(stop_tol=float("nan")),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             EvolutionParams(**kwargs)
 
-    def test_band_halfwidth_lives_on_the_level_set(self):
-        with pytest.raises(ValueError):
-            LevelSetField(_plane_sdf((8, 8, 8)), band_halfwidth=0.0)
+    def test_a_bound_that_underflows_to_zero_is_rejected(self):
+        # at beta = 1e308 the bound's denominator overflows to inf and dt
+        # would be 0.0: steps that move nothing
+        p = EvolutionParams(beta=1e308)
+        with pytest.raises(ValueError, match="no stable dt"):
+            p.resolve_dt(UNIT)
+        with pytest.raises(ValueError, match="no stable dt"):
+            p.box_pads(UNIT, (8, 8, 8))
+
+    def test_band_halfwidth_is_no_field(self):
+        with pytest.raises(TypeError):
+            LevelSetField(_plane_sdf((8, 8, 8)), band_halfwidth=1.0)
         with pytest.raises(TypeError):
             EvolutionParams(band_halfwidth=6.0)
 

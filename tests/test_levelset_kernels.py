@@ -98,8 +98,8 @@ def test_a_reused_workspace_gives_the_bits_of_a_fresh_call(spacing, rng):
 )
 def test_reinitialize_matches_the_oracle_bit_for_bit(shape, order, spacing, rng):
     phi = _field(rng, shape, order)
-    out = reinitialize(LevelSetField(ScalarVolume(phi, spacing), 3, 2.0))
-    assert out.iteration == 3 and out.band_halfwidth == 2.0
+    out = reinitialize(LevelSetField(ScalarVolume(phi, spacing), 3))
+    assert out.iteration == 3
     got = out.phi.data
     assert _same_bits(got, _reinitialize_ref(phi, spacing))
     assert np.isfinite(got).all()
@@ -117,7 +117,7 @@ def test_reinitialize_matches_the_oracle_on_a_distance_field():
     r = np.sqrt((idx[0] - 19.3) ** 2 + (idx[1] - 17.8) ** 2 + ((idx[2] - 14.6) * 1.3) ** 2)
     phi = 0.6 * (r - 9.0)  # a stretched front
     for spacing in SPACINGS:
-        out = reinitialize(LevelSetField(ScalarVolume(phi, spacing), 0, 6.0))
+        out = reinitialize(LevelSetField(ScalarVolume(phi, spacing)))
         assert _same_bits(out.phi.data, _reinitialize_ref(phi, spacing))
 
 

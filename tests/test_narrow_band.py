@@ -15,7 +15,6 @@ from fvfseg.candidate import extract_candidate
 from fvfseg.fvf3d import (
     BAND_HALFWIDTH,
     EvolutionParams,
-    _box_pads,
     _update_box,
     evolve,
     init_window,
@@ -52,14 +51,14 @@ def _travel_case():
     ctx = make_force_context(ScalarVolume(np.ones(dims), UNIT), BinaryMask(cube, UNIT))
     start = BinaryMask(_ball(dims, (23.5,) * 3, 4.0), UNIT)
     params = EvolutionParams(alpha=0.1, beta=1.0, max_iters=100, reinit_every=100, stop_tol=0.0)
-    return signed_distance_init(start, band_halfwidth=2.0), ctx, params
+    return signed_distance_init(start), ctx, params
 
 
 def _curvature_case():
     dims = (48, 48, 48)
     balls = _ball(dims, (20, 24, 24), 6.0) | _ball(dims, (27, 24, 24), 6.0)
     params = EvolutionParams(alpha=1.0, beta=0.0, dt=0.15, max_iters=60, stop_tol=0.0)
-    return signed_distance_init(BinaryMask(balls, UNIT), band_halfwidth=2.0), None, params
+    return signed_distance_init(BinaryMask(balls, UNIT)), None, params
 
 
 def _anisotropic_case():
@@ -68,7 +67,7 @@ def _anisotropic_case():
     ctx = make_force_context(_bright(candidate, spacing), BinaryMask(candidate, spacing))
     start = BinaryMask(_ball(dims, (27, 29, 14), 5.0, spacing), spacing)
     params = EvolutionParams(max_iters=60, stop_tol=0.0)
-    return signed_distance_init(start, band_halfwidth=3.0), ctx, params
+    return signed_distance_init(start), ctx, params
 
 
 def _grid_face_case():
@@ -77,7 +76,7 @@ def _grid_face_case():
     ctx = make_force_context(_bright(candidate, UNIT), BinaryMask(candidate, UNIT))
     params = EvolutionParams(max_iters=60, stop_tol=0.0)
     start = BinaryMask(candidate, UNIT)
-    return signed_distance_init(start, band_halfwidth=3.0), ctx, params
+    return signed_distance_init(start), ctx, params
 
 
 PARITY_CASES = {
@@ -162,7 +161,7 @@ def test_the_box_after_a_steepening_segment_hugs_the_front():
     phi, dims = out.phi.data, out.phi.dims
     assert np.abs(phi[out.window]).min() > BAND_HALFWIDTH * max(out.phi.spacing)
 
-    pads = _box_pads(out.band_halfwidth, params, out.phi.spacing, dims)
+    pads = params.box_pads(out.phi.spacing, dims)
     core, _ = _update_box(phi, pads, out.window)
     front = bounding_box(_interface_ref(phi))
     assert core == grow_box(front, pads, dims) != whole_box(dims)
@@ -176,8 +175,7 @@ def _skewed_case():
     ctx = make_force_context(_bright(candidate, spacing), BinaryMask(candidate, spacing))
     start = BinaryMask(_ball(dims, (18, 18, 15), 5.0, spacing), spacing)
     params = EvolutionParams(max_iters=60, stop_tol=0.0)
-    window = init_window(start, 3.0, params)
-    return signed_distance_init(start, 3.0, window), ctx, params
+    return signed_distance_init(start, init_window(start, params)), ctx, params
 
 
 @pytest.mark.parametrize("name", [*sorted(PARITY_CASES), "skewed"])
@@ -221,11 +219,10 @@ def test_many_checkpoints_match_full_grid():
     # runs, as the whole grid is, so the far voxels that no box reached
     # before do not enter a step with their starting distance.
     start, ctx, params = _cube_case(60)
-    band = 2.0
-    ls = signed_distance_init(start, band, init_window(start, band, params))
+    ls = signed_distance_init(start, init_window(start, params))
     log = []
     out = evolve(ls, ctx, params, log=log)
-    ref_phi, ref_log = _oracle(signed_distance_init(start, band), ctx, params)
+    ref_phi, ref_log = _oracle(signed_distance_init(start), ctx, params)
 
     assert np.array_equal(zero_level_mask(out).data, ref_phi < 0)
     assert zero_level_mask(out).count() == 25536
@@ -238,11 +235,10 @@ def test_a_window_that_does_not_hold_the_first_box_is_rejected():
     # its halo: init_window gives the window to start from
     ls, ctx, params = _travel_case()
     start = zero_level_mask(ls)
-    tight = signed_distance_init(start, ls.band_halfwidth, bounding_box(start.data))
+    tight = signed_distance_init(start, bounding_box(start.data))
     with pytest.raises(ValueError, match="init_window"):
         evolve(tight, ctx, params)
-    window = init_window(start, ls.band_halfwidth, params)
-    wide = signed_distance_init(start, ls.band_halfwidth, window)
+    wide = signed_distance_init(start, init_window(start, params))
     assert evolve(wide, ctx, replace(params, max_iters=1)).iteration == 1
 
 
@@ -252,10 +248,9 @@ def test_window_widens_as_the_front_travels():
     # new box, on which phi is rebuilt from the front before the segment.
     start, ctx, params = _cube_case(100)
     dims, cube = start.dims, ctx.candidate.data
-    band = 2.0
-    window = init_window(start, band, params)
-    ls = signed_distance_init(start, band, window)
-    _, outer = _update_box(ls.phi.data, _box_pads(band, params, UNIT, dims), whole_box(dims))
+    window = init_window(start, params)
+    ls = signed_distance_init(start, window)
+    _, outer = _update_box(ls.phi.data, params.box_pads(UNIT, dims), whole_box(dims))
     assert _inside(window, outer) and _voxels(window) < 0.25 * cube.size
 
     log = []
@@ -264,7 +259,7 @@ def test_window_widens_as_the_front_travels():
     # placeholders as distances, so every value the window holds and every
     # log figure are the same to the bit.
     ref_log = []
-    ref = evolve(signed_distance_init(start, band), ctx, params, log=ref_log)
+    ref = evolve(signed_distance_init(start), ctx, params, log=ref_log)
     assert ref.window == whole_box(dims)
     assert np.array_equal(out.phi.data[out.window], ref.phi.data[out.window])
     assert np.array_equal(zero_level_mask(out).data, zero_level_mask(ref).data)
@@ -289,14 +284,13 @@ def test_reinitialize_keeps_the_window():
     start = BinaryMask(start, UNIT)
     ctx = make_force_context(ScalarVolume(np.ones(dims), UNIT), BinaryMask(candidate, UNIT))
     params = EvolutionParams(alpha=0.1, beta=1.0, max_iters=60, reinit_every=30, stop_tol=0.0)
-    band = 3.0
-    window = init_window(start, band, params)
-    windowed = reinitialize(signed_distance_init(start, band, window))
-    whole = reinitialize(signed_distance_init(start, band))
+    window = init_window(start, params)
+    windowed = reinitialize(signed_distance_init(start, window))
+    whole = reinitialize(signed_distance_init(start))
     assert windowed.window == window and whole.window == whole_box(dims)
     assert np.array_equal(windowed.phi.data[window], whole.phi.data[window])
 
-    phi = signed_distance_init(start, band).phi.data
+    phi = signed_distance_init(start).phi.data
     phi[window] = windowed.phi.data[window]
     log, ref_log = [], []
     out = evolve(windowed, ctx, params, log=log)
@@ -312,7 +306,7 @@ def test_parity_cases_run_on_a_box_smaller_than_the_grid(name):
     spacing = ls.phi.spacing
     dt = params.resolve_dt(spacing)
     travel = params.reinit_every * dt * (params.beta + 2.0 * params.alpha / min(spacing))
-    band = max(spacing) * ls.band_halfwidth
+    band = max(spacing) * BAND_HALFWIDTH
     pads = [int(np.ceil(band / s)) + int(np.ceil(travel / s)) for s in spacing]
     _, outer = _update_box(ls.phi.data, pads, whole_box(ls.phi.dims))
     box_voxels = np.prod([s.stop - s.start for s in outer])
@@ -320,7 +314,7 @@ def test_parity_cases_run_on_a_box_smaller_than_the_grid(name):
 
 
 def test_front_crosses_more_than_the_band_between_checkpoints():
-    # the front travels ~20 voxels in one segment with a band of 2: without
+    # the front travels ~20 voxels in one segment with a band of 1: without
     # the travel margin it would stall at the edge of the first box
     ls, ctx, params = _travel_case()
     out = zero_level_mask(evolve(ls, ctx, params))
@@ -394,7 +388,6 @@ def test_inside_distance_on_a_crop_matches_the_whole_grid(dims, spacing, rng):
     [((20, 17, 15), UNIT), ((16, 16, 16), (1.0, 1.0, 2.0)), ((12, 20, 9), (0.5, 1.25, 3.0))],
 )
 def test_distance_on_a_window_matches_the_whole_grid(dims, spacing, rng):
-    band = 2.0
     for trial in range(6):
         m = ndimage.binary_opening(rng.random(dims) < 0.4)
         m[: trial % 3, :, :] = False  # the first masks touch the x = 0 face
@@ -409,16 +402,22 @@ def test_distance_on_a_window_matches_the_whole_grid(dims, spacing, rng):
         )
         window = (*window[:2], slice(None, window[2].stop))
         mask = BinaryMask(m, spacing)
-        full = signed_distance_init(mask, band).phi.data
-        got = signed_distance_init(mask, band, window)
+        full = signed_distance_init(mask).phi.data
+        got = signed_distance_init(mask, window)
         assert got.window[2] == slice(0, window[2].stop)
         assert np.array_equal(got.phi.data[window], full[window])
         outside = np.ones(dims, dtype=bool)
         outside[window] = False
-        assert (got.phi.data[outside] > band * max(spacing)).all()
+        assert (got.phi.data[outside] > BAND_HALFWIDTH * max(spacing)).all()
 
 
 def test_window_must_hold_the_region():
     mask = BinaryMask(_ball((16, 16, 16), (8, 8, 8), 4.0), UNIT)
-    with pytest.raises(ValueError, match="whole region"):
-        signed_distance_init(mask, window=np.s_[5:16, 0:16, 0:16])
+    for window, match in (
+        (np.s_[5:16, 0:16, 0:16], "whole region"),
+        # a step other than 1 is not a box, and a fourth slice is no axis
+        (np.s_[0:16:2, 0:16, 0:16], "three slices of step 1"),
+        (np.s_[0:16, 0:16, 0:16, 0:16], "three slices of step 1"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            signed_distance_init(mask, window=window)

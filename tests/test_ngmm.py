@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import fvfseg
 from fvfseg.ngmm import (
     _STD_FLOOR,
     EM_CHUNK_SAMPLES,
+    EM_TOL,
     TissueMixtureModel,
     _bin_moments,
     _binned_samples,
@@ -188,6 +190,12 @@ class TestFitEm:
         assert len(trace) >= 2
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
         assert model.converged is True
+
+    def test_default_tol(self):
+        """EM's stopping tolerance is a constant of the module, not a
+        parameter."""
+        assert EM_TOL == 1e-6
+        assert "tol" not in inspect.signature(fit_em).parameters
 
     def test_max_iters_cap_reports_not_converged(self, rng):
         x = _draw_mixture(rng, 5_000)

@@ -1,6 +1,6 @@
 """PipelineConfig and run_pipeline: the settings the config keeps agree
 with the defaults of the functions and parameter types it feeds, and the
-narrow band's half-width has one default, fvf3d.BAND_HALFWIDTH; the EM fit
+narrow band's half-width is one constant, fvf3d.BAND_HALFWIDTH; the EM fit
 leaves every artifact past the abnormality map unchanged against the
 reference fit; the fit and the map read one vector of normalized brain
 voxels, which the fit leaves intact, and a run indexes the brain mask
@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fvfseg import fvf3d, phantom, pipeline
+from fvfseg import fvf3d, ngmm, phantom, pipeline
 from fvfseg.brainmap import ProbabilisticAtlas, build_gbbm
 from fvfseg.candidate import extract_candidate
 from fvfseg.mvol import read_volume
@@ -54,9 +54,11 @@ class TestDefaultsAgree:
         assert PipelineConfig().psi == _default(extract_candidate, "psi")
 
     def test_band_halfwidth(self):
+        """The narrow band's half-width is a constant of fvf3d, not a
+        parameter."""
         assert fvf3d.BAND_HALFWIDTH == 1.0
         for fn in (fvf3d.LevelSetField, fvf3d.signed_distance_init, fvf3d.init_window):
-            assert _default(fn, "band_halfwidth") == fvf3d.BAND_HALFWIDTH, fn.__name__
+            assert "band_halfwidth" not in inspect.signature(fn).parameters, fn.__name__
 
 
 def _sphere_case(path):
@@ -84,8 +86,7 @@ def test_reference_em_model_changes_only_the_gbbm_within_tolerance(tmp_path):
     atlas = phantom.load_atlas_dir(config.atlas_dir)
     values, _ = normalize_intensity(read_scalar(config.input), atlas.brain_mask)
     samples = sample_masked_intensities(values, max_samples=config.max_samples)
-    tol = _default(fit_em, "tol")
-    ref = fit_em_oracle(samples, k=3, tol=tol, max_iters=config.em_max_iters)
+    ref = fit_em_oracle(samples, k=3, tol=ngmm.EM_TOL, max_iters=config.em_max_iters)
     model_path = tmp_path / "reference_model.txt"
     save_model(TissueMixtureModel(ref.weights, ref.means, ref.stds), model_path)
     reference = replace(config, model=str(model_path), output_dir=str(tmp_path / "reference"))

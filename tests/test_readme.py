@@ -1,6 +1,7 @@
 """README's "Library use" block runs as written against a phantom case, its
 table of config keys lists exactly the keys the config parser takes, and
-its table of library-only parameters names parameters that exist."""
+its table of library-only parameters names parameters that exist and
+lists every knob of the level set and the fit that no config key sets."""
 
 import dataclasses
 import importlib
@@ -8,7 +9,7 @@ import inspect
 import os
 import re
 
-from fvfseg import phantom, pipeline
+from fvfseg import fvf3d, ngmm, phantom, pipeline
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -44,13 +45,19 @@ def test_config_key_table_names_every_key():
     assert set(keys) == pipeline.CONFIG_KEYS
 
 
+def _library_rows():
+    """(parameter, owners column) of each row of the CLI section's table of
+    library-only parameters."""
+    section = _readme().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    table = re.search(r"^\| parameter .*?\n\n", section, re.M | re.S).group(0)
+    return re.findall(r"^\| `(\w+)` +\| (.*?) *\|$", table, re.M)
+
+
 def test_library_parameter_table_names_existing_parameters():
     """The CLI section's table of library-only parameters: each row names a
     parameter of every function, or a field of every dataclass, in its
     second column, so a deleted knob fails here until README drops it."""
-    section = _readme().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    table = re.search(r"^\| parameter .*?\n\n", section, re.M | re.S).group(0)
-    rows = re.findall(r"^\| `(\w+)` +\| (.*?) *\|$", table, re.M)
+    rows = _library_rows()
     assert rows
     for name, owners in rows:
         paths = re.findall(r"`(fvfseg[\w.]+)`", owners)
@@ -63,3 +70,28 @@ def test_library_parameter_table_names_existing_parameters():
             else:
                 names = set(inspect.signature(owner).parameters)
             assert name in names, f"{path} has no parameter {name!r}"
+
+
+def test_library_parameter_table_lists_every_knob_no_config_key_sets():
+    """The other way round: every field of EvolutionParams that is no config
+    key, and every defaulted parameter of fit_em that no ``em_`` key sets,
+    has a row naming its owner, so a new knob fails here until README lists
+    it or it becomes a constant."""
+    listed = {
+        (name, path)
+        for name, owners in _library_rows()
+        for path in re.findall(r"`(fvfseg[\w.]+)`", owners)
+    }
+    keys = pipeline.CONFIG_KEYS
+    fit_keys = {key.removeprefix("em_") for key in keys if key.startswith("em_")}
+    knobs = {
+        (f.name, "fvfseg.fvf3d.EvolutionParams")
+        for f in dataclasses.fields(fvf3d.EvolutionParams)
+        if f.name not in keys
+    } | {
+        (name, "fvfseg.ngmm.fit_em")
+        for name, p in inspect.signature(ngmm.fit_em).parameters.items()
+        if p.default is not p.empty and name not in fit_keys
+    }
+    assert ("k", "fvfseg.ngmm.fit_em") in knobs
+    assert knobs <= listed, f"README lists no row for {sorted(knobs - listed)}"

@@ -19,7 +19,6 @@ from fvfseg import fvf3d, volume
 from fvfseg.errors import NumericalInstabilityError
 from fvfseg.fvf3d import (
     EvolutionParams,
-    _box_pads,
     _gradient_norm2,
     _peak_gradient_norm2,
     _update_box,
@@ -132,21 +131,19 @@ def test_split_step_is_exact_for_one_plane_parts_on_the_grid_faces(monkeypatch):
     for name in ("grid_face", "travel"):
         ls, _, params = _case(name)
         core, _ = _update_box(
-            ls.phi.data,
-            _box_pads(ls.band_halfwidth, params, ls.phi.spacing, ls.phi.dims),
-            whole_box(ls.phi.dims),
+            ls.phi.data, params.box_pads(ls.phi.spacing, ls.phi.dims), whole_box(ls.phi.dims)
         )
         assert core[0].start == 0
         _assert_matches_reference(name)
 
 
 def _large_case():
-    # a 64^3 ball of radius 18: the update box is 56^3, above the size rule
+    # a 64^3 ball of radius 18: the update box is 52^3, above the size rule
     dims = (64, 64, 64)
     ball = _ball(dims, (31.5,) * 3, 18.0)
     ctx = make_force_context(_bright(ball, UNIT), BinaryMask(ball, UNIT))
     params = EvolutionParams(max_iters=20, stop_tol=0.0)
-    return signed_distance_init(BinaryMask(ball, UNIT), 3.0), ctx, params
+    return signed_distance_init(BinaryMask(ball, UNIT)), ctx, params
 
 
 def test_a_box_above_the_size_rule_gives_the_same_bits_on_two_workers(monkeypatch):
@@ -210,11 +207,7 @@ def test_a_nan_in_phi_raises_at_the_next_iteration(workers, monkeypatch):
     counts = _spy_parts(monkeypatch)
     ls, ctx, params = _case("skewed")
     ls = replace(ls, iteration=5)
-    core, _ = _update_box(
-        ls.phi.data,
-        _box_pads(ls.band_halfwidth, params, ls.phi.spacing, ls.phi.dims),
-        ls.window,
-    )
+    core, _ = _update_box(ls.phi.data, params.box_pads(ls.phi.spacing, ls.phi.dims), ls.window)
     ls.phi.data[tuple((c.start + c.stop) // 2 for c in core)] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
