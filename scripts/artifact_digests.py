@@ -93,8 +93,6 @@ def digest_workload(workload, seed, held_out, root):
 
 def _model_change(path_a, path_b) -> str:
     a, b = load_model(path_a), load_model(path_b)
-    if a.n_components != b.n_components:
-        return f"K differs ({a.n_components} vs {b.n_components})"
     pairs = zip(a.weights + a.means + a.stds, b.weights + b.means + b.stds)
     rel = max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y), default=0.0)
     return f"max_rel_change={rel:.3g}"

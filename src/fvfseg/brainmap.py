@@ -69,7 +69,13 @@ _SUM_CHUNK_VOXELS = 1 << 16
 
 @dataclass
 class ProbabilisticAtlas:
-    """Intensity template plus per-tissue probability maps on one grid."""
+    """Intensity template plus per-tissue probability maps on one grid.
+
+    No map value is below 0, and none above 1, nor any voxel's sum of the
+    three, by more than _PROB_TOL: the maps travel through float32 files,
+    whose rounding (~1e-7) can push a value a hair past 1 but cannot make
+    a non-negative value negative.
+    """
 
     template: ScalarVolume
     prob_csf: ScalarVolume
@@ -77,8 +83,6 @@ class ProbabilisticAtlas:
     prob_wm: ScalarVolume
     brain_mask: BinaryMask
 
-    # Probability maps travel through float32 files, so the unit-interval
-    # and unit-sum checks get slack well above float32 rounding (~1e-7).
     _PROB_TOL = 1e-6
 
     def __post_init__(self):
@@ -87,7 +91,7 @@ class ProbabilisticAtlas:
         require_same_grid(self.template, self.brain_mask, "template and brain mask")
         maps = [getattr(self, name).data for name in _MAP_NAMES]
         for name, p in zip(_MAP_NAMES, maps):
-            if p.min() < -self._PROB_TOL or p.max() > 1 + self._PROB_TOL:
+            if p.min() < 0 or p.max() > 1 + self._PROB_TOL:
                 raise ValueError(f"{name} has values outside [0, 1]")
         # The float64 sum csf + gm + wm, a chunk of voxels at a time in the
         # maps' memory order (Fortran when read from MVOL): each voxel's sum
@@ -243,8 +247,6 @@ def posterior_triple(
     unchanged; ``diagnostics`` (a dict, optional) receives that boolean
     mask under "degenerate_bayes".
     """
-    if model.n_components != 3:
-        raise ValueError(f"posterior needs a 3-component model, got K={model.n_components}")
     p = _triples(prior, "prior")
     if not (np.isfinite(p).all() and (p >= 0).all()):
         raise ValueError("prior must hold nonnegative finite values")
@@ -315,8 +317,6 @@ class _ChunkBuffers:
         for row, m in zip(prior, maps):
             row[:] = m[voxels]
         _prior_rows(prior, u, flag)
-        if prior.min() < 0:  # an atlas value within the tolerance below 0
-            raise ValueError("prior must hold nonnegative finite values")
         _posterior_rows(model, prior, x, post, u, flag, v)
         bayes = int(np.count_nonzero(flag))
         _pearson_rows(post, prior, cc, u, v, flag, w)
@@ -343,18 +343,16 @@ def build_gbbm(
     voxel's value is the same as from one pass over the whole volume.  The
     brain voxels are cut into contiguous parts (``volume.split_planes``,
     at GBBM_PASSES passes per voxel), each with its own chunk buffers,
-    which ``volume.run_parts`` runs on the CPUs.  The values and the model
-    are checked once here; each chunk checks its prior, since an atlas
-    value a hair below 0 passes the atlas's check.  Optional
-    ``diagnostics`` (a dict) receives counts of degenerate brain voxels.
+    which ``volume.run_parts`` runs on the CPUs.  The values are checked
+    once here; the atlas's maps and the model's three components were
+    checked when they were built.  Optional ``diagnostics`` (a dict)
+    receives counts of degenerate brain voxels.
     """
     order = mask_order(atlas.brain_mask)
     voxels = np.flatnonzero(atlas.brain_mask.data.ravel(order))
     x = np.asarray(values, dtype=np.float64)
     if x.shape != voxels.shape:
         raise ValueError(f"need {voxels.size} brain-voxel values, got shape {x.shape}")
-    if model.n_components != 3:
-        raise ValueError(f"posterior needs a 3-component model, got K={model.n_components}")
     if not np.isfinite(x).all():
         raise ValueError("intensity must be finite")
     # views when the maps are laid out like the mask, as an atlas read from MVOL is

@@ -5,10 +5,10 @@ maps the (scanner-dependent) raw range onto a common scale where tissue
 modes from different acquisitions line up.  Only brain voxels are read,
 and their normalized values form one vector that both the fit and the
 abnormality map (``brainmap.build_gbbm``) read, so nothing here may sort
-or write it in place.  A K-component
-univariate Gaussian mixture is then fitted to that vector with EM.  For
-K = 3 the components are labelled CSF/GM/WM in ascending order of mean,
-matching the usual T1 ordering: fluid darkest, white matter brightest.
+or write it in place.  A univariate Gaussian mixture of the three
+``TISSUES`` is then fitted to that vector with EM: CSF, GM and WM in
+ascending order of mean, matching the usual T1 ordering: fluid darkest,
+white matter brightest.
 
 EM runs on a weighted histogram of the samples (grouped-data EM,
 McLachlan & Jones 1988): the samples are binned once into ``EM_BINS``
@@ -31,6 +31,8 @@ import numpy as np
 
 from .volume import BinaryMask, ScalarVolume, mask_order, require_same_grid
 
+# the mixture's components, in ascending order of mean
+TISSUES = ("CSF", "GM", "WM")
 VARIANCE_FLOOR = 1e-6
 # the default caps of fit_em's iterations and of the samples it is given
 EM_MAX_ITERS = 500
@@ -59,7 +61,8 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 @dataclass(eq=True)
 class TissueMixtureModel:
-    """Univariate Gaussian mixture, components sorted by ascending mean."""
+    """Univariate Gaussian mixture of the three ``TISSUES``, components
+    sorted by ascending mean."""
 
     weights: tuple[float, ...]
     means: tuple[float, ...]
@@ -71,9 +74,8 @@ class TissueMixtureModel:
         self.weights = tuple(float(w) for w in self.weights)
         self.means = tuple(float(m) for m in self.means)
         self.stds = tuple(float(s) for s in self.stds)
-        k = len(self.weights)
-        if k < 1 or len(self.means) != k or len(self.stds) != k:
-            raise ValueError("weights, means and stds must have one common nonzero length")
+        if not len(self.weights) == len(self.means) == len(self.stds) == len(TISSUES):
+            raise ValueError(f"need one weight, mean and std per tissue of {TISSUES}")
         vals = self.weights + self.means + self.stds
         if any(not math.isfinite(v) for v in vals):
             raise ValueError("model parameters must be finite")
@@ -83,14 +85,6 @@ class TissueMixtureModel:
             raise ValueError(f"stds must respect the floor {_STD_FLOOR}")
         if any(a > b for a, b in zip(self.means, self.means[1:])):
             raise ValueError("means must be sorted ascending")
-
-    @property
-    def n_components(self) -> int:
-        return len(self.weights)
-
-    @property
-    def labels(self) -> tuple[str, ...] | None:
-        return ("CSF", "GM", "WM") if self.n_components == 3 else None
 
 
 def normalize_intensity(scan: ScalarVolume, mask: BinaryMask):
@@ -319,12 +313,11 @@ def _binned_samples(x, lo, hi):
     )
 
 
-def fit_em(samples, k: int = 3, max_iters: int = EM_MAX_ITERS) -> TissueMixtureModel:
-    """Fit a K-component univariate Gaussian mixture with EM.
+def fit_em(samples, max_iters: int = EM_MAX_ITERS) -> TissueMixtureModel:
+    """Fit a univariate Gaussian mixture of the three ``TISSUES`` with EM.
 
-    Initialization is deterministic: component means start at the
-    (2j+1)/(2k) sample quantiles, all stds at sample_std/k, weights
-    uniform.
+    Initialization is deterministic: component j's mean starts at the
+    (2j+1)/6 sample quantile, all stds at sample_std/3, weights uniform.
 
     The samples are binned once and every iteration runs over the bins,
     the grouped-data EM of McLachlan & Jones (1988).  The bins cover the
@@ -355,13 +348,14 @@ def fit_em(samples, k: int = 3, max_iters: int = EM_MAX_ITERS) -> TissueMixtureM
     problem.  The result's ``converged`` is false when ``max_iters`` ran out
     before the gain in log-likelihood fell below ``EM_TOL``.
     """
+    k = len(TISSUES)
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < k:
         raise ValueError(f"need at least {k} samples to fit {k} components, got {x.size}")
     if not np.isfinite(x).all():
         raise ValueError("samples contain non-finite values")
-    if k < 1 or max_iters < 1:
-        raise ValueError("k and max_iters must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
 
     qs = (2.0 * np.arange(k) + 1.0) / (2.0 * k)
     q = _quantiles(x, np.concatenate(([_TAIL_QUANTILE, 1.0 - _TAIL_QUANTILE], qs)))
@@ -421,8 +415,8 @@ def fit_em(samples, k: int = 3, max_iters: int = EM_MAX_ITERS) -> TissueMixtureM
 
 
 def model_to_text(model: TissueMixtureModel) -> str:
-    lines = [f"K={model.n_components}"]
-    for j in range(model.n_components):
+    lines = [f"K={len(TISSUES)}"]
+    for j in range(len(TISSUES)):
         lines.append(f"weight_{j}={format(model.weights[j], '.17g')}")
         lines.append(f"mean_{j}={format(model.means[j], '.17g')}")
         lines.append(f"std_{j}={format(model.stds[j], '.17g')}")

@@ -205,7 +205,7 @@ def fit_stage(patient: ScalarVolume, atlas: ProbabilisticAtlas, config: Pipeline
     values, mean = normalize_intensity(patient, atlas.brain_mask)
     if config.model is None:
         samples = sample_masked_intensities(values, max_samples=config.max_samples)
-        model = fit_em(samples, k=3, max_iters=config.em_max_iters)
+        model = fit_em(samples, max_iters=config.em_max_iters)
     else:
         model = load_model(config.model)
     if config.output_dir is not None:

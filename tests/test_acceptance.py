@@ -196,7 +196,7 @@ def test_em_recovers_reference_mixture():
         np.array([0.6, 1.0, 1.3])[comps], np.array([0.08, 0.10, 0.12])[comps]
     )
 
-    model = fit_em(x, k=3)
+    model = fit_em(x)
     assert np.allclose(model.means, (0.6, 1.0, 1.3), atol=0.02)
     assert np.allclose(model.stds, (0.08, 0.10, 0.12), atol=0.02)
     assert np.allclose(model.weights, (0.2, 0.5, 0.3), atol=0.03)

@@ -142,11 +142,15 @@ class TestAtlasCheckInChunks:
 
     @pytest.mark.parametrize("order", "CF")
     def test_values_at_the_tolerance_are_accepted(self, order):
+        # slack above 1 for float32 rounding, none below 0
         csf, gm, wm = self._maps(order)
-        csf[0, 0, 0] = -1e-6
+        csf[0, 0, 0] = 0.0
         gm[-1, -1, -1] = 1 + 1e-6
         wm[-1, -1, -1] = csf[-1, -1, -1] = 0.0
         _atlas_of(csf, gm, wm)
+        csf[0, 0, 0] = -1e-6
+        with pytest.raises(ValueError, match=r"prob_csf has values outside \[0, 1\]"):
+            _atlas_of(csf, gm, wm)
 
     @pytest.mark.parametrize("order", "CF")
     @pytest.mark.parametrize("where", ["last", "boundary-before", "boundary-after"])
@@ -237,11 +241,6 @@ class TestPosterior:
     def test_zero_prior_component_stays_zero(self):
         got = posterior_triple(MODEL, (0.0, 0.5, 0.5), 1.0)
         assert got[0] == 0.0
-
-    def test_rejects_wrong_k(self):
-        two = TissueMixtureModel((0.5, 0.5), (0.0, 1.0), (0.1, 0.1))
-        with pytest.raises(ValueError, match="3-component"):
-            posterior_triple(two, (1, 0, 0), 0.5)
 
     def test_rejects_bad_prior(self):
         with pytest.raises(ValueError):
@@ -409,12 +408,6 @@ class TestBuildGbbm:
         # one chunk; one pass over the whole volume takes about 18 grids
         assert peak <= 4 * grid_bytes, f"peak {peak / grid_bytes:.1f} float64 grids"
 
-    def test_rejects_wrong_model_k(self, rng):
-        atlas = _random_atlas(rng)
-        two = TissueMixtureModel((0.5, 0.5), (0.0, 1.0), (0.1, 0.1))
-        with pytest.raises(ValueError, match="3-component"):
-            build_gbbm(_brain_values(np.ones(atlas.dims), atlas), atlas, two)
-
     def test_rejects_grid_mismatch(self, rng):
         # the brain voxels of a scan on another grid: a vector of another length
         atlas = _random_atlas(rng)
@@ -515,19 +508,6 @@ class TestGbbmSplit:
                 assert self._run(atlas, values) == serial
         finally:
             sys.setswitchinterval(interval)
-
-    def test_a_negative_atlas_value_in_the_last_part_raises(self, rng, monkeypatch):
-        atlas = _random_atlas(rng, dims=self.DIMS)
-        index, order = _brain_index(atlas)
-        # within the atlas's tolerance below 0, so the atlas accepts it
-        atlas.prob_csf.data.ravel(order)[index[-1]] = -5e-7
-        values = _brain_values(rng.uniform(0.3, 1.8, atlas.dims), atlas)
-        calls = self._spy_parts(monkeypatch)
-        monkeypatch.setattr(volume, "WORKERS", 3)
-        monkeypatch.setattr(volume, "PART_WORK", 1)
-        with pytest.raises(ValueError, match="prior must hold nonnegative finite values"):
-            build_gbbm(values, atlas, MODEL)
-        assert [len(c) for c in calls] == [3]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_values_raise_before_any_part_runs(self, bad, rng, monkeypatch):

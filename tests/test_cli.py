@@ -56,6 +56,18 @@ def pipeline_out(case_dir, tmp_path_factory):
     return out
 
 
+def _files(out):
+    """Each file of ``out`` by name: its bytes and its modification time, so
+    a file rewritten with the same bytes still shows."""
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+
+
+# a well-formed model file of two components
+TWO_COMPONENT_MODEL = (
+    "K=2\nweight_0=0.5\nmean_0=0.8\nstd_0=0.1\nweight_1=0.5\nmean_1=1.1\nstd_1=0.1\n"
+)
+
+
 class TestPhantomCommand:
     def test_writes_complete_case(self, case_dir, capsys):
         expected = set(ATLAS_FILES.values()) | {PATIENT_FILE, TRUTH_FILE, MANIFEST_FILE}
@@ -299,11 +311,7 @@ class TestPipelineCommand:
         no file is rewritten, not even with the same bytes."""
         out = tmp_path / "out"
         shutil.copytree(pipeline_out, out)
-
-        def files():
-            return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
-
-        before = files()
+        before = _files(out)
         code = main(
             [
                 "pipeline",
@@ -315,7 +323,58 @@ class TestPipelineCommand:
         )
         assert code == EXIT_GENERIC
         assert name in capsys.readouterr().err
-        assert files() == before
+        assert _files(out) == before
+
+    @pytest.mark.parametrize("command", ["pipeline", "gbbm"])
+    def test_two_component_model_exit_one_before_any_write(
+        self, command, case_dir, pipeline_out, tmp_path, capsys
+    ):
+        """A well-formed model file of two components is rejected when it
+        is read, before model.txt or any other artifact is rewritten."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        model = tmp_path / "two.txt"
+        model.write_text(TWO_COMPONENT_MODEL)
+        before = _files(out)
+        code = main(
+            [
+                command,
+                "--model", str(model),
+                "--input", str(case_dir / PATIENT_FILE),
+                "--atlas-dir", str(case_dir),
+                "--output-dir", str(out),
+            ]
+        )
+        assert code == EXIT_GENERIC
+        assert "per tissue" in capsys.readouterr().err
+        assert _files(out) == before
+
+    def test_negative_atlas_value_at_a_brain_voxel_exit_one_before_any_write(
+        self, case_dir, pipeline_out, tmp_path, capsys
+    ):
+        """An atlas probability a hair below 0 (within float32 rounding of
+        0, which cannot make a non-negative value negative) fails when the
+        atlas is loaded."""
+        atlas = tmp_path / "atlas"
+        shutil.copytree(case_dir, atlas)
+        brain = read_volume(str(atlas / ATLAS_FILES["brain_mask"]))
+        csf = read_volume(str(atlas / ATLAS_FILES["prob_csf"]))
+        csf.data[np.unravel_index(np.flatnonzero(brain.data)[0], brain.dims)] = -5e-7
+        write_volume(csf, str(atlas / ATLAS_FILES["prob_csf"]))
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        before = _files(out)
+        code = main(
+            [
+                "pipeline",
+                "--input", str(case_dir / PATIENT_FILE),
+                "--atlas-dir", str(atlas),
+                "--output-dir", str(out),
+            ]
+        )
+        assert code == EXIT_GENERIC
+        assert "prob_csf has values outside [0, 1]" in capsys.readouterr().err
+        assert _files(out) == before
 
     @pytest.mark.parametrize("key", ["em_max_iters", "max_samples"])
     def test_bad_fit_setting_in_a_config_file_exit_one_before_any_write(
@@ -327,11 +386,7 @@ class TestPipelineCommand:
         shutil.copytree(pipeline_out, out)
         config = tmp_path / "fit.cfg"
         config.write_text(f"{key} = 0\n")
-
-        def files():
-            return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
-
-        before = files()
+        before = _files(out)
         code = main(
             [
                 "pipeline",
@@ -344,7 +399,7 @@ class TestPipelineCommand:
         )
         assert code == EXIT_GENERIC
         assert key in capsys.readouterr().err
-        assert files() == before
+        assert _files(out) == before
 
     @pytest.mark.parametrize(
         "key",

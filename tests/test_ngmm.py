@@ -15,6 +15,7 @@ from fvfseg.ngmm import (
     _STD_FLOOR,
     EM_CHUNK_SAMPLES,
     EM_TOL,
+    TISSUES,
     TissueMixtureModel,
     _bin_moments,
     _binned_samples,
@@ -132,21 +133,27 @@ class TestDensities:
 class TestModelValidation:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            TissueMixtureModel((0.5, 0.6), (0.0, 1.0), (0.1, 0.1))
+            TissueMixtureModel((0.3, 0.3, 0.5), (0.0, 1.0, 2.0), (0.1, 0.1, 0.1))
 
     def test_means_must_be_sorted(self):
         with pytest.raises(ValueError, match="ascending"):
-            TissueMixtureModel((0.5, 0.5), (1.0, 0.0), (0.1, 0.1))
+            TissueMixtureModel((0.3, 0.3, 0.4), (0.0, 2.0, 1.0), (0.1, 0.1, 0.1))
 
     def test_std_floor_enforced(self):
         with pytest.raises(ValueError, match="floor"):
-            TissueMixtureModel((1.0,), (0.0,), (1e-9,))
+            TissueMixtureModel((0.3, 0.3, 0.4), (0.0, 1.0, 2.0), (0.1, 1e-9, 0.1))
 
-    def test_labels_only_for_three_components(self):
-        three = TissueMixtureModel((0.3, 0.3, 0.4), (0.0, 1.0, 2.0), (0.1, 0.1, 0.1))
-        two = TissueMixtureModel((0.5, 0.5), (0.0, 1.0), (0.1, 0.1))
-        assert three.labels == ("CSF", "GM", "WM")
-        assert two.labels is None
+    def test_a_two_component_model_is_rejected(self):
+        # one weight, mean and std per tissue of TISSUES: no other count
+        # and no mismatched lengths
+        assert TISSUES == ("CSF", "GM", "WM")
+        for weights, means, stds in [
+            ((0.5, 0.5), (0.0, 1.0), (0.1, 0.1)),
+            ((0.3, 0.3, 0.4), (0.0, 1.0), (0.1, 0.1, 0.1)),
+            ((0.25,) * 4, (0.0, 1.0, 2.0, 3.0), (0.1,) * 4),
+        ]:
+            with pytest.raises(ValueError, match="per tissue"):
+                TissueMixtureModel(weights, means, stds)
 
 
 def _draw_mixture(rng, n):
@@ -163,7 +170,7 @@ def _outlier_samples():
 class TestFitEm:
     def test_recovers_well_separated_components(self, rng):
         x = _draw_mixture(rng, 60_000)
-        model = fit_em(x, k=3)
+        model = fit_em(x)
         assert np.allclose(model.means, (0.6, 1.0, 1.3), atol=0.02)
         assert np.allclose(model.weights, (0.2, 0.5, 0.3), atol=0.02)
         assert np.allclose(model.stds, (0.08, 0.10, 0.12), atol=0.03)
@@ -172,8 +179,8 @@ class TestFitEm:
         x = _draw_mixture(rng, 5_000)
         shuffled = x.copy()
         rng.shuffle(shuffled)
-        a = fit_em(x, k=3)
-        b = fit_em(shuffled, k=3)
+        a = fit_em(x)
+        b = fit_em(shuffled)
         assert a.means == b.means
         assert a.weights == b.weights
         assert a.stds == b.stds
@@ -181,11 +188,11 @@ class TestFitEm:
 
     def test_deterministic_across_calls(self, rng):
         x = _draw_mixture(rng, 5_000)
-        assert fit_em(x, k=3) == fit_em(x, k=3)
+        assert fit_em(x) == fit_em(x)
 
     def test_loglik_trace_monotone(self, rng):
         x = _draw_mixture(rng, 5_000)
-        model = fit_em(x, k=3)
+        model = fit_em(x)
         trace = model.loglik_trace
         assert len(trace) >= 2
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
@@ -199,7 +206,7 @@ class TestFitEm:
 
     def test_max_iters_cap_reports_not_converged(self, rng):
         x = _draw_mixture(rng, 5_000)
-        model = fit_em(x, k=3, max_iters=2)
+        model = fit_em(x, max_iters=2)
         assert len(model.loglik_trace) == 2
         assert model.converged is False
 
@@ -215,7 +222,7 @@ class TestFitEm:
         init_std = x.std() / 3
         assert all(gaussian_pdf(1e5, mu, init_std) / 3 == 0.0 for mu in init_means)
 
-        model = fit_em(x, k=3)
+        model = fit_em(x)
         trace = model.loglik_trace
         assert np.isfinite(trace).all()
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
@@ -237,32 +244,25 @@ class TestFitEm:
         x = _draw_mixture(np.random.default_rng(7), 200_000)
         tracemalloc.start()
         try:
-            fit_em(x, k=3)
+            fit_em(x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 3 * x.size * 8, f"peak {peak / (8 * x.size):.1f} sample buffers"
 
-    def test_single_component_matches_sample_moments(self, rng):
-        x = rng.normal(2.0, 0.5, size=10_000)
-        model = fit_em(x, k=1)
-        assert model.weights == (1.0,)
-        assert model.means[0] == pytest.approx(x.mean(), abs=1e-9)
-        assert model.stds[0] == pytest.approx(x.std(), abs=1e-6)
-
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="at least"):
-            fit_em([1.0, 2.0], k=3)
+            fit_em([1.0, 2.0])
 
     def test_nonfinite_samples_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            fit_em([1.0, np.nan, 2.0, 3.0], k=2)
+            fit_em([1.0, np.nan, 2.0, 3.0])
 
     def test_nonfinite_sample_past_the_first_chunk_rejected(self, rng):
         x = _draw_mixture(rng, 3 * EM_CHUNK_SAMPLES)
         x[2 * EM_CHUNK_SAMPLES + 5] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            fit_em(x, k=3)
+            fit_em(x)
 
 
 _FIT_IN_CHILD = """
@@ -318,42 +318,37 @@ class TestFitEmMatchesOracle:
 
     @pytest.mark.parametrize("n", [5_000, 60_000])
     def test_mixture_draws(self, rng, n):
-        self._assert_matches(_draw_mixture(rng, n), k=3)
+        self._assert_matches(_draw_mixture(rng, n))
 
     @pytest.mark.parametrize("max_iters", [500, 2])
     def test_outlier_underflow(self, max_iters):
-        self._assert_matches(_outlier_samples(), k=3, max_iters=max_iters)
+        self._assert_matches(_outlier_samples(), max_iters=max_iters)
 
     def test_spike_of_identical_values(self, rng):
         # like the phantom's constant lesion: 2% of the samples share one
         # value, so one bin's mean must stand for all of them
         x = _draw_mixture(rng, 60_000)
         x[rng.choice(x.size, size=x.size // 50, replace=False)] = 1.6180339887
-        self._assert_matches(x, k=3)
+        self._assert_matches(x)
 
     @pytest.mark.parametrize(
         "n", [EM_CHUNK_SAMPLES - 1, EM_CHUNK_SAMPLES, EM_CHUNK_SAMPLES + 1, 3 * EM_CHUNK_SAMPLES]
     )
     def test_chunk_edges(self, rng, n):
-        self._assert_matches(_draw_mixture(rng, n), k=3)
-
-    def test_single_component(self, rng):
-        self._assert_matches(_draw_mixture(rng, 2 * EM_CHUNK_SAMPLES + 7), k=1)
+        self._assert_matches(_draw_mixture(rng, n))
 
     def test_max_iters_cap(self, rng):
         x = _draw_mixture(rng, 2 * EM_CHUNK_SAMPLES + 7)
-        assert self._assert_matches(x, k=3, max_iters=2).converged is False
+        assert self._assert_matches(x, max_iters=2).converged is False
 
 
 class TestBinning:
     def test_all_samples_equal(self):
         # the tail quantiles coincide, so the bins have zero width
         x = np.full(1000, 0.7)
-        one = fit_em(x, k=1)
-        assert one.means == (0.7,)
-        assert one.weights == (1.0,)
-        assert one.stds == (_STD_FLOOR,)
-        assert fit_em(x, k=3).means == (0.7, 0.7, 0.7)
+        model = fit_em(x)
+        assert model.means == (0.7, 0.7, 0.7)
+        assert model.stds == (_STD_FLOOR,) * 3
 
     def test_sample_past_the_span_is_an_exact_point(self, rng):
         x = np.concatenate((_draw_mixture(rng, 5_000), [0.5, 1.5, 40.0, -7.25]))
@@ -380,7 +375,7 @@ class TestBinning:
         assert forward[0].sum() + forward[3].size == x.size
 
 
-# the quantiles fit_em reads at k = 3: the two tails, then the init means
+# the quantiles fit_em reads: the two tails, then the three init means
 FIT_QUANTILES = np.array([0.0005, 0.9995, 1 / 6, 1 / 2, 5 / 6])
 
 
@@ -467,35 +462,40 @@ class TestSampling:
             sample_masked_intensities(rng.uniform(size=10), max_samples=0)
 
 
+THREE_TEXT = (
+    "K=3\n"
+    "weight_0=0.25\nmean_0=0.5\nstd_0=0.1\n"
+    "weight_1=0.5\nmean_1=1\nstd_1=0.2\n"
+    "weight_2=0.25\nmean_2=1.5\nstd_2=0.3\n"
+)
+
+
 class TestModelText:
     def test_round_trip(self, rng):
         x = _draw_mixture(rng, 5_000)
-        model = fit_em(x, k=3)
+        model = fit_em(x)
         back = model_from_text(model_to_text(model))
         assert back.weights == model.weights
         assert back.means == model.means
         assert back.stds == model.stds
 
     def test_file_round_trip(self, tmp_path):
-        model = TissueMixtureModel((0.25, 0.75), (0.5, 1.5), (0.1, 0.2))
+        model = TissueMixtureModel((0.25, 0.5, 0.25), (0.5, 1.0, 1.5), (0.1, 0.2, 0.3))
         p = tmp_path / "model.txt"
         save_model(model, p)
         assert load_model(p) == model
 
     def test_comments_and_blank_lines_ignored(self):
-        text = "# fitted on case 7\n\nK=1\nweight_0=1\nmean_0=0\nstd_0=1\n"
-        model = model_from_text(text)
-        assert model.n_components == 1
+        model = model_from_text("# fitted on case 7\n\n" + THREE_TEXT)
+        assert model == TissueMixtureModel((0.25, 0.5, 0.25), (0.5, 1.0, 1.5), (0.1, 0.2, 0.3))
 
     def test_missing_key_rejected(self):
-        text = "K=1\nweight_0=1\nmean_0=0\n"
         with pytest.raises(ValueError, match="missing"):
-            model_from_text(text)
+            model_from_text(THREE_TEXT.replace("std_2=0.3\n", ""))
 
     def test_stray_key_rejected(self):
-        text = "K=1\nweight_0=1\nmean_0=0\nstd_0=1\nstd_1=1\n"
         with pytest.raises(ValueError, match="stray"):
-            model_from_text(text)
+            model_from_text(THREE_TEXT + "std_3=1\n")
 
     def test_missing_k_rejected(self):
         with pytest.raises(ValueError, match="K"):
@@ -503,11 +503,19 @@ class TestModelText:
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
-            model_from_text("K=1\nweight_0 1\nmean_0=0\nstd_0=1\n")
+            model_from_text(THREE_TEXT.replace("weight_0=0.25", "weight_0 0.25"))
 
     @pytest.mark.parametrize("line", ["mean_0=9", "K=1"])
     def test_duplicate_key_rejected(self, line):
-        text = f"K=1\nweight_0=1\nmean_0=0.5\nstd_0=1\n{line}\n"
         key = line.split("=")[0]
         with pytest.raises(ValueError, match=f"duplicate model key '{key}'"):
+            model_from_text(f"{THREE_TEXT}{line}\n")
+
+    def test_a_two_component_text_is_rejected(self, tmp_path):
+        text = "K=2\nweight_0=0.5\nmean_0=0\nstd_0=1\nweight_1=0.5\nmean_1=1\nstd_1=1\n"
+        with pytest.raises(ValueError, match="per tissue"):
             model_from_text(text)
+        p = tmp_path / "two.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="per tissue"):
+            load_model(p)

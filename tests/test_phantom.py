@@ -120,7 +120,7 @@ class TestSynthAtlas:
 
     def test_template_mixture_is_fittable(self, atlas):
         values, _ = normalize_intensity(atlas.template, atlas.brain_mask)
-        model = fit_em(sample_masked_intensities(values), k=3)
+        model = fit_em(sample_masked_intensities(values))
         raw_means, _, _ = tissue_statistics(atlas)
         scale = atlas.template.data[atlas.brain_mask.data].mean()
         assert np.allclose(model.means, raw_means / scale, atol=0.05)
@@ -194,7 +194,7 @@ class TestSynthPatient:
         control = TumorSpec(shape="sphere", radii=(8.0,), offset=0.0, seed=1)
         patient, truth = synth_patient(atlas, control)
         values, _ = normalize_intensity(patient, atlas.brain_mask)
-        model = fit_em(sample_masked_intensities(values), k=3)
+        model = fit_em(sample_masked_intensities(values))
         gbbm = build_gbbm(values, atlas, model)
         brain = atlas.brain_mask.data
         lesion_mean = gbbm.data[truth.data].mean()

@@ -1,15 +1,17 @@
-"""README's "Library use" block runs as written against a phantom case, its
-table of config keys lists exactly the keys the config parser takes, and
-its table of library-only parameters names parameters that exist and
-lists every knob of the level set and the fit that no config key sets."""
+"""README's quick start prints what README shows, its "Library use" block
+runs as written against a phantom case, its table of config keys lists
+exactly the keys the config parser takes, and its table of library-only
+parameters names parameters that exist and lists every knob of the level
+set and the fit that no config key sets."""
 
 import dataclasses
 import importlib
 import inspect
 import os
 import re
+import shlex
 
-from fvfseg import fvf3d, ngmm, phantom, pipeline
+from fvfseg import cli, fvf3d, ngmm, phantom, pipeline
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -17,6 +19,36 @@ README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 def _readme() -> str:
     with open(README, encoding="utf-8") as fh:
         return fh.read()
+
+
+def _quick_start():
+    """The quick start's commands, each as its argument list without the
+    program name, and the lines README says the last one prints."""
+    section = _readme().split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    script = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line)[1:] for line in script.replace("\\\n", " ").splitlines()]
+    printed = re.search(r"which prints\n\n```\n(.*?)```", section, re.S).group(1)
+    return commands, printed.splitlines()
+
+
+def test_quick_start_prints_what_readme_shows(tmp_path, monkeypatch, capsys):
+    """Every printed line but the wall time, so a change that moves tm, a
+    count or the EM line fails here until README shows the new output."""
+    commands, want = _quick_start()
+    assert [c[0] for c in commands] == ["phantom", "pipeline"]
+    assert commands[0][commands[0].index("--dims") + 1] == "64"
+    monkeypatch.chdir(tmp_path)
+    for args in commands:
+        capsys.readouterr()
+        assert cli.main(args) == cli.EXIT_OK
+    got = capsys.readouterr().out.splitlines()
+
+    def timeless(lines):
+        return [line for line in lines if not line.startswith("runtime_seconds=")]
+
+    assert len(got) == len(want)
+    assert timeless(got) == timeless(want)
+    assert "runtime_seconds=..." in want
 
 
 def _library_block() -> str:
@@ -93,5 +125,5 @@ def test_library_parameter_table_lists_every_knob_no_config_key_sets():
         for name, p in inspect.signature(ngmm.fit_em).parameters.items()
         if p.default is not p.empty and name not in fit_keys
     }
-    assert ("k", "fvfseg.ngmm.fit_em") in knobs
+    assert ("dt", "fvfseg.fvf3d.EvolutionParams") in knobs
     assert knobs <= listed, f"README lists no row for {sorted(knobs - listed)}"

@@ -6,6 +6,7 @@ import os
 import signal
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -95,6 +96,28 @@ def test_split_planes_cuts_contiguous_parts_of_the_least_size(monkeypatch):
     assert split_planes(0, 10, 9) == [(0, 10)]
     assert split_planes(0, 2, 1000) == [(0, 1), (1, 2)]
     assert split_planes(5, 6, 10**6) == [(5, 6)]
+
+
+@pytest.mark.parametrize("failing", [0, 2])
+def test_run_parts_raises_a_parts_error_after_every_taken_part_finished(failing, monkeypatch):
+    # three parts, the first or the last raising: the others still run to
+    # their end before the error reaches the caller
+    _force_split(monkeypatch, 3)
+    parts = split_planes(0, 3, 1)
+    assert len(parts) == 3
+    called, finished = [], []
+
+    def part(bounds):
+        called.append(bounds)
+        if bounds == parts[failing]:
+            raise ValueError(f"part {failing} failed")
+        time.sleep(0.05)
+        finished.append(bounds)
+
+    with pytest.raises(ValueError, match=f"part {failing} failed"):
+        run_parts(part, parts)
+    assert sorted(called) == parts
+    assert sorted(finished) == [p for p in parts if p != parts[failing]]
 
 
 @pytest.mark.parametrize("workers", [2, 3, 5])
